@@ -162,23 +162,9 @@ def _cmd_verify(args):
                     options["node_limit"] = args.node_limit
             elif args.method == "sat_sweep":
                 options["incremental"] = not args.no_incremental
-                if args.refine_workers:
-                    options["refine_workers"] = args.refine_workers
-                if args.refine_batch:
-                    options["refine_batch"] = args.refine_batch
-                if args.sim_backend != "auto":
-                    options["sim_backend"] = args.sim_backend
                 if args.time_limit:
                     options["time_limit"] = args.time_limit
             elif args.method == "fraig_sweep":
-                if args.refine_workers:
-                    options["refine_workers"] = args.refine_workers
-                if args.refine_batch:
-                    options["refine_batch"] = args.refine_batch
-                if args.sim_backend != "auto":
-                    options["sim_backend"] = args.sim_backend
-                if args.fraig_race:
-                    options["race_workers"] = args.fraig_race
                 if args.time_limit:
                     options["time_limit"] = args.time_limit
             elif args.method == "traversal":
@@ -278,15 +264,6 @@ def _cmd_batch(args):
     else:
         rows = table1_suite(scales=tuple(args.scales))
     options = {}
-    if args.method in ("sat_sweep", "fraig_sweep"):
-        if args.refine_workers:
-            options["refine_workers"] = args.refine_workers
-        if args.refine_batch:
-            options["refine_batch"] = args.refine_batch
-        if args.sim_backend != "auto":
-            options["sim_backend"] = args.sim_backend
-    if args.fraig_race and args.method == "fraig_sweep":
-        options["race_workers"] = args.fraig_race
     if args.preprocess:
         options["preprocess"] = args.preprocess
     jobs = []
@@ -538,7 +515,6 @@ def _cmd_serve(args):
             cache_max_bytes=args.cache_max_bytes,
             queue_limit=args.queue_limit,
             job_time_limit=args.time_limit,
-            refine_workers=args.refine_workers,
             rate=args.rate,
             burst=args.burst,
             ready_file=args.ready_file,
@@ -619,15 +595,6 @@ def _remote_verify(args):
         options["time_limit"] = args.time_limit
     if args.max_depth is not None:
         options["max_depth"] = args.max_depth
-    if args.refine_workers:
-        options["refine_workers"] = args.refine_workers
-    if args.method in ("sat_sweep", "fraig_sweep"):
-        if args.refine_batch:
-            options["refine_batch"] = args.refine_batch
-        if args.sim_backend != "auto":
-            options["sim_backend"] = args.sim_backend
-    if args.fraig_race and args.method == "fraig_sweep":
-        options["race_workers"] = args.fraig_race
     if args.preprocess:
         options["preprocess"] = args.preprocess
     if args.suite:
@@ -763,28 +730,6 @@ def build_parser():
     p_verify.add_argument("--no-incremental", action="store_true",
                           help="sat_sweep only: fall back to the "
                                "solver-per-round baseline engine")
-    p_verify.add_argument("--refine-workers", type=int, default=0,
-                          metavar="N",
-                          help="sat_sweep/fraig_sweep: fan refinement "
-                               "rounds out over N work-stealing worker "
-                               "processes (0 = serial)")
-    p_verify.add_argument("--refine-batch", type=int, default=0,
-                          metavar="CLASSES",
-                          help="sat_sweep/fraig_sweep: Q-check obligations "
-                               "per worker batch, weighted by class size "
-                               "(0 = auto: ~4 batches per worker)")
-    p_verify.add_argument("--sim-backend",
-                          choices=["auto", "compiled", "matrix"],
-                          default="auto",
-                          help="simulation backend for SAT-engine replay "
-                               "(auto = matrix when numpy imports, else "
-                               "compiled)")
-    p_verify.add_argument("--fraig-race", type=int, default=0, metavar="N",
-                          help="fraig_sweep only: race the FRAIG candidate-"
-                               "check strategies on N pool workers and "
-                               "take the first reduction (0 = off; "
-                               "verdict-preserving, reduction may vary "
-                               "run to run)")
     p_verify.add_argument("--profile", metavar="FILE",
                           help="profile the verification with cProfile and "
                                "dump pstats data to FILE")
@@ -826,21 +771,6 @@ def build_parser():
     p_batch.add_argument("--method", choices=METHODS, default="van_eijk")
     p_batch.add_argument("--workers", type=int, default=2,
                          help="parallel worker processes (0 = inline)")
-    p_batch.add_argument("--refine-workers", type=int, default=0,
-                         metavar="N",
-                         help="sat_sweep/fraig_sweep: per-job parallel "
-                              "refinement workers (0 = serial)")
-    p_batch.add_argument("--refine-batch", type=int, default=0,
-                         metavar="CLASSES",
-                         help="Q-check obligations per worker batch "
-                              "(0 = auto)")
-    p_batch.add_argument("--sim-backend",
-                         choices=["auto", "compiled", "matrix"],
-                         default="auto",
-                         help="simulation backend for SAT-engine replay")
-    p_batch.add_argument("--fraig-race", type=int, default=0, metavar="N",
-                         help="fraig_sweep only: race FRAIG strategies on "
-                              "N pool workers per reduction (0 = off)")
     p_batch.add_argument("--optimize-level", type=int, default=2)
     p_batch.add_argument("--time-limit", type=float, default=300.0,
                          help="per-job engine time budget (seconds)")
@@ -949,10 +879,6 @@ def build_parser():
                               "get 429 backpressure")
     p_serve.add_argument("--time-limit", type=float,
                          help="per-job engine time budget (seconds)")
-    p_serve.add_argument("--refine-workers", type=int, default=0,
-                         metavar="N",
-                         help="default parallel refinement workers for "
-                              "sat_sweep jobs (0 = serial)")
     p_serve.add_argument("--rate", type=float, default=20.0,
                          help="per-client request rate (requests/second)")
     p_serve.add_argument("--burst", type=int, default=40,
@@ -1026,21 +952,6 @@ def build_parser():
     pr_verify.add_argument("--time-limit", type=float)
     pr_verify.add_argument("--max-depth", type=int,
                            help="BMC unrolling bound")
-    pr_verify.add_argument("--refine-workers", type=int, default=0,
-                           metavar="N",
-                           help="sat_sweep/fraig_sweep: parallel "
-                                "refinement workers (0 = serial)")
-    pr_verify.add_argument("--refine-batch", type=int, default=0,
-                           metavar="CLASSES",
-                           help="Q-check obligations per worker batch "
-                                "(0 = auto)")
-    pr_verify.add_argument("--sim-backend",
-                           choices=["auto", "compiled", "matrix"],
-                           default="auto",
-                           help="simulation backend for SAT-engine replay")
-    pr_verify.add_argument("--fraig-race", type=int, default=0, metavar="N",
-                           help="fraig_sweep only: race FRAIG strategies "
-                                "on N pool workers (0 = off)")
     pr_verify.add_argument("--preprocess", choices=["fraig"],
                            help="FRAIG-reduce the pair server-side before "
                                 "the engine runs (applied before the "

@@ -16,7 +16,6 @@ from .engine import (
     equivalence_percentage,
 )
 from .satbackend import SatCorrespondence, check_equivalence_sat_sweep
-from .parallel import ParallelSatCorrespondence
 from .diagnose import DiagnosisReport, diagnose
 from .bmc import bmc_refute, check_inequivalence_bmc
 
@@ -26,7 +25,6 @@ __all__ = [
     "DiagnosisReport",
     "diagnose",
     "SatCorrespondence",
-    "ParallelSatCorrespondence",
     "check_equivalence_sat_sweep",
     "CorrespondenceResult",
     "Partition",

@@ -72,21 +72,12 @@ def replay_packed(sim, patterns):
     ``sim.inputs[j]``).  Pattern *i* occupies bit *i* of every returned word;
     the result is one word list per frame, indexed by ``sim.index(net)``.
 
-    This is how the parallel refinement engine merges a whole round's worth
-    of counterexamples into a single global multi-class split: one compiled
-    simulation at width ``len(patterns)`` instead of one replay per witness.
-
-    Sims that provide their own ``replay_packed`` (the numpy
-    :class:`~repro.netlist.simulate.MatrixSim`) take over once the pattern
-    count exceeds a word: the Python bit-transpose below is ``O(patterns ×
-    nets)`` and dominates the merge cost for wide rounds.
+    Many witnesses thus cost one compiled simulation at width
+    ``len(patterns)`` instead of one replay each.
     """
     width = len(patterns)
     if width == 0:
         return []
-    native = getattr(sim, "replay_packed", None)
-    if native is not None and width > 64:
-        return native(patterns)
     n_frames = len(patterns[0][1])
     state_words = [0] * len(sim.registers)
     for i, (state_bits, frame_bits) in enumerate(patterns):

@@ -90,7 +90,7 @@ class SatCorrespondence:
     """
 
     def __init__(self, product, seed=2024, sim_frames=24, sim_width=32,
-                 time_limit=None, k=1, incremental=True, sim_backend="auto",
+                 time_limit=None, k=1, incremental=True,
                  progress=None, cancel_check=None):
         if k < 1:
             raise ValueError("induction depth k must be >= 1")
@@ -103,7 +103,6 @@ class SatCorrespondence:
         self.time_limit = time_limit
         self.k = k
         self.incremental = incremental
-        self.sim_backend = sim_backend
         self.progress = progress
         self.cancel_check = cancel_check
         self.stats = {
@@ -122,8 +121,7 @@ class SatCorrespondence:
         self._init_act = None
         # One sim kernel per compute(): partition seeding and every
         # counterexample replay share it (and its single topo sort).
-        # ``sim_backend`` selects it (auto = matrix when numpy imports).
-        self._csim = make_sim(self.circuit, sim_backend)
+        self._csim = make_sim(self.circuit)
         self._simulate()
         self._signals = self._build_signals()
 
@@ -196,14 +194,9 @@ class SatCorrespondence:
             self.stats["rounds"] = iterations
             self._emit("refinement_round", round=iterations,
                        classes=len(classes), changed=changed,
-                       **self._round_extra(), **self.solver_stats())
+                       **self.solver_stats())
             if not changed:
                 return classes, iterations
-
-    def _round_extra(self):
-        """Extra per-round event payload; the parallel engine overrides this
-        with worker timing/speedup data."""
-        return {}
 
     def solver_stats(self):
         """Engine counters with the live solver's effort folded in."""
@@ -532,8 +525,7 @@ def check_equivalence_sat_sweep(spec, impl, match_inputs="name",
                                 sim_frames=24, sim_width=32,
                                 time_limit=None, max_iterations=None, k=1,
                                 use_retiming=False, max_retiming_rounds=3,
-                                incremental=True, refine_workers=0,
-                                refine_batch=0, sim_backend="auto",
+                                incremental=True,
                                 progress=None, cancel_check=None):
     """SEC by SAT-based signal correspondence; returns a :class:`SecResult`.
 
@@ -542,32 +534,11 @@ def check_equivalence_sat_sweep(spec, impl, match_inputs="name",
     augmentation between fixed points), both strictly increasing proving
     power.  ``incremental=False`` falls back to the solver-per-round
     baseline engine (identical verdicts, kept for differential testing and
-    benchmarking).  ``refine_workers=N`` (N >= 1) runs each refinement
-    round's per-class checks through a work-stealing pool of N persistent
-    worker processes (:mod:`repro.core.parallel`) — same fixed point,
-    shared wall clock; ``refine_batch`` caps the pair-check load per
-    stolen batch (0 = auto).  ``sim_backend`` selects the simulation
-    kernel (:data:`~repro.netlist.simulate.SIM_BACKENDS`).
-    ``progress``/``cancel_check`` are the service-layer hooks shared with
-    the BDD engine.
+    benchmarking).  ``progress``/``cancel_check`` are the service-layer
+    hooks shared with the BDD engine.
     """
     from ..netlist.product import build_product
     from .retiming_aug import CircuitAugmenter
-
-    refine_workers = int(refine_workers or 0)
-    refine_batch = int(refine_batch or 0)
-    if refine_workers < 0:
-        raise ValueError("refine_workers must be >= 0")
-    if refine_batch < 0:
-        raise ValueError("refine_batch must be >= 0")
-    if refine_workers and not incremental:
-        raise ValueError(
-            "refine_workers requires the incremental engine "
-            "(incremental=True); the monolithic baseline stays serial")
-    if refine_workers:
-        from .parallel import ParallelSatCorrespondence as engine_cls
-    else:
-        engine_cls = SatCorrespondence
 
     start = time.monotonic()
     deadline = None if time_limit is None else start + time_limit
@@ -581,16 +552,11 @@ def check_equivalence_sat_sweep(spec, impl, match_inputs="name",
     totals = None
     while True:
         remaining = None if deadline is None else deadline - time.monotonic()
-        extra = {}
-        if refine_workers:
-            extra["refine_workers"] = refine_workers
-            extra["refine_batch"] = refine_batch
-        engine = engine_cls(
+        engine = SatCorrespondence(
             _AugmentedProduct(product, working), seed=seed,
             sim_frames=sim_frames, sim_width=sim_width,
             time_limit=remaining, k=k, incremental=incremental,
-            sim_backend=sim_backend,
-            progress=progress, cancel_check=cancel_check, **extra,
+            progress=progress, cancel_check=cancel_check,
         )
         try:
             classes, iterations = engine.compute(
@@ -611,8 +577,7 @@ def check_equivalence_sat_sweep(spec, impl, match_inputs="name",
                 method="van_eijk_sat",
                 iterations=total_iterations,
                 seconds=time.monotonic() - start,
-                details=_sat_details(classes, engine.k, retime_rounds,
-                                     totals, refine_workers, refine_batch),
+                details=_sat_details(classes, engine.k, retime_rounds, totals),
             )
         if not use_retiming or retime_rounds >= max_retiming_rounds:
             break
@@ -626,8 +591,7 @@ def check_equivalence_sat_sweep(spec, impl, match_inputs="name",
         method="van_eijk_sat",
         iterations=total_iterations,
         seconds=time.monotonic() - start,
-        details=_sat_details(classes, k, retime_rounds, totals,
-                             refine_workers, refine_batch),
+        details=_sat_details(classes, k, retime_rounds, totals),
     )
 
 
@@ -659,17 +623,13 @@ def _outputs_proved_sat(product, classes):
     return True
 
 
-def _sat_details(classes, k, retime_rounds, solver_stats=None,
-                 refine_workers=0, refine_batch=0):
+def _sat_details(classes, k, retime_rounds, solver_stats=None):
     details = {
         "classes": len(classes),
         "functions": sum(len(c) for c in classes),
         "k": k,
         "retime_rounds": retime_rounds,
     }
-    if refine_workers:
-        details["refine_workers"] = refine_workers
-        details["refine_batch"] = refine_batch
     if solver_stats is not None:
         details["solver_stats"] = dict(solver_stats)
     return details

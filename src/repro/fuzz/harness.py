@@ -44,7 +44,6 @@ from ..service.events import (
 from ..service.job import JobSpec
 from ..service.scheduler import BatchScheduler
 from ..errors import TransformError
-from ..netlist.simulate import _numpy
 from .corpus import CorpusEntry, save_entry
 from .generate import FuzzCase, make_recipe
 from .replay import validate_refutation
@@ -52,16 +51,13 @@ from .shrink import recipe_size, shrink_recipe
 
 #: The default battery as ``(label, method, options)`` lanes: the paper's
 #: prover (both refinement backends — the BDD fixed point and the
-#: incremental SAT sweep must agree pair for pair, and the parallel
-#: refinement engine must agree with both), the complete falsifier, and the
-#: complete-but-expensive baseline.  Labels are unique so one method can run
-#: under several option sets; budgets are sized for the small circuits the
-#: fuzzer generates.
+#: incremental SAT sweep must agree pair for pair), the complete falsifier,
+#: and the complete-but-expensive baseline.  Labels are unique so one method
+#: can run under several option sets; budgets are sized for the small
+#: circuits the fuzzer generates.
 DEFAULT_FUZZ_ENGINES = (
     ("van_eijk", "van_eijk", {}),
     ("sat_sweep", "sat_sweep", {"sim_frames": 16, "sim_width": 16}),
-    ("sat_sweep_par2", "sat_sweep",
-     {"sim_frames": 16, "sim_width": 16, "refine_workers": 2}),
     # The same engine behind the FRAIG preprocessor: every fuzz case
     # cross-checks the reducer's verdict-preservation against the plain
     # sat_sweep lane above.
@@ -73,17 +69,6 @@ DEFAULT_FUZZ_ENGINES = (
      {"max_depth": 10, "sim_frames": 16, "sim_width": 16}),
     ("traversal", "traversal", {"max_iterations": 256}),
 )
-
-# The matrix sim backend rides the battery only where numpy imports: the
-# lane pins the numpy replay kernel and the work-stealing pool against the
-# serial/compiled lanes on every fuzz case.  Appended (not inserted) so
-# label-indexed consumers see a strict superset.
-if _numpy() is not None:
-    DEFAULT_FUZZ_ENGINES = DEFAULT_FUZZ_ENGINES + (
-        ("sat_sweep_matrix", "sat_sweep",
-         {"sim_frames": 16, "sim_width": 16, "refine_workers": 2,
-          "sim_backend": "matrix"}),
-    )
 
 #: Multiplier decorrelating fuzzer seeds: run seed k, iteration i fuzzes
 #: case seed k * _SEED_STRIDE + i, so different --seed runs explore
@@ -163,10 +148,10 @@ def _normalize_engines(engines):
 
     Accepts a dict (``{method: options}``), a list of method names (each
     selecting *every* default lane of that method — ``"sat_sweep"`` brings
-    the serial and the parallel lane), ``(method, options)`` pairs (label =
-    method, the historical form) or full ``(label, method, options)``
-    triples.  Duplicate labels are rejected: the results dict is keyed by
-    label.
+    the plain and the FRAIG-preprocessed lane), ``(method, options)``
+    pairs (label = method, the historical form) or full ``(label, method,
+    options)`` triples.  Duplicate labels are rejected: the results dict is
+    keyed by label.
     """
     if engines is None:
         normalized = [(lbl, m, dict(o)) for lbl, m, o in DEFAULT_FUZZ_ENGINES]

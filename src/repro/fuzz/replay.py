@@ -63,8 +63,7 @@ class ReplayReport:
         return "ReplayReport(INVALID: {})".format(self.reason)
 
 
-def replay_trace(circuit, frames, input_map=None, sim=None,
-                 sim_backend="auto"):
+def replay_trace(circuit, frames, input_map=None, sim=None):
     """Drive ``circuit`` from its initial state with explicit input vectors.
 
     ``frames`` is a list of ``{net: bool}`` dicts keyed by the *trace's*
@@ -75,11 +74,10 @@ def replay_trace(circuit, frames, input_map=None, sim=None,
     position) in frame ``t``.
 
     ``sim`` lets callers reuse a prebuilt kernel for ``circuit`` across
-    many traces; otherwise one is built on the fly, selected by
-    ``sim_backend`` (:data:`~repro.netlist.simulate.SIM_BACKENDS`).
+    many traces; otherwise one is built on the fly.
     """
     if sim is None:
-        sim = make_sim(circuit, sim_backend)
+        sim = make_sim(circuit)
     input_frames = []
     missing = 0
     for frame in frames:

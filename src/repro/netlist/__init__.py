@@ -3,9 +3,7 @@
 from .circuit import Circuit, Gate, GateType, Register, eval_gate
 from .product import ProductMachine, build_product, IMPL_PREFIX, SPEC_PREFIX
 from .simulate import (
-    SIM_BACKENDS,
     CompiledSim,
-    MatrixSim,
     SequentialSimulator,
     bit_parallel_eval,
     make_sim,
@@ -30,9 +28,7 @@ __all__ = [
     "build_product",
     "SPEC_PREFIX",
     "IMPL_PREFIX",
-    "SIM_BACKENDS",
     "CompiledSim",
-    "MatrixSim",
     "make_sim",
     "SequentialSimulator",
     "bit_parallel_eval",

@@ -16,27 +16,6 @@ from .circuit import GateType
 from ..errors import NetlistError
 
 
-def _numpy():
-    """The numpy module, or ``None`` when it is not installed.
-
-    Cached after the first probe; the matrix backend is strictly optional
-    and every selection point degrades to :class:`CompiledSim` without it.
-    """
-    global _NUMPY
-    if _NUMPY is False:
-        try:
-            import numpy
-            _NUMPY = numpy
-        except ImportError:
-            _NUMPY = None
-    return _NUMPY
-
-
-_NUMPY = False
-
-SIM_BACKENDS = ("auto", "compiled", "matrix")
-
-
 def _mask(width):
     return (1 << width) - 1
 
@@ -140,8 +119,6 @@ class CompiledSim:
     The kernel is semantics-identical to :func:`bit_parallel_eval` (pinned by
     property tests); three-valued simulation is deliberately not compiled.
     """
-
-    backend = "compiled"
 
     def __init__(self, circuit):
         circuit.validate()
@@ -264,8 +241,7 @@ class CompiledSim:
         ``state_words`` packs one bit per pattern for each register (in
         ``self.registers`` order); ``input_frame_words`` is one word list per
         frame (in ``self.inputs`` order).  Returns the full word list of
-        every frame — the parallel refinement engine replays *all* of a
-        round's counterexamples in one pass this way.
+        every frame (see :func:`repro.core.cexsplit.replay_packed`).
         """
         full = _mask(width)
         state = [w & full for w in state_words]
@@ -278,362 +254,13 @@ class CompiledSim:
         return frames
 
 
-#: MatrixSim stage opcodes (one vectorized numpy op per stage).
-_OP_AND, _OP_OR, _OP_XOR, _OP_NOT, _OP_COPY, _OP_FILL0, _OP_FILL1 = range(7)
+def make_sim(circuit):
+    """Build the simulation kernel for ``circuit`` (a :class:`CompiledSim`).
 
-_GATE_BASE = {
-    GateType.AND: (_OP_AND, False), GateType.NAND: (_OP_AND, True),
-    GateType.OR: (_OP_OR, False), GateType.NOR: (_OP_OR, True),
-    GateType.XOR: (_OP_XOR, False), GateType.XNOR: (_OP_XOR, True),
-}
-
-#: Value of a zero-fanin gate, per :func:`_eval_words` fold identities.
-_GATE_EMPTY = {
-    GateType.AND: _OP_FILL1, GateType.NAND: _OP_FILL0,
-    GateType.OR: _OP_FILL0, GateType.NOR: _OP_FILL1,
-    GateType.XOR: _OP_FILL0, GateType.XNOR: _OP_FILL1,
-}
-
-
-class MatrixSim:
-    """A numpy bit-matrix simulation kernel: word-parallel × lane-parallel.
-
-    ``MatrixSim`` holds a frame valuation as a ``(n_slots, n_lanes)``
-    ``uint64`` matrix — 64 patterns per lane — evaluated level by level:
-    every gate is decomposed into binary ops at build time, the ops are
-    levelized, and each (level, opcode) group becomes **one** fancy-indexed
-    numpy op (``M[dst] = M[a] & M[b]``) covering all its gates across all
-    lanes.
-
-    Measured honestly, that matrix pass does **not** beat
-    :class:`CompiledSim` on plain frame evaluation: CPython big-integer
-    bitwise ops are already word-parallel C loops with less per-op overhead
-    than a numpy dispatch, at every width (see ``docs/PERFORMANCE.md``).
-    Where the matrix representation *does* pay is packed counterexample
-    replay (:meth:`replay_packed`): the generic path spends
-    ``O(patterns × nets)`` pure-Python bit-twiddling transposing patterns
-    into words, which here becomes a handful of vectorized
-    ``unpackbits``/transpose/``packbits`` calls.  That transpose is the hot
-    half of the parallel refinement engine's per-round merge, so the
-    backend is wired exactly there — plus wide partition seeding and fuzz
-    replay batteries, which share the same packing shape.
-
-    Interface parity: slot layout (``net_order``), ``index()``,
-    ``eval``/``eval_words``/``replay``/``replay_words``/``next_state_words``
-    all mirror :class:`CompiledSim` bit for bit (pinned by
-    ``tests/netlist/test_matrix_sim.py``), including the missing-env
-    :class:`NetlistError` category naming.  By default every eval-shaped
-    call takes the embedded compiled scalar kernel (the measured fast
-    path); set ``narrow_width`` to an integer to route widths above it
-    through the pure matrix pass instead (``narrow_width = 0`` forces it —
-    the identity tests do).  Both paths are semantics-identical, so the
-    switch is invisible.
-
-    Requires numpy; construction raises :class:`NetlistError` without it
-    (:func:`make_sim` with ``backend="auto"`` falls back instead).
+    The one constructor partition seeding, counterexample replay and fuzz
+    replay go through.
     """
-
-    backend = "matrix"
-
-    #: Widths at or below this take the compiled scalar kernel for
-    #: eval-shaped calls; ``None`` means "always" (the measured default —
-    #: the matrix pass only wins on :meth:`replay_packed`).
-    narrow_width = None
-
-    def __init__(self, circuit):
-        np = _numpy()
-        if np is None:
-            raise NetlistError(
-                "sim backend 'matrix' requires numpy, which is not "
-                "installed; use backend 'compiled' or 'auto'")
-        self._np = np
-        # The scalar kernel doubles as the narrow-width fast path and the
-        # single source of the slot layout, so both backends agree on
-        # net_order/index() by construction.
-        self._scalar = CompiledSim(circuit)
-        self.circuit = self._scalar.circuit
-        self.inputs = self._scalar.inputs
-        self.registers = self._scalar.registers
-        self.net_order = self._scalar.net_order
-        self._index = self._scalar._index
-        self.next_state_slots = self._scalar.next_state_slots
-        self._n_named = len(self.net_order)
-        self._stages, self._n_slots = self._compile()
-
-    def index(self, net):
-        """Slot of ``net`` in the frame word list / ``net_order``."""
-        return self._index[net]
-
-    # -- program construction ---------------------------------------------
-
-    def _compile(self):
-        """Decompose gates into levelized binary ops; returns (stages, slots).
-
-        Each op is ``(level, opcode, dst, a, b)`` over slot indices; ops are
-        grouped by ``(level, opcode)`` into numpy index arrays.  Multi-fanin
-        gates chain through their own destination slot (each rewrite bumps
-        the slot's level, so the grouping never reorders a chain); inverted
-        gates append an in-place NOT.
-        """
-        np = self._np
-        index = self._index
-        level = {}
-        for i in range(len(self.inputs) + len(self.registers)):
-            level[i] = 0
-        ops = []
-
-        def emit(opcode, dst, a=0, b=0):
-            srcs = []
-            if opcode in (_OP_AND, _OP_OR, _OP_XOR):
-                srcs = [a, b]
-            elif opcode in (_OP_NOT, _OP_COPY):
-                srcs = [a]
-            lvl = 1 + max([level.get(s, 0) for s in srcs] or [0])
-            level[dst] = lvl
-            ops.append((lvl, opcode, dst, a, b))
-
-        gates = self.circuit.gates
-        for net in self.circuit.topo_order():
-            gate = gates[net]
-            dst = index[net]
-            gtype = gate.gtype
-            if gtype is GateType.CONST0:
-                emit(_OP_FILL0, dst)
-                continue
-            if gtype is GateType.CONST1:
-                emit(_OP_FILL1, dst)
-                continue
-            fanins = [index[f] for f in gate.fanins]
-            if gtype is GateType.BUF:
-                emit(_OP_COPY, dst, fanins[0])
-                continue
-            if gtype is GateType.NOT:
-                emit(_OP_NOT, dst, fanins[0])
-                continue
-            try:
-                opcode, inverted = _GATE_BASE[gtype]
-            except KeyError:
-                raise NetlistError(
-                    "unknown gate type: {!r}".format(gtype)) from None
-            if not fanins:
-                emit(_GATE_EMPTY[gtype], dst)
-                continue
-            if len(fanins) == 1:
-                emit(_OP_NOT if inverted else _OP_COPY, dst, fanins[0])
-                continue
-            emit(opcode, dst, fanins[0], fanins[1])
-            for extra in fanins[2:]:
-                emit(opcode, dst, dst, extra)
-            if inverted:
-                emit(_OP_NOT, dst, dst)
-
-        groups = {}
-        for lvl, opcode, dst, a, b in ops:
-            groups.setdefault((lvl, opcode), []).append((dst, a, b))
-        stages = []
-        for (lvl, opcode), members in sorted(groups.items()):
-            dsts = np.array([m[0] for m in members], dtype=np.intp)
-            srcs_a = np.array([m[1] for m in members], dtype=np.intp)
-            srcs_b = np.array([m[2] for m in members], dtype=np.intp)
-            stages.append((opcode, dsts, srcs_a, srcs_b))
-        return stages, self._n_named
-
-    # -- lane plumbing ----------------------------------------------------
-
-    @staticmethod
-    def _lane_count(width):
-        return max(1, (width + 63) // 64)
-
-    def _words_to_lanes(self, words, n_lanes):
-        """Pack Python ints (one per row) into a ``(rows, n_lanes)`` matrix."""
-        np = self._np
-        nbytes = n_lanes * 8
-        buf = b"".join(w.to_bytes(nbytes, "little") for w in words)
-        lanes = np.frombuffer(buf, dtype="<u8").reshape(len(words), n_lanes)
-        return lanes.astype(np.uint64, copy=True)
-
-    def _lanes_to_words(self, matrix, full):
-        """Rows of a lane matrix back to width-masked Python ints."""
-        return [int.from_bytes(row.tobytes(), "little") & full
-                for row in matrix]
-
-    def _run_frame(self, M):
-        """Evaluate one frame in place; ``M`` is the full slot matrix."""
-        for opcode, dst, a, b in self._stages:
-            if opcode == _OP_AND:
-                M[dst] = M[a] & M[b]
-            elif opcode == _OP_OR:
-                M[dst] = M[a] | M[b]
-            elif opcode == _OP_XOR:
-                M[dst] = M[a] ^ M[b]
-            elif opcode == _OP_NOT:
-                M[dst] = ~M[a]
-            elif opcode == _OP_COPY:
-                M[dst] = M[a]
-            elif opcode == _OP_FILL0:
-                M[dst] = 0
-            else:  # _OP_FILL1
-                M[dst] = ~self._np.uint64(0)
-        return M
-
-    def _frame_matrix(self, leaf_words, n_lanes):
-        np = self._np
-        M = np.zeros((self._n_slots, n_lanes), dtype=np.uint64)
-        M[:len(leaf_words)] = self._words_to_lanes(leaf_words, n_lanes)
-        return self._run_frame(M)
-
-    # -- evaluation (CompiledSim-parity surface) --------------------------
-
-    def _use_scalar(self, width):
-        return self.narrow_width is None or width <= self.narrow_width
-
-    def eval_words(self, leaves, full):
-        """One frame from pre-masked leaf words (inputs then registers)."""
-        width = full.bit_length()
-        if self._use_scalar(width):
-            return self._scalar.eval_words(leaves, full)
-        M = self._frame_matrix(leaves, self._lane_count(width))
-        return self._lanes_to_words(M, full)
-
-    def eval(self, env, width):
-        """Drop-in equivalent of ``bit_parallel_eval(circuit, env, width)``."""
-        full = _mask(width)
-        try:
-            leaves = [env[net] & full for net in self.inputs]
-            leaves += [env[net] & full for net in self.registers]
-        except KeyError as exc:
-            raise _missing_env_error(self.circuit, exc.args[0]) from None
-        return dict(zip(self.net_order, self.eval_words(leaves, full)))
-
-    def next_state_words(self, words):
-        """Register next-state words from a frame's full word list."""
-        return [words[i] for i in self.next_state_slots]
-
-    def replay(self, initial_state, input_frames):
-        """Single-pattern replay; mirrors ``CompiledSim.replay``."""
-        if self._use_scalar(1):
-            return self._scalar.replay(initial_state, input_frames)
-        state = [int(bool(initial_state[net])) for net in self.registers]
-        frames = []
-        for inputs in input_frames:
-            leaves = [int(bool(inputs[net])) for net in self.inputs] + state
-            words = self.eval_words(leaves, 1)
-            frames.append(dict(zip(self.net_order, words)))
-            state = [words[i] for i in self.next_state_slots]
-        return frames
-
-    def replay_words(self, state_words, input_frame_words, width):
-        """Multi-pattern replay over packed words, all frames lane-parallel.
-
-        The state matrix stays in lane space between frames — only the
-        per-frame outputs are unpacked — so an n-frame replay costs n
-        matrix passes plus one int conversion per frame, not per gate.
-        """
-        full = _mask(width)
-        if self._use_scalar(width):
-            return self._scalar.replay_words(state_words,
-                                             input_frame_words, width)
-        np = self._np
-        n_lanes = self._lane_count(width)
-        n_inputs = len(self.inputs)
-        state = self._words_to_lanes([w & full for w in state_words],
-                                     n_lanes) if state_words else \
-            np.zeros((0, n_lanes), dtype=np.uint64)
-        frames = []
-        for inputs in input_frame_words:
-            M = np.zeros((self._n_slots, n_lanes), dtype=np.uint64)
-            if n_inputs:
-                M[:n_inputs] = self._words_to_lanes(
-                    [w & full for w in inputs], n_lanes)
-            M[n_inputs:n_inputs + len(self.registers)] = state
-            self._run_frame(M)
-            frames.append(self._lanes_to_words(M, full))
-            state = M[self.next_state_slots]
-        return frames
-
-    # -- vectorized packed-pattern replay ---------------------------------
-
-    def _bits_matrix(self, pattern_ints, n_rows, n_lanes):
-        """Transpose ``len(pattern_ints)`` packed ints into a lane matrix.
-
-        Bit ``r`` of ``pattern_ints[i]`` lands in row ``r``, pattern-bit
-        ``i`` — the transpose the generic :func:`~repro.core.cexsplit.
-        replay_packed` performs one Python bit at a time.  Here it is three
-        vectorized calls: bytes → ``unpackbits`` → transpose →
-        ``packbits``, then a zero-padded uint64 view.
-        """
-        np = self._np
-        if n_rows == 0:
-            return np.zeros((0, n_lanes), dtype=np.uint64)
-        n = len(pattern_ints)
-        nbytes = (n_rows + 7) // 8
-        buf = b"".join(v.to_bytes(nbytes, "little") for v in pattern_ints)
-        rows = np.frombuffer(buf, dtype=np.uint8).reshape(n, nbytes)
-        bits = np.unpackbits(rows, axis=1, bitorder="little", count=n_rows)
-        packed = np.packbits(bits.T, axis=1, bitorder="little")
-        out = np.zeros((n_rows, n_lanes * 8), dtype=np.uint8)
-        out[:, :packed.shape[1]] = packed
-        return out.view("<u8").astype(np.uint64)
-
-    def replay_packed(self, patterns):
-        """Replay packed ``(state_bits, frame_bits)`` patterns lane-parallel.
-
-        Same contract as :func:`repro.core.cexsplit.replay_packed` (pattern
-        *i* occupies bit *i* of every returned word), but the
-        patterns→words transpose runs as vectorized numpy instead of an
-        ``O(patterns × nets)`` Python loop — the dominant cost of the
-        generic path once a refinement round streams back more than a
-        word's worth of counterexamples.
-        """
-        np = self._np
-        width = len(patterns)
-        if width == 0:
-            return []
-        n_frames = len(patterns[0][1])
-        for _, frame_bits in patterns:
-            if len(frame_bits) != n_frames:
-                raise ValueError("patterns disagree on frame count")
-        full = _mask(width)
-        n_lanes = self._lane_count(width)
-        n_inputs = len(self.inputs)
-        n_regs = len(self.registers)
-        state = self._bits_matrix([p[0] for p in patterns], n_regs, n_lanes)
-        frames = []
-        M = np.zeros((self._n_slots, n_lanes), dtype=np.uint64)
-        for t in range(n_frames):
-            M[:n_inputs] = self._bits_matrix(
-                [p[1][t] for p in patterns], n_inputs, n_lanes)
-            M[n_inputs:n_inputs + n_regs] = state
-            self._run_frame(M)
-            frames.append(self._lanes_to_words(M, full))
-            state = M[self.next_state_slots].copy()
-        return frames
-
-
-def make_sim(circuit, backend="auto"):
-    """Build the simulation kernel for ``circuit``.
-
-    ``backend`` is one of :data:`SIM_BACKENDS`:
-
-    * ``"compiled"`` — the exec-compiled big-integer kernel, always
-      available;
-    * ``"matrix"`` — the numpy lane-parallel kernel; raises
-      :class:`NetlistError` when numpy is not installed;
-    * ``"auto"`` (default) — ``matrix`` when numpy is importable,
-      ``compiled`` otherwise.  This is the runtime selection partition
-      seeding, packed counterexample replay and fuzz replay go through.
-    """
-    if backend == "compiled":
-        return CompiledSim(circuit)
-    if backend == "matrix":
-        return MatrixSim(circuit)
-    if backend == "auto":
-        if _numpy() is not None:
-            return MatrixSim(circuit)
-        return CompiledSim(circuit)
-    raise NetlistError(
-        "unknown sim backend {!r} (choose one of {})".format(
-            backend, "|".join(SIM_BACKENDS)))
+    return CompiledSim(circuit)
 
 
 class SequentialSimulator:

@@ -49,6 +49,7 @@ from ..service.events import (
 )
 from ..service.job import JobResult, JobSpec
 from ..service.scheduler import WorkerPool
+from ..service.worker import check_options
 from . import store as store_mod
 from .httpd import (
     HttpError,
@@ -71,6 +72,10 @@ def validate_payload(payload):
     options = payload.get("options") or {}
     if not isinstance(options, dict):
         raise HttpError(400, "options must be a JSON object")
+    try:
+        check_options(method, options)
+    except ValueError as exc:
+        raise HttpError(400, str(exc))
     if options.get("preprocess"):
         from ..sweep import PREPROCESS_PASSES
 
@@ -159,7 +164,7 @@ class VerifyServer:
                  rate=20.0, burst=40, request_timeout=10.0,
                  sse_heartbeat=10.0, sse_write_timeout=10.0,
                  poll_interval=0.02, history_limit=2000, bus=None,
-                 ready_file=None, refine_workers=0, node_id=None,
+                 ready_file=None, node_id=None,
                  join_url=None, advertise_host=None, heartbeat_interval=2.0,
                  trusted_proxies=(), remote_cache_url=None):
         self.host = host
@@ -178,10 +183,6 @@ class VerifyServer:
         self.trusted_proxies = frozenset(trusted_proxies or ())
         self._member = None
         self._member_task = None
-        # Daemon-wide default for sat_sweep jobs that don't pin their own
-        # refine_workers; becomes part of the job's cache key (a serial and
-        # a parallel run produce identical verdicts but different stats).
-        self.refine_workers = int(refine_workers or 0)
         self.request_timeout = request_timeout
         self.sse_heartbeat = sse_heartbeat
         self.sse_write_timeout = sse_write_timeout
@@ -383,9 +384,6 @@ class VerifyServer:
             except Exception as exc:
                 self._mark_error(record, "cannot build job: {!r}".format(exc))
                 continue
-            if (self.refine_workers and job.method == "sat_sweep"
-                    and "refine_workers" not in job.options):
-                job.options["refine_workers"] = self.refine_workers
             cached = (self.cache.get(job.cache_key())
                       if self.cache is not None else None)
             if cached is not None:

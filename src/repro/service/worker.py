@@ -15,9 +15,13 @@ with the cross-process plumbing:
 
 Additional engines can be registered with :func:`register_method`; under
 the default ``fork`` start method a registration made in the parent (e.g.
-by a test) is visible to workers.
+by a test) is visible to workers.  :func:`check_options` lets submission
+sites reject a job whose options its engine would not accept, before the
+job is forked.
 """
 
+import importlib
+import inspect
 import os
 import signal
 import threading
@@ -40,6 +44,52 @@ def register_method(name, runner):
 
 def unregister_method(name):
     _EXTRA_METHODS.pop(name, None)
+
+
+#: method -> (module, callable) whose keywords the job options feed.
+_ENTRY_POINTS = {
+    "van_eijk": ("..core.engine", "VanEijkVerifier"),
+    "sat_sweep": ("..core.satbackend", "check_equivalence_sat_sweep"),
+    "fraig_sweep": ("..sweep.engine", "check_equivalence_fraig_sweep"),
+    "k_induction": ("..induction.engine", "KInductionEngine"),
+    "sweep_induct": ("..induction.engine",
+                     "check_equivalence_sweep_induction"),
+    "bmc": ("..core.bmc", "bmc_refute"),
+    "traversal": ("..reach.traversal", "check_equivalence_traversal"),
+    "explicit": ("..reach.explicit", "explicit_check_equivalence"),
+}
+
+#: Keywords :func:`run_job` passes itself; never valid as job options.
+_INJECTED = frozenset(("spec", "impl", "product", "match_inputs",
+                       "match_outputs", "progress", "cancel_check"))
+
+
+def check_options(method, options):
+    """Raise ``ValueError`` if ``options`` holds a key ``method`` rejects.
+
+    A key is accepted when it is a keyword of the method's entry point, a
+    preprocessor key, or (for ``fraig_sweep``, which forwards the rest) a
+    ``sat_sweep`` keyword.  Methods added by :func:`register_method` are
+    not checked.
+    """
+    if method in _EXTRA_METHODS or method not in _ENTRY_POINTS:
+        return
+    from ..sweep.preprocess import PREPROCESS_OPTION_KEYS
+
+    names = (method, "sat_sweep") if method == "fraig_sweep" else (method,)
+    allowed = set(PREPROCESS_OPTION_KEYS)
+    for name in names:
+        module, attr = _ENTRY_POINTS[name]
+        entry = getattr(importlib.import_module(module, __package__), attr)
+        allowed.update(
+            p.name for p in inspect.signature(entry).parameters.values()
+            if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY))
+    allowed -= _INJECTED
+    for key in options:
+        if key not in allowed:
+            raise ValueError(
+                "unknown option {!r} for method {!r}; accepted: {}".format(
+                    key, method, ", ".join(sorted(allowed))))
 
 
 def run_job(job, emit=None, cancel_check=None):

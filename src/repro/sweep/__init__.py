@@ -22,12 +22,9 @@ from .preprocess import (
     preprocess_pair,
     split_preprocess_options,
 )
-from .race import DEFAULT_RACE_STRATEGIES, race_fraig
 from .reduce import FraigReduction, fraig_reduce
 
 __all__ = [
-    "DEFAULT_RACE_STRATEGIES",
-    "race_fraig",
     "FraigReduction",
     "FrameSweeper",
     "PREPROCESS_PASSES",

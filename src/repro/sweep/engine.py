@@ -17,54 +17,32 @@ from .reduce import fraig_reduce
 
 def check_equivalence_fraig_sweep(spec, impl, match_inputs="name",
                                   match_outputs="order", seed=2024,
-                                  conflict_budget=None, race_workers=0,
+                                  conflict_budget=None,
                                   progress=None, cancel_check=None,
                                   **sat_options):
     """SEC by FRAIG preprocessing + SAT signal correspondence.
 
     ``sat_options`` are forwarded to
     :func:`~repro.core.satbackend.check_equivalence_sat_sweep`
-    (``sim_frames``, ``time_limit``, ``k``, ...).  ``race_workers=N``
-    (N >= 1) races the :data:`~repro.sweep.race.DEFAULT_RACE_STRATEGIES`
-    candidate-check strategies for each reduction on an N-process
-    work-stealing pool, taking the first finisher (sound for any winner;
-    see :mod:`repro.sweep.race`).  Returns a
+    (``sim_frames``, ``time_limit``, ``k``, ...).  Returns a
     :class:`~repro.reach.SecResult` with ``method="fraig_sweep"`` whose
     ``details["fraig"]`` records both reductions.
     """
     from ..core.satbackend import check_equivalence_sat_sweep
 
-    race_workers = int(race_workers or 0)
-    if race_workers < 0:
-        raise ValueError("race_workers must be >= 0")
     started = time.perf_counter()
-    race_info = {}
-
-    def reduce_one(circuit, tag):
-        if race_workers:
-            from .race import race_fraig
-
-            reduction, info = race_fraig(circuit, seed=seed,
-                                         workers=race_workers,
-                                         conflict_budget=conflict_budget)
-            race_info[tag] = info
-            return reduction
-        return fraig_reduce(circuit, seed=seed,
-                            conflict_budget=conflict_budget)
-
-    spec_red = reduce_one(spec, "spec")
+    spec_red = fraig_reduce(spec, seed=seed, conflict_budget=conflict_budget)
     if cancel_check is not None and cancel_check():
         from ..service.job import aborted_result
 
         return aborted_result("fraig_sweep", "cancelled",
                               seconds=time.perf_counter() - started)
-    impl_red = reduce_one(impl, "impl")
+    impl_red = fraig_reduce(impl, seed=seed, conflict_budget=conflict_budget)
     if progress is not None:
         progress("fraig_reduced",
                  spec_ands=spec_red.stats["ands_after"],
                  impl_ands=impl_red.stats["ands_after"],
-                 merges=spec_red.stats["merges"] + impl_red.stats["merges"],
-                 **({"race": race_info} if race_info else {}))
+                 merges=spec_red.stats["merges"] + impl_red.stats["merges"])
     result = check_equivalence_sat_sweep(
         spec_red.reduced, impl_red.reduced, match_inputs=match_inputs,
         match_outputs=match_outputs, seed=seed, progress=progress,
@@ -76,8 +54,6 @@ def check_equivalence_fraig_sweep(spec, impl, match_inputs="name",
         "spec": dict(spec_red.stats),
         "impl": dict(impl_red.stats),
     }
-    if race_info:
-        result.details["fraig"]["race"] = race_info
     # The reduction preserves the input interface; the checked-identity
     # translation turns any contract drift into a loud error here rather
     # than a bogus replay downstream.

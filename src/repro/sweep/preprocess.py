@@ -28,7 +28,7 @@ from .reduce import fraig_reduce
 PREPROCESS_PASSES = ("fraig",)
 
 #: Option keys consumed by the preprocessor (not forwarded to engines).
-_PREPROCESS_OPTION_KEYS = ("preprocess", "preprocess_seed")
+PREPROCESS_OPTION_KEYS = ("preprocess", "preprocess_seed")
 
 
 def check_preprocess(passes):

@@ -165,17 +165,7 @@ def test_sat_sweep_in_default_fuzz_battery():
     lanes = {label: (method, options)
              for label, method, options in DEFAULT_FUZZ_ENGINES}
     assert lanes["sat_sweep"][0] == "sat_sweep"
-    # The battery also exercises the parallel refinement engine.
-    method, options = lanes["sat_sweep_par2"]
+    # The battery also runs the engine behind the FRAIG preprocessor.
+    method, options = lanes["sat_sweep_fraig"]
     assert method == "sat_sweep"
-    assert options["refine_workers"] == 2
-    # And, where numpy imports, the matrix replay backend on the same pool.
-    from repro.netlist.simulate import _numpy
-
-    if _numpy() is not None:
-        method, options = lanes["sat_sweep_matrix"]
-        assert method == "sat_sweep"
-        assert options["sim_backend"] == "matrix"
-        assert options["refine_workers"] == 2
-    else:
-        assert "sat_sweep_matrix" not in lanes
+    assert options["preprocess"] == "fraig"

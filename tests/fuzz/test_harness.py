@@ -135,9 +135,9 @@ def test_engine_list_shorthand_uses_default_budgets():
 def test_engine_method_shorthand_selects_all_default_lanes():
     fuzzer = DifferentialFuzzer(engines=["sat_sweep"])
     labels = [label for label, _, _ in fuzzer.engines]
-    assert "sat_sweep" in labels and "sat_sweep_par2" in labels
+    assert "sat_sweep" in labels and "sat_sweep_fraig" in labels
     lanes = {label: options for label, _, options in fuzzer.engines}
-    assert lanes["sat_sweep_par2"]["refine_workers"] == 2
+    assert lanes["sat_sweep_fraig"]["preprocess"] == "fraig"
 
 
 def test_duplicate_engine_labels_rejected():

@@ -8,10 +8,14 @@ pattern word it returns exactly what ``bit_parallel_eval`` (and therefore
 compiled; these tests pin that boundary too.
 """
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.cexsplit import replay_packed, replay_pattern
 from repro.errors import NetlistError
@@ -21,11 +25,15 @@ from repro.netlist import (
     GateType,
     SequentialSimulator,
     bit_parallel_eval,
+    make_sim,
     single_eval,
 )
 from repro.netlist.simulate import _env_net_category
 
 from .helpers import circuit_seeds, counter_circuit, random_sequential_circuit, toggle_circuit
+
+SRC_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "..",
+                       "src")
 
 
 def random_env(circuit, rng, width):
@@ -35,17 +43,33 @@ def random_env(circuit, rng, width):
     }
 
 
+def test_make_sim_builds_the_compiled_kernel():
+    circuit = random_sequential_circuit(5)
+    sim = make_sim(circuit)
+    assert type(sim) is CompiledSim
+    reference = CompiledSim(circuit)
+    assert sim.net_order == reference.net_order
+    assert sim.next_state_slots == reference.next_state_slots
+
+
 # ------------------------------------------------------------ frame identity
 
 
+#: Pattern counts below, at and across a 64-bit machine word.
+WIDE = (64, 65, 150)
+
+
 @settings(max_examples=60, deadline=None)
-@given(circuit_seeds, st.integers(min_value=0, max_value=2 ** 30))
-def test_compiled_matches_interpreter_and_reference(seed, pattern_seed):
+@given(circuit_seeds, st.integers(min_value=0, max_value=2 ** 30),
+       st.sampled_from((1, 8) + WIDE))
+@example(seed=3, pattern_seed=1, width=WIDE[0])
+@example(seed=4, pattern_seed=2, width=WIDE[1])
+@example(seed=5, pattern_seed=3, width=WIDE[2])
+def test_compiled_matches_interpreter_and_reference(seed, pattern_seed, width):
     """CompiledSim.eval == bit_parallel_eval == single_eval, bit for bit."""
     circuit = random_sequential_circuit(seed)
     sim = CompiledSim(circuit)
     rng = random.Random(pattern_seed)
-    width = 8
     env = random_env(circuit, rng, width)
     compiled = sim.eval(env, width)
     interpreted = bit_parallel_eval(circuit, env, width)
@@ -112,6 +136,9 @@ def test_replay_matches_legacy_replay_pattern(seed, stim_seed, frames):
 @settings(max_examples=20, deadline=None)
 @given(circuit_seeds, st.integers(min_value=0, max_value=2 ** 30),
        st.integers(min_value=1, max_value=6))
+@example(seed=3, stim_seed=1, n_patterns=WIDE[0])
+@example(seed=4, stim_seed=2, n_patterns=WIDE[1])
+@example(seed=5, stim_seed=3, n_patterns=WIDE[2])
 def test_replay_packed_equals_per_pattern_replays(seed, stim_seed, n_patterns):
     """Bit i of every packed word must equal pattern i's scalar replay."""
     circuit = random_sequential_circuit(seed)
@@ -233,3 +260,32 @@ def test_env_net_category_is_exhaustive():
     assert _env_net_category(circuit, "en") == "input"
     assert _env_net_category(circuit, "q") == "register"
     assert _env_net_category(circuit, "nonesuch") == "undefined"
+
+
+# ------------------------------------------------------------ dependencies
+
+
+def test_engines_never_import_numpy():
+    """Seeding, SAT replay, FRAIG sweeping and the fuzz replay oracle run
+    on the stdlib kernel alone."""
+    script = textwrap.dedent("""
+        import sys
+        import repro
+        from repro.circuits import fig2_pair
+        from repro.fuzz.replay import validate_refutation
+        from repro.reach import CexTrace, SecResult
+
+        spec, impl = fig2_pair()
+        assert repro.verify(spec, impl, method="sat_sweep").equivalent
+        assert repro.verify(spec, impl, method="fraig_sweep").equivalent
+        claim = SecResult(equivalent=False, method="bmc",
+                          counterexample=CexTrace(inputs=[{"x": True}],
+                                                  final_input={"x": False}))
+        assert not validate_refutation(spec, impl, claim).valid
+        print("numpy" in sys.modules)
+    """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run([sys.executable, "-c", script], check=True, env=env,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

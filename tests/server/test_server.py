@@ -41,6 +41,47 @@ def test_validate_rejects_unknown_suite_row():
     assert "no_such_circuit" in excinfo.value.message
 
 
+@pytest.mark.parametrize("method, key", [
+    ("sat_sweep", "refine_workers"),
+    ("sat_sweep", "refine_batch"),
+    ("sat_sweep", "sim_backend"),
+    ("fraig_sweep", "race_workers"),
+])
+def test_validate_rejects_removed_option(method, key):
+    with pytest.raises(HttpError) as excinfo:
+        validate_payload({"suite": "s386", "method": method,
+                          "options": {key: 2}})
+    assert excinfo.value.status == 400
+    assert repr(key) in excinfo.value.message
+    assert repr(method) in excinfo.value.message
+
+
+def test_validate_rejects_misspelled_option():
+    with pytest.raises(HttpError) as excinfo:
+        validate_payload({"suite": "s386", "method": "bmc",
+                          "options": {"max_dpeth": 4}})
+    assert excinfo.value.status == 400
+    assert "'max_dpeth'" in excinfo.value.message
+    assert "'bmc'" in excinfo.value.message
+
+
+def test_validate_accepts_forwarded_and_preprocess_options():
+    """fraig_sweep forwards sat_sweep keywords; every method takes the
+    preprocessor's keys."""
+    validate_payload({"suite": "s386", "method": "fraig_sweep",
+                      "options": {"conflict_budget": 10, "k": 2,
+                                  "sim_frames": 4, "preprocess": "fraig",
+                                  "preprocess_seed": 3}})
+    validate_payload({"suite": "s386", "method": "k_induction",
+                      "options": {"max_depth": 4, "strengthen": False}})
+    with pytest.raises(HttpError):
+        validate_payload({"suite": "s386", "method": "sat_sweep",
+                          "options": {"conflict_budget": 10}})
+    with pytest.raises(HttpError):  # run_job passes this one itself
+        validate_payload({"suite": "s386", "method": "sat_sweep",
+                          "options": {"progress": None}})
+
+
 def test_validate_normalizes_defaults():
     normalized = validate_payload({"suite": "s386"})
     assert normalized["name"] == "s386"
@@ -124,24 +165,18 @@ def test_submit_suite_row_and_sse_stream(tmp_path):
         assert events[-1]["record"]["state"] == "done"
 
 
-def test_server_default_refine_workers_applied(tmp_path):
-    """A daemon started with ``refine_workers`` injects it into sat_sweep
-    jobs that don't pin their own value — visible in the verdict details."""
+def test_submit_with_removed_option_gets_400_not_a_dead_job(tmp_path):
+    """An older client sending a removed knob is refused at submit with a
+    message naming the key; nothing is queued or forked."""
     spec, impl = tiny_pair()
-    with ServerThread(store_dir=tmp_path, workers=1,
-                      refine_workers=2) as server:
+    with ServerThread(store_dir=tmp_path, workers=1) as server:
         client = client_for(server)
-        job_id = client.submit(spec, impl, name="tiny", method="sat_sweep")
-        record = client.wait(job_id, poll=0.05, timeout=60)
-        assert record["state"] == "done"
-        result = record["result"]["result"]
-        assert result["equivalent"] is True
-        assert result["details"]["refine_workers"] == 2
-        # Other methods are left alone.
-        other = client.submit(spec, impl, name="tiny-ve", method="van_eijk")
-        other_record = client.wait(other, poll=0.05, timeout=60)
-        assert other_record["state"] == "done"
-        assert other_record["result"]["result"]["equivalent"] is True
+        with pytest.raises(ServerError) as excinfo:
+            client.submit(spec, impl, name="tiny", method="sat_sweep",
+                          options={"refine_workers": 2})
+        assert excinfo.value.status == 400
+        assert "refine_workers" in str(excinfo.value)
+        assert client.jobs() == []
 
 
 def test_http_errors(tmp_path):

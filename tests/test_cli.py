@@ -62,37 +62,32 @@ def test_verify_sat_sweep_method(circuit_files, capsys):
     assert code == 0
 
 
-def test_verify_sat_sweep_refine_workers(circuit_files, capsys):
-    code = main(["verify", str(circuit_files["spec"]),
-                 str(circuit_files["impl"]), "--method", "sat_sweep",
-                 "--refine-workers", "2", "--json"])
-    payload = json.loads(capsys.readouterr().out)
-    assert code == 0
-    assert payload["equivalent"] is True
-    assert payload["details"]["refine_workers"] == 2
+@pytest.mark.parametrize("command", [
+    ["verify", "spec.bench", "impl.bench", "--method", "sat_sweep"],
+    ["batch", "--rows", "s386", "--method", "sat_sweep"],
+    ["remote", "verify", "--server", "http://127.0.0.1:1", "--suite",
+     "s386", "--method", "sat_sweep"],
+], ids=["verify", "batch", "remote-verify"])
+@pytest.mark.parametrize("flag", [
+    ["--refine-workers", "2"],
+    ["--refine-batch", "3"],
+    ["--sim-backend", "compiled"],
+    ["--fraig-race", "2"],
+], ids=lambda flag: flag[0].lstrip("-"))
+def test_removed_refinement_flags_are_rejected(command, flag, capsys):
+    """Refinement is serial with one sim kernel; the old knobs are usage
+    errors, not silently ignored."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(command + flag)
+    assert excinfo.value.code == 2
+    assert flag[0] in capsys.readouterr().err
 
 
-def test_verify_refine_batch_and_sim_backend_flags(circuit_files, capsys):
-    code = main(["verify", str(circuit_files["spec"]),
-                 str(circuit_files["impl"]), "--method", "sat_sweep",
-                 "--refine-workers", "2", "--refine-batch", "3",
-                 "--sim-backend", "compiled", "--json"])
-    payload = json.loads(capsys.readouterr().out)
-    assert code == 0
-    assert payload["equivalent"] is True
-    assert payload["details"]["refine_batch"] == 3
-
-
-def test_verify_fraig_race_flag(circuit_files, capsys):
-    code = main(["verify", str(circuit_files["spec"]),
-                 str(circuit_files["impl"]), "--method", "fraig_sweep",
-                 "--fraig-race", "2", "--json"])
-    payload = json.loads(capsys.readouterr().out)
-    assert code == 0
-    assert payload["equivalent"] is True
-    race = payload["details"]["fraig"]["race"]
-    assert set(race) == {"spec", "impl"}
-    assert race["spec"]["strategy"] in race["spec"]["raced"]
+def test_serve_rejects_removed_refine_workers_flag(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["serve", "--refine-workers", "2"])
+    assert excinfo.value.code == 2
+    assert "--refine-workers" in capsys.readouterr().err
 
 
 def test_verify_profile_flag_writes_stats(circuit_files, tmp_path, capsys):
@@ -248,17 +243,6 @@ def test_batch_json_mode(tmp_path, capsys):
     assert len(payload) == 1
     assert payload[0]["name"] == "s386"
     assert payload[0]["result"]["equivalent"] is True
-
-
-def test_batch_refine_workers_flag(tmp_path, capsys):
-    code = main(["batch", "--rows", "s386", "--workers", "0",
-                 "--method", "sat_sweep", "--refine-workers", "2",
-                 "--cache-dir", str(tmp_path / "cache"), "--json",
-                 "--time-limit", "120"])
-    payload = json.loads(capsys.readouterr().out)
-    assert code == 0
-    assert payload[0]["result"]["equivalent"] is True
-    assert payload[0]["result"]["details"]["refine_workers"] == 2
 
 
 def test_table1_workers_flag(capsys):
