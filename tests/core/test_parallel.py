@@ -1,15 +1,13 @@
-"""Parallel refinement engine: identity with the serial fixed point.
+"""Job-level parallelism: identity with in-process serial runs.
 
-The whole value proposition of :class:`ParallelSatCorrespondence` is that
-running a round's class checks through the work-stealing pool changes
-*nothing* observable but wall-clock time: same verdicts, same final
-partition, same fixed point — on random pairs, the Table-1 suite and the
-persisted fuzz corpus, at any batch size and any stealing order.  These
-tests also pin the resource model (1 master + N worker solver
-constructions, +1 per respawn), the per-round worker telemetry, crash
-degradation (re-queue the dead worker's batch, respawn, keep going), and
-pool hygiene (no live children after ``compute()``, even on budget
-aborts).
+Refinement inside one job is serial; parallelism lives one level up, in
+the service layer's worker processes (:class:`~repro.service.BatchScheduler`
+behind ``batch --workers`` and the daemon's pool).  Running a job in a
+forked worker, next to other jobs, must change nothing observable but
+wall-clock time: same verdicts, same class counts, same final partition as
+running it in the calling process — on random pairs, the Table-1 suite and
+the persisted fuzz corpus.  The worker's per-round refinement telemetry
+must reach the parent's event bus intact and in order.
 """
 
 import os
@@ -18,85 +16,82 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 from repro.circuits import row_by_name
-from repro.core import check_equivalence_sat_sweep
-from repro.core.parallel import ParallelSatCorrespondence, _make_batches
 from repro.core.satbackend import SatCorrespondence
-from repro.errors import ResourceBudgetExceeded
 from repro.fuzz.corpus import discover
 from repro.fuzz.generate import build_pair
 from repro.netlist import build_product
+from repro.reach import SecResult
+from repro.service import (
+    BatchScheduler,
+    EventBus,
+    JobSpec,
+    register_method,
+    run_job,
+    unregister_method,
+)
+from repro.service.events import JOB_PROGRESS
 from repro.transform import optimize
 
-from ..netlist.helpers import counter_circuit, random_sequential_circuit
+from ..netlist.helpers import random_sequential_circuit
 
 CORPUS_DIR = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "..", "corpus")
 
 pytestmark = pytest.mark.skipif(
-    not hasattr(os, "fork"), reason="parallel refinement requires fork")
+    not hasattr(os, "fork"), reason="worker processes require fork")
 
 
-def product_for(seed):
+def pair_for(seed):
     spec = random_sequential_circuit(seed, n_inputs=2, n_regs=3, n_gates=8)
-    impl = optimize(spec, level=2, seed=seed + 1)
-    return build_product(spec, impl, match_outputs="order")
+    return spec, optimize(spec, level=2, seed=seed + 1)
 
 
 def netsets(classes):
     return {
-        frozenset((sig.net, sig.complemented) for sig in cls)
+        frozenset((net, bool(complemented)) for net, complemented in cls)
         for cls in classes
     }
 
 
-def suite_product(name):
-    spec, impl = row_by_name(name).pair()
-    return build_product(spec, impl, match_outputs="order")
+def partition_of(spec, impl):
+    product = build_product(spec, impl, match_outputs="order")
+    classes, _ = SatCorrespondence(product, sim_frames=2,
+                                   sim_width=1).compute()
+    return [[(sig.net, sig.complemented) for sig in cls] for cls in classes]
 
 
-# ------------------------------------------------------------- construction
+def partition_runner(job, progress, cancel_check):
+    """A job whose result carries the whole final partition."""
+    return SecResult(True, "partition",
+                     details={"partition": partition_of(job.spec, job.impl)})
 
 
-def test_refine_workers_must_be_positive():
-    product = product_for(0)
-    with pytest.raises(ValueError, match=">= 1"):
-        ParallelSatCorrespondence(product, refine_workers=0)
+def run_in_workers(jobs, bus=None):
+    """Run ``jobs`` two at a time in forked workers; results in order."""
+    scheduler = BatchScheduler(workers=2, bus=bus, retries=0,
+                               no_fallback=True)
+    results = scheduler.run(jobs)
+    for result in results:
+        assert result.error is None, result.error
+        assert not result.cached
+    return results
 
 
-def test_parallel_engine_requires_incremental_mode():
-    product = product_for(0)
-    with pytest.raises(ValueError, match="incremental"):
-        ParallelSatCorrespondence(product, refine_workers=2,
-                                  incremental=False)
+def sat_sweep_job(name, spec, impl):
+    return JobSpec(name, spec, impl, method="sat_sweep",
+                   match_outputs="order")
 
 
-def test_sweep_rejects_workers_on_monolithic_baseline():
-    spec = counter_circuit(3)
-    impl = optimize(spec, level=2, seed=1)
-    with pytest.raises(ValueError, match="incremental"):
-        check_equivalence_sat_sweep(spec, impl, match_outputs="order",
-                                    refine_workers=2, incremental=False)
-    with pytest.raises(ValueError, match=">= 0"):
-        check_equivalence_sat_sweep(spec, impl, match_outputs="order",
-                                    refine_workers=-1)
-
-
-def test_batch_packing_is_deterministic_and_bounded():
-    classes = [["a"], ["b"] * 5, ["c"] * 3, ["d"] * 3, ["e"] * 2]
-    batches = _make_batches(classes, [1, 2, 3, 4], 2, 4)
-    assert batches == _make_batches(classes, [1, 2, 3, 4], 2, 4)
-    assert sorted(cid for batch in batches for cid in batch) == [1, 2, 3, 4]
-    # Largest-first greedy fill at cap 4: the size-5 class (load 4) fills
-    # a batch alone; each size-3 class (load 2) pairs greedily; the size-2
-    # (load 1) joins the second size-3's batch.
-    assert batches == [[1], [2, 3], [4]]
-    # A class heavier than the cap still lands (alone) in a batch.
-    assert _make_batches(classes, [1], 2, 1) == [[1]]
-    # Auto cap spreads the total load into multiple batches per worker so
-    # the pool has stealing slack.
-    auto = _make_batches(classes, [1, 2, 3, 4], 1, 0)
-    assert sorted(cid for batch in auto for cid in batch) == [1, 2, 3, 4]
-    assert len(auto) >= 3
+def assert_workers_match_serial(spec, impl):
+    """Two concurrent worker runs of one job == the in-process run."""
+    serial = run_job(sat_sweep_job("serial", spec, impl))
+    for job_result in run_in_workers([sat_sweep_job("a", spec, impl),
+                                      sat_sweep_job("b", spec, impl)]):
+        assert job_result.result.equivalent == serial.equivalent
+        assert job_result.result.details["classes"] == serial.details[
+            "classes"]
+        assert job_result.result.details["functions"] == serial.details[
+            "functions"]
 
 
 # ---------------------------------------------------------- identity checks
@@ -105,178 +100,67 @@ def test_batch_packing_is_deterministic_and_bounded():
 @settings(max_examples=8, deadline=None)
 @given(st.integers(min_value=0, max_value=10 ** 6))
 def test_parallel_and_serial_partitions_identical(seed):
-    """The greatest fixed point is unique; worker count cannot move it."""
-    product = product_for(seed)
-    serial = SatCorrespondence(product, sim_frames=2, sim_width=1)
-    serial_classes, _ = serial.compute()
-    par = ParallelSatCorrespondence(product, refine_workers=2,
-                                    sim_frames=2, sim_width=1)
-    par_classes, _ = par.compute()
-    assert netsets(par_classes) == netsets(serial_classes)
+    """The greatest fixed point is unique; the process it is computed in,
+    and the jobs running beside it, cannot move it."""
+    spec, impl = pair_for(seed)
+    register_method("partition", partition_runner)
+    try:
+        results = run_in_workers([
+            JobSpec("p{}".format(i), spec, impl, method="partition",
+                    match_outputs="order")
+            for i in range(2)
+        ])
+    finally:
+        unregister_method("partition")
+    expected = netsets(partition_of(spec, impl))
+    for job_result in results:
+        assert netsets(job_result.result.details["partition"]) == expected
 
 
 @pytest.mark.parametrize("name", ["s298", "s386"])
 def test_suite_verdicts_and_class_counts_agree(name):
     spec, impl = row_by_name(name).pair()
-    serial = check_equivalence_sat_sweep(spec, impl, match_outputs="order")
-    par = check_equivalence_sat_sweep(spec, impl, match_outputs="order",
-                                      refine_workers=2)
-    assert par.equivalent == serial.equivalent
-    assert par.details["classes"] == serial.details["classes"]
-    assert par.details["refine_workers"] == 2
-    assert "refine_workers" not in serial.details
+    assert_workers_match_serial(spec, impl)
 
 
 @pytest.mark.parametrize("entry", discover(CORPUS_DIR), ids=lambda e: e.id)
 def test_corpus_verdicts_agree(entry):
     spec, impl = build_pair(entry.recipe)
-    serial = check_equivalence_sat_sweep(spec, impl, match_outputs="order")
-    par = check_equivalence_sat_sweep(spec, impl, match_outputs="order",
-                                      refine_workers=2)
-    assert par.equivalent == serial.equivalent
-    assert par.details["classes"] == serial.details["classes"]
+    assert_workers_match_serial(spec, impl)
 
 
-# ----------------------------------------------------- resources / telemetry
-
-
-def test_pool_costs_one_construction_per_worker():
-    """1 master + N workers, each with exactly one frame encoding."""
-    product = suite_product("s298")
-    engine = ParallelSatCorrespondence(product, refine_workers=2,
-                                       sim_frames=2, sim_width=1)
-    engine.compute()
-    assert engine.stats["solver_constructions"] == 3
-    assert engine.stats["frame_encodings"] == 3
-    assert engine.stats["rounds"] >= 1
+# ---------------------------------------------------------------- telemetry
 
 
 def test_refinement_rounds_carry_worker_telemetry():
-    product = suite_product("s298")
+    """Each worker's refinement_round events reach the parent's bus tagged
+    with their job, in round order, with the same counts and solver effort
+    an in-process run reports."""
+    spec, impl = row_by_name("s298").pair()
     events = []
-    engine = ParallelSatCorrespondence(
-        product, refine_workers=2, sim_frames=2, sim_width=1,
-        progress=lambda kind, **data: events.append((kind, data)))
-    engine.compute()
-    rounds = [data for kind, data in events if kind == "refinement_round"]
-    assert rounds
-    parallel_rounds = [data for data in rounds if data["workers"] == 2]
-    assert parallel_rounds, "no round actually fanned out"
-    for data in parallel_rounds:
-        assert len(data["worker_seconds"]) == 2
-        assert data["batches"] >= 1
-        assert data["round_seconds"] > 0
-        assert data["speedup"] > 0
-        assert "sat_queries" in data and "classes" in data
-    # The pool is gone and reaped once the fixed point is reached.
-    assert engine._pool is None
+    run_job(sat_sweep_job("serial", spec, impl), emit=events.append)
+    bus = EventBus()
+    bus.subscribe(events.append)
+    run_in_workers([sat_sweep_job("a", spec, impl),
+                    sat_sweep_job("b", spec, impl)], bus=bus)
 
+    def rounds_of(name):
+        return [
+            event.data for event in events
+            if event.type == JOB_PROGRESS and event.job == name
+            and event.data.get("kind") == "refinement_round"
+        ]
 
-def test_low_fanout_rounds_stay_serial():
-    """Rounds under the fan-out threshold keep ``workers == 0`` — the pool
-    is never even spawned."""
-    spec = counter_circuit(2)
-    events = []
-    engine = ParallelSatCorrespondence(
-        build_product(spec, spec.copy(), match_outputs="order"),
-        refine_workers=2,
-        progress=lambda kind, **data: events.append((kind, data)))
-    engine.min_parallel_classes = 10 ** 9
-    engine.compute()
-    rounds = [data for kind, data in events if kind == "refinement_round"]
-    assert rounds
-    assert all(data["workers"] == 0 for data in rounds)
-    assert engine.stats["solver_constructions"] == 1
-
-
-def test_broken_pool_degrades_to_identical_serial_result():
-    product = suite_product("s298")
-    engine = ParallelSatCorrespondence(product, refine_workers=2,
-                                       sim_frames=2, sim_width=1)
-    engine._pool_broken = True
-    classes, _ = engine.compute()
-    baseline = SatCorrespondence(product, sim_frames=2, sim_width=1)
-    expected, _ = baseline.compute()
-    assert netsets(classes) == netsets(expected)
-    assert engine.stats["solver_constructions"] == 1
-
-
-def test_budget_abort_tears_the_pool_down():
-    product = suite_product("s298")
-    engine = ParallelSatCorrespondence(product, refine_workers=2,
-                                       sim_frames=2, sim_width=1,
-                                       time_limit=0.0)
-    with pytest.raises(ResourceBudgetExceeded):
-        engine.compute()
-    assert engine._pool is None
-
-
-def test_close_is_idempotent():
-    product = product_for(1)
-    engine = ParallelSatCorrespondence(product, refine_workers=2)
-    engine.compute()
-    engine.close()
-    engine.close()
-    assert engine._pool is None
-
-
-# ------------------------------------------------- stealing order / respawn
-
-
-def test_batch_size_never_changes_the_partition():
-    """Any batch granularity — one class per batch, everything in one
-    batch, or the auto cap — steals in a different order yet lands on the
-    identical greatest fixed point."""
-    product = suite_product("s298")
-    baseline = SatCorrespondence(product, sim_frames=2, sim_width=1)
-    expected, _ = baseline.compute()
-    partitions = []
-    for refine_batch in (1, 3, 10 ** 9, 0):
-        engine = ParallelSatCorrespondence(
-            product, refine_workers=2, refine_batch=refine_batch,
-            sim_frames=2, sim_width=1)
-        classes, _ = engine.compute()
-        partitions.append(netsets(classes))
-    assert all(p == netsets(expected) for p in partitions)
-
-
-def test_repeated_runs_are_deterministic():
-    product = product_for(3)
-    runs = []
-    for _ in range(2):
-        engine = ParallelSatCorrespondence(product, refine_workers=2,
-                                           refine_batch=1,
-                                           sim_frames=2, sim_width=1)
-        classes, _ = engine.compute()
-        runs.append(netsets(classes))
-    assert runs[0] == runs[1]
-
-
-def test_worker_crash_requeues_batch_and_respawns():
-    """SIGKILLing one pool worker mid-fixpoint must not change the result:
-    the dead worker's batch is re-queued, the worker re-forked, and a
-    ``worker_respawn`` event (plus construction/encoding bumps) recorded —
-    no serial fallback."""
-    product = suite_product("s298")
-    baseline = SatCorrespondence(product, sim_frames=2, sim_width=1)
-    expected, _ = baseline.compute()
-    events = []
-    engine = ParallelSatCorrespondence(
-        product, refine_workers=2, refine_batch=1,
-        sim_frames=2, sim_width=1,
-        progress=lambda kind, **data: events.append((kind, data)))
-    engine._ensure_pool()
-    assert engine._pool is not None
-    victim = engine._pool._workers[0]
-    os.kill(victim.proc.pid, 9)
-    victim.proc.join(5.0)
-    classes, _ = engine.compute()
-    assert netsets(classes) == netsets(expected)
-    assert engine.stats["worker_respawns"] >= 1
-    respawns = [data for kind, data in events if kind == "worker_respawn"]
-    assert respawns and respawns[0]["worker"] == victim.index
-    assert not any(kind == "refinement_pool_fallback"
-                   for kind, _ in events)
-    # The rebuild is costed honestly: 1 master + 2 spawned + >=1 respawn.
-    assert engine.stats["solver_constructions"] >= 4
-    assert engine._pool is None  # compute() closed the pool
+    serial_rounds = rounds_of("serial")
+    assert serial_rounds
+    for name in ("a", "b"):
+        rounds = rounds_of(name)
+        assert [data["round"] for data in rounds] == list(
+            range(1, len(rounds) + 1))
+        assert rounds[-1]["changed"] is False
+        for data, expected in zip(rounds, serial_rounds):
+            assert data["classes"] == expected["classes"]
+            assert data["sat_queries"] == expected["sat_queries"]
+            assert data["cex_patterns"] == expected["cex_patterns"]
+            assert data["solver_constructions"] == 1
+        assert len(rounds) == len(serial_rounds)
