@@ -1,11 +1,13 @@
 """Combinational equivalence checking (the paper's base verification engine).
 
-Two interchangeable backends:
+Three interchangeable backends:
 
 * :func:`check_comb_equivalence_bdd` — canonical-form comparison via BDDs.
 * :func:`check_comb_equivalence_sat` — Tseitin miter + CDCL SAT.
+* :func:`check_comb_equivalence_fraig` — SAT sweeping of the product,
+  with the SAT backend for the counterexample.
 
-Both report a :class:`CecResult` with a counterexample on failure.
+All report a :class:`CecResult` with a counterexample on failure.
 """
 
 from .result import CecResult

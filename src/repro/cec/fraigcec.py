@@ -1,107 +1,38 @@
 """Fraig-based combinational equivalence checking.
 
-Builds a single AIG containing both circuits over shared inputs plus a
-miter output, then runs SAT sweeping: if the miter literal folds to
-constant FALSE the circuits are equivalent.  This mirrors how modern
-CEC engines actually work and doubles as an integration test between the
-AIG, simulation and SAT substrates.
+The two circuits are combined into a product over shared inputs and
+swept by :func:`repro.sweep.reduce.fraig_reduce`.  Sweeping merges every
+pair of equivalent nodes, so the circuits are equivalent exactly when
+each output pair ends on the same witness record.  Otherwise the SAT
+backend gives the verdict and the counterexample.
 """
 
 from ..errors import VerificationError
-from ..netlist.aig import Aig, FALSE, _gate_to_aig, fraig, lit_neg
+from ..netlist.product import build_product
 from .result import CecResult
+from .satcec import check_comb_equivalence_sat
 
 
 def check_comb_equivalence_fraig(spec, impl, match_inputs="name",
                                  match_outputs="order", seed=2024):
     """Check two combinational circuits by AIG sweeping."""
+    # Imported here so that importing repro.cec does not load repro.sweep.
+    from ..sweep.reduce import fraig_reduce
+
     if spec.num_registers or impl.num_registers:
         raise VerificationError(
             "combinational check on sequential circuits; use the SEC engine"
         )
-    if len(spec.inputs) != len(impl.inputs):
-        raise VerificationError("input count mismatch")
-    if len(spec.outputs) != len(impl.outputs):
-        raise VerificationError("output count mismatch")
-    if match_inputs == "name" and set(spec.inputs) != set(impl.inputs):
-        raise VerificationError("input names differ; use match_inputs='order'")
-
-    aig = Aig()
-    shared = {net: aig.add_input(name=net) for net in spec.inputs}
-    if match_inputs == "name":
-        impl_inputs = {net: shared[net] for net in impl.inputs}
-    else:
-        impl_inputs = {
-            i_net: shared[s_net]
-            for i_net, s_net in zip(impl.inputs, spec.inputs)
-        }
-
-    def embed(circuit, input_lits):
-        values = dict(input_lits)
-        for name in circuit.topo_order():
-            gate = circuit.gates[name]
-            values[name] = _gate_to_aig(
-                aig, gate.gtype, [values[f] for f in gate.fanins]
-            )
-        return values
-
-    spec_map = embed(spec, shared)
-    impl_map = embed(impl, impl_inputs)
-    if match_outputs == "name":
-        pairs = [(net, net) for net in spec.outputs]
-    else:
-        pairs = list(zip(spec.outputs, impl.outputs))
-    diff_lits = [
-        aig.xor2(spec_map[a], impl_map[b]) for a, b in pairs
-    ]
-    miter = lit_neg(aig.and_many([lit_neg(d) for d in diff_lits]))
-    aig.add_output(miter)
-    ands_before = aig.num_ands
-    reduced, _ = fraig(aig, seed=seed)
-    if reduced.outputs[0] == FALSE:
+    product = build_product(spec, impl, match_inputs=match_inputs,
+                            match_outputs=match_outputs)
+    reduction = fraig_reduce(product.circuit, seed=seed)
+    witness = reduction.net_map
+    if all(witness[s] == witness[i] for s, i in product.output_pairs):
+        stats = reduction.stats
         return CecResult(True, stats={
-            "ands_before": ands_before,
-            "ands_after": reduced.num_ands,
+            "ands_before": stats["ands_before"],
+            "ands_after": stats["ands_after"],
+            "merges": stats["merges"],
         })
-    # Not folded to constant: extract a concrete distinguishing input by
-    # solving the miter directly.
-    from ..sat.solver import Solver
-    from ..netlist.aig import lit_sign, lit_var
-
-    solver = Solver()
-    sat_var = {0: solver.new_var()}
-    solver.add_clause([-sat_var[0]])
-    for var in aig.inputs:
-        sat_var[var] = solver.new_var()
-    for var in aig.topo_vars():
-        rhs0, rhs1 = aig.ands[var]
-        sat_var[var] = solver.new_var()
-        y = sat_var[var]
-
-        def sl(lit):
-            v = sat_var[lit_var(lit)]
-            return -v if lit_sign(lit) else v
-
-        solver.add_clause([-y, sl(rhs0)])
-        solver.add_clause([-y, sl(rhs1)])
-        solver.add_clause([y, -sl(rhs0), -sl(rhs1)])
-    miter_var = sat_var[lit_var(miter)]
-    assumption = -miter_var if miter & 1 else miter_var
-    if not solver.solve(assumptions=[assumption]):
-        # Sweeping was simply incomplete; SAT settles it: equivalent.
-        return CecResult(True, stats={"settled_by": "direct_sat"})
-    model = solver.model()
-    cex = {
-        net: model.get(sat_var[shared_var >> 1], False)
-        for net, shared_var in shared.items()
-    }
-    failing = None
-    for (a, b), diff in zip(pairs, diff_lits):
-        # Identify a failing pair by evaluating the diff literal.
-        env = {var: int(model.get(sat_var[var], False))
-               for var in aig.inputs}
-        _, lit_value = aig.simulate(env, width=1)
-        if lit_value(diff):
-            failing = (a, b)
-            break
-    return CecResult(False, counterexample=cex, failing_output=failing)
+    return check_comb_equivalence_sat(spec, impl, match_inputs=match_inputs,
+                                      match_outputs=match_outputs)

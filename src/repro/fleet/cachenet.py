@@ -1,7 +1,7 @@
 """Shared verification-result cache over HTTP.
 
 The fleet's cache-sharing guarantee — *any node serves any
-``structural_fingerprint``* — is implemented as a two-tier cache on every
+``aig_fingerprint``* — is implemented as a two-tier cache on every
 worker: the node's local :class:`~repro.service.cache.ResultCache` in
 front, the coordinator's cache (exposed at ``GET/PUT /v1/cache/{key}``,
 the same content-addressed keys and :class:`SecResult` entries as the

@@ -212,6 +212,17 @@ def _parse_header(line, magic):
     return m, i, l, o, a
 
 
+def _int_field(parts, pos, what, lineno=None):
+    """Field ``pos`` of a split body line as an int, else ParseError."""
+    if pos >= len(parts):
+        raise ParseError("missing {} literal".format(what), lineno)
+    try:
+        return int(parts[pos])
+    except ValueError:
+        raise ParseError("non-numeric {} literal {!r}".format(
+            what, parts[pos]), lineno)
+
+
 def _check_lit(lit, max_var, context):
     if lit < 0 or lit_var(lit) > max_var:
         raise ParseError("{} literal {} out of range (max var {})".format(
@@ -292,7 +303,7 @@ def loads_aiger_ascii(text):
 
     for _ in range(i):
         lineno = idx
-        lit = int(next_line("input").split()[0])
+        lit = _int_field(next_line("input").split(), 0, "input", lineno)
         if lit_sign(lit) or lit == 0:
             raise ParseError("input literal {} must be positive and "
                              "even".format(lit), lineno)
@@ -304,9 +315,8 @@ def loads_aiger_ascii(text):
     for _ in range(l):
         lineno = idx
         parts = next_line("latch").split()
-        if len(parts) < 2:
-            raise ParseError("latch line needs 'lit next [reset]'", lineno)
-        out_lit, next_lit = int(parts[0]), int(parts[1])
+        out_lit = _int_field(parts, 0, "latch", lineno)
+        next_lit = _int_field(parts, 1, "latch next", lineno)
         if lit_sign(out_lit) or out_lit == 0:
             raise ParseError("latch literal {} must be positive and "
                              "even".format(out_lit), lineno)
@@ -318,14 +328,16 @@ def loads_aiger_ascii(text):
         aig.latches.append([var, _check_lit(next_lit, m, "latch next"),
                             init])
     for _ in range(o):
-        aig.outputs.append(
-            _check_lit(int(next_line("output").split()[0]), m, "output"))
+        lineno = idx
+        lit = _int_field(next_line("output").split(), 0, "output", lineno)
+        aig.outputs.append(_check_lit(lit, m, "output"))
     for _ in range(a):
         lineno = idx
         parts = next_line("and").split()
         if len(parts) != 3:
             raise ParseError("and line needs 'lhs rhs0 rhs1'", lineno)
-        lhs, rhs0, rhs1 = (int(p) for p in parts)
+        lhs, rhs0, rhs1 = (_int_field(parts, k, "and", lineno)
+                           for k in range(3))
         if lit_sign(lhs) or lhs == 0:
             raise ParseError("and output literal {} must be positive and "
                              "even".format(lhs), lineno)
@@ -385,14 +397,14 @@ def loads_aiger_binary(data):
         lineno = idx + 1
         var = i + idx + 1
         parts = read_line("latch").split()
-        if not parts:
-            raise ParseError("latch line needs 'next [reset]'", lineno)
-        next_lit = _check_lit(int(parts[0]), m, "latch next")
+        next_lit = _check_lit(_int_field(parts, 0, "latch next", lineno), m,
+                              "latch next")
         init = _parse_latch_reset(parts[1:], 2 * var, lineno)
         aig.latches.append([var, next_lit, init])
-    for _ in range(o):
-        aig.outputs.append(
-            _check_lit(int(read_line("output").split()[0]), m, "output"))
+    for idx in range(o):
+        lit = _int_field(read_line("output").split(), 0, "output",
+                         l + idx + 1)
+        aig.outputs.append(_check_lit(lit, m, "output"))
 
     def read_varint(node):
         nonlocal pos
@@ -442,7 +454,7 @@ def loads_aiger(data):
         return loads_aiger_binary(data)
     if head == ASCII_MAGIC:
         if isinstance(data, bytes):
-            data = data.decode("utf-8")
+            data = data.decode("utf-8", "replace")
         return loads_aiger_ascii(data)
     raise ParseError(
         "not an AIGER file (header must start with 'aag' or 'aig')")

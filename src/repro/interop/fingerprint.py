@@ -1,16 +1,14 @@
 """Format-independent structural fingerprints.
 
-:func:`repro.netlist.strash.structural_fingerprint` hashes the *gate-level*
-structure of a circuit, which makes it rename-invariant but **not**
-format-invariant: a ``.bench`` XOR gate and the four AND/NOT gates its
-AIGER encoding decomposes into hash differently, so the same verification
-problem handed to the fleet once as ``.bench`` and once as ``.aig`` would
-miss the result cache.
+A gate-level hash is rename-invariant but **not** format-invariant: a
+``.bench`` XOR gate and the AND/NOT gates its AIGER encoding decomposes
+into hash differently, so the same verification problem handed to the
+fleet once as ``.bench`` and once as ``.aig`` would miss the result cache.
 
-:func:`aig_fingerprint` closes that gap by hashing the circuit *after*
-AIG normalization: convert to an AIG (XOR/OR/MUX all decompose to
-structurally-hashed AND/NOT), canonically renumber, and digest the binary
-AIGER encoding with symbol table and comments stripped.  All four
+:func:`aig_fingerprint` hashes the circuit *after* AIG normalization:
+convert to an AIG (XOR/OR/MUX all decompose to structurally-hashed
+AND/NOT), canonically renumber, and digest the binary AIGER encoding with
+symbol table and comments stripped.  All four
 encodings of one circuit — ``.bench``, BLIF, ``.aag``, ``.aig`` — produce
 the same digest, as does any round trip through the AIGER writer.  The
 service cache key (:mod:`repro.service.job`) is built on this digest.

@@ -13,7 +13,7 @@ from .simulate import (
     tv_const,
     x_initialized_fixpoint,
 )
-from .strash import strash, structural_fingerprint
+from .strash import strash
 from .bddnet import build_bdds, gate_bdd
 from .unroll import unroll
 from . import aig, bench, blif, cones, stats, vcd, verilog
@@ -38,7 +38,6 @@ __all__ = [
     "tv_const",
     "x_initialized_fixpoint",
     "strash",
-    "structural_fingerprint",
     "unroll",
     "build_bdds",
     "gate_bdd",

@@ -1,18 +1,16 @@
-"""And-Inverter Graphs with structural hashing, AIGER I/O and SAT sweeping.
+"""And-Inverter Graphs with structural hashing and circuit conversion.
 
-The AIG is the modern workhorse representation for equivalence checking;
-``fraig`` below is exactly the *combinational* specialization of the paper's
-signal correspondence (simulate to guess equivalence classes, prove with a
-base engine, merge) — implemented here with the CDCL solver.
+The AIG is the modern workhorse representation for equivalence checking.
+Its AIGER codec is :mod:`repro.interop.aiger`; SAT sweeping over it —
+the paper's signal correspondence collapsed to one time frame — is
+:mod:`repro.sweep.reduce`.
 
 Literal encoding follows AIGER: variable ``v`` has literals ``2v`` (positive)
 and ``2v + 1`` (negated); variable 0 is constant FALSE, so literal 0 is
 FALSE and literal 1 is TRUE.
 """
 
-import random
-
-from ..errors import NetlistError, ParseError
+from ..errors import NetlistError
 from .circuit import Circuit, GateType
 
 FALSE = 0
@@ -127,9 +125,6 @@ class Aig:
     @property
     def num_ands(self):
         return len(self.ands)
-
-    def is_input(self, var):
-        return var in set(self.inputs)
 
     def topo_vars(self):
         """AND variables in topological order."""
@@ -311,245 +306,3 @@ def to_circuit(aig, name="aig"):
         circuit.add_output(net_of_lit(lit))
     circuit.validate()
     return circuit
-
-
-# --------------------------------------------------------------------------
-# AIGER ASCII (.aag) I/O
-# --------------------------------------------------------------------------
-
-
-def dumps_aag(aig):
-    """Serialize to AIGER ASCII (aag) format."""
-    max_var = aig.num_vars
-    lines = [
-        "aag {} {} {} {} {}".format(
-            max_var, len(aig.inputs), len(aig.latches), len(aig.outputs),
-            aig.num_ands,
-        )
-    ]
-    for var in aig.inputs:
-        lines.append(str(2 * var))
-    for var, next_lit, init in aig.latches:
-        # AIGER latch line: "out next [init]"; init defaults to 0.
-        if init:
-            lines.append("{} {} 1".format(2 * var, next_lit))
-        else:
-            lines.append("{} {}".format(2 * var, next_lit))
-    for lit in aig.outputs:
-        lines.append(str(lit))
-    for var in sorted(aig.ands):
-        rhs0, rhs1 = aig.ands[var]
-        lines.append("{} {} {}".format(2 * var, rhs0, rhs1))
-    for idx, var in enumerate(aig.inputs):
-        if var in aig.names:
-            lines.append("i{} {}".format(idx, aig.names[var]))
-    for idx, (var, _, _) in enumerate(aig.latches):
-        if var in aig.names:
-            lines.append("l{} {}".format(idx, aig.names[var]))
-    for idx in range(len(aig.outputs)):
-        if idx in aig.output_names:
-            lines.append("o{} {}".format(idx, aig.output_names[idx]))
-    return "\n".join(lines) + "\n"
-
-
-def loads_aag(text):
-    """Parse AIGER ASCII (aag) format."""
-    lines = [l for l in text.splitlines() if l.strip()]
-    if not lines or not lines[0].startswith("aag"):
-        raise ParseError("not an aag file")
-    header = lines[0].split()
-    if len(header) != 6:
-        raise ParseError("bad aag header")
-    _, m, i, l, o, a = header
-    m, i, l, o, a = int(m), int(i), int(l), int(o), int(a)
-    aig = Aig()
-    aig.num_vars = m
-    idx = 1
-    for _ in range(i):
-        lit = int(lines[idx].split()[0])
-        if lit_sign(lit):
-            raise ParseError("negated input literal")
-        aig.inputs.append(lit_var(lit))
-        idx += 1
-    for _ in range(l):
-        parts = lines[idx].split()
-        if len(parts) < 2:
-            raise ParseError("bad latch line")
-        out_lit, next_lit = int(parts[0]), int(parts[1])
-        init = len(parts) > 2 and parts[2] == "1"
-        aig.latches.append([lit_var(out_lit), next_lit, init])
-        idx += 1
-    for _ in range(o):
-        aig.outputs.append(int(lines[idx].split()[0]))
-        idx += 1
-    for _ in range(a):
-        parts = lines[idx].split()
-        if len(parts) != 3:
-            raise ParseError("bad and line")
-        lhs, rhs0, rhs1 = (int(p) for p in parts)
-        if lit_sign(lhs):
-            raise ParseError("negated and output")
-        if rhs0 < rhs1:
-            rhs0, rhs1 = rhs1, rhs0
-        aig.ands[lit_var(lhs)] = (rhs0, rhs1)
-        aig._strash[(rhs0, rhs1)] = lit_var(lhs)
-        idx += 1
-    # Symbol table.
-    while idx < len(lines):
-        line = lines[idx]
-        idx += 1
-        if line.startswith("c"):
-            break
-        kind, _, name = line.partition(" ")
-        if not name:
-            continue
-        if kind.startswith("i"):
-            aig.names[aig.inputs[int(kind[1:])]] = name
-        elif kind.startswith("l"):
-            aig.names[aig.latches[int(kind[1:])][0]] = name
-        elif kind.startswith("o"):
-            aig.output_names[int(kind[1:])] = name
-    return aig
-
-
-def dump_aag(aig, path):
-    with open(path, "w") as handle:
-        handle.write(dumps_aag(aig))
-
-
-def load_aag(path):
-    with open(path) as handle:
-        return loads_aag(handle.read())
-
-
-# --------------------------------------------------------------------------
-# fraig: SAT sweeping (combinational signal correspondence)
-# --------------------------------------------------------------------------
-
-
-def fraig(aig, sim_rounds=8, sim_width=64, seed=2024, conflict_budget=None):
-    """Functionally-reduce a *combinational* AIG by SAT sweeping.
-
-    Simulation partitions nodes into candidate classes (with polarity, so
-    antivalent nodes merge too); SAT proves or refutes each candidate
-    against its class representative; refutations feed new distinguishing
-    patterns back into the simulation signatures.  Returns ``(new_aig,
-    lit_map)``, where ``lit_map`` sends old literals to new ones.
-
-    This is the paper's fixed point collapsed to one time frame — the
-    "state-of-the-art combinational verification techniques" of §1.
-    """
-    if aig.latches:
-        raise NetlistError("fraig expects a combinational AIG")
-    from ..sat.solver import Solver
-
-    rng = random.Random(seed)
-    order = aig.topo_vars()
-    input_set = set(aig.inputs)
-    # --- simulation signatures (with refinement patterns appended) -------
-    patterns = {
-        var: rng.getrandbits(sim_width * sim_rounds) for var in aig.inputs
-    }
-    width = sim_width * sim_rounds
-
-    def simulate_all():
-        values, _ = aig.simulate(patterns, width=width)
-        return values
-
-    signatures = simulate_all()
-    full = (1 << width) - 1
-    # --- SAT encoding of the AIG ------------------------------------------
-    solver = Solver()
-    sat_var = {0: solver.new_var()}
-    solver.add_clause([-sat_var[0]])  # constant FALSE
-    for var in aig.inputs:
-        sat_var[var] = solver.new_var()
-    for var in order:
-        sat_var[var] = solver.new_var()
-        rhs0, rhs1 = aig.ands[var]
-        y = sat_var[var]
-        a = _sat_lit(sat_var, rhs0)
-        b = _sat_lit(sat_var, rhs1)
-        solver.add_clause([-y, a])
-        solver.add_clause([-y, b])
-        solver.add_clause([y, -a, -b])
-
-    # --- sweeping ------------------------------------------------------------
-    # A class member is (complemented, var): the value var XOR complemented
-    # has simulation signature with bit 0 set — polarity normalization, so
-    # antivalent nodes land in one class (the constant FALSE included).
-    def norm(var):
-        sig = signatures[var] & full
-        if sig & 1:
-            return sig, (False, var)
-        return sig ^ full, (True, var)
-
-    classes = {}
-    # Inputs participate as merge *targets* only (a redundant node equal to
-    # an input maps onto it); they precede AND nodes so they become leaders.
-    for var in [0] + list(aig.inputs) + order:
-        key, member = norm(var)
-        classes.setdefault(key, []).append(member)
-
-    def member_sat_lit(member):
-        complemented, var = member
-        lit = sat_var[var]
-        return -lit if complemented else lit
-
-    def equal_under_sat(a, b):
-        la, lb = member_sat_lit(a), member_sat_lit(b)
-        for assumptions in ([la, -lb], [-la, lb]):
-            verdict = solver.solve(assumptions=assumptions,
-                                   conflict_budget=conflict_budget)
-            if verdict is not False:
-                return False  # SAT (refuted) or budget exhausted
-        return True
-
-    proven = {}  # member var -> equivalent old literal
-    for members in classes.values():
-        if len(members) < 2:
-            continue
-        leaders = [members[0]]
-        for member in members[1:]:
-            cm, vm = member
-            merged = False
-            if vm not in input_set:  # free variables are never rewritten
-                for cl, vl in leaders:
-                    if equal_under_sat((cl, vl), member):
-                        # vm == vl XOR cl XOR cm, as an old-AIG literal.
-                        proven[vm] = 2 * vl + (1 if cl != cm else 0)
-                        merged = True
-                        break
-            if not merged:
-                leaders.append(member)
-
-    # --- rebuild ---------------------------------------------------------------
-    new_aig = Aig()
-    lit_map = {FALSE: FALSE, TRUE: TRUE}
-
-    def resolve(lit):
-        return lit_map[lit]
-
-    for var in aig.inputs:
-        lit_map[2 * var] = new_aig.add_input(name=aig.names.get(var))
-        lit_map[2 * var + 1] = lit_neg(lit_map[2 * var])
-    for var in order:
-        target = proven.get(var)
-        if target is not None:
-            # Leaders precede members in topological order, so the target
-            # literal is already mapped.
-            new_lit = resolve(target)
-        else:
-            rhs0, rhs1 = aig.ands[var]
-            new_lit = new_aig.and2(resolve(rhs0), resolve(rhs1))
-        lit_map[2 * var] = new_lit
-        lit_map[2 * var + 1] = lit_neg(new_lit)
-    for lit in aig.outputs:
-        new_aig.add_output(resolve(lit))
-    new_aig.cleanup()
-    return new_aig, lit_map
-
-
-def _sat_lit(sat_var, lit):
-    var = sat_var[lit_var(lit)]
-    return -var if lit_sign(lit) else var

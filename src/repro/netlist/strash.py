@@ -6,8 +6,6 @@ into their fanin.  The pass is purely structural — semantic rewrites live in
 :mod:`repro.transform.optimize`.
 """
 
-import hashlib
-
 from .circuit import Circuit, Gate, GateType, Register
 
 
@@ -53,47 +51,6 @@ def strash(circuit, merge_registers=False):
         rep = {net: reg_map.get(r, r) for net, r in rep.items()}
     out.validate()
     return out, rep
-
-
-def structural_fingerprint(circuit):
-    """Canonical SHA-256 digest of a circuit's strashed structure.
-
-    The circuit is structurally hashed first, then serialized with
-    name-independent positional ids (inputs by declaration order, registers
-    by declaration order, gates by topological order; commutative fanins
-    sorted), so renaming nets or duplicating gates does not change the
-    digest.  Used as the cache key for verification results — two calls
-    with equal fingerprints describe the same verification problem.
-
-    Registers deliberately use *declaration* order, not sorted name:
-    renaming preserves declaration order (``strash`` and every transform
-    copy registers in iteration order) whereas a name sort would permute
-    the positional ids and change the digest under renaming.
-    """
-    canonical, _ = strash(circuit)
-    ids = {}
-    for pos, net in enumerate(canonical.inputs):
-        ids[net] = "i{}".format(pos)
-    for pos, net in enumerate(canonical.registers):
-        ids[net] = "r{}".format(pos)
-    topo = canonical.topo_order()
-    for pos, net in enumerate(topo):
-        ids[net] = "g{}".format(pos)
-    lines = []
-    for net in canonical.registers:
-        reg = canonical.registers[net]
-        lines.append("{}=DFF({},{})".format(
-            ids[net], ids[reg.data_in], int(reg.init)))
-    for net in topo:
-        gate = canonical.gates[net]
-        fanins = [ids[f] for f in gate.fanins]
-        if gate.gtype.is_commutative:
-            fanins = sorted(fanins)
-        lines.append("{}={}({})".format(
-            ids[net], gate.gtype.value, ",".join(fanins)))
-    lines.append("OUT:" + ",".join(ids[o] for o in canonical.outputs))
-    blob = "\n".join(lines).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
 
 
 def _merge_registers(circuit):

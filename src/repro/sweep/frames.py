@@ -6,10 +6,11 @@ impl cone computing the same function of the *same* unrolled inputs, so
 the encoding is dominated by logic the solver must re-discover as equal
 at every depth.  :class:`FrameSweeper` unrolls into one structurally
 hashed AIG instead — initial state substituted as constants, each frame
-built in *swept space* — and after each frame runs the same
-simulate-then-prove sweep as :mod:`repro.sweep.reduce` over the nodes the
-frame added, with one incremental solver shared by every depth (sweep
-queries and difference checks alike, the activation-literal idiom).
+built in *swept space* — and after each frame runs the prover of
+:mod:`repro.sweep.reduce` over the nodes the frame added (FRAIG-BMC: the
+simulate/prove/merge loop once per unrolled frame), with one incremental
+solver shared by every depth (sweep queries and difference checks alike,
+the activation-literal idiom).
 
 Merged cones vanish from all later frames, constants from the initial
 state propagate through the unrolling, and for an equivalent pair the
@@ -27,7 +28,7 @@ import time
 
 from ..netlist.aig import FALSE, TRUE, Aig, _gate_to_aig, lit_neg, lit_var
 from ..reach.result import CexTrace, SecResult
-from .reduce import _sat_lit
+from .reduce import _candidate_classes, _Prover
 
 
 class FrameSweeper:
@@ -36,28 +37,19 @@ class FrameSweeper:
     def __init__(self, circuit, seed=2024, sim_width=64,
                  conflict_budget=None):
         circuit.validate()
-        from ..sat.solver import Solver
-
         self.circuit = circuit
         self.aig = Aig()
         self.rng = random.Random(seed)
         self.width = sim_width
-        self.conflict_budget = conflict_budget
         self.full = (1 << sim_width) - 1
         # Current symbolic state: register net -> literal (init constants).
         self.state = {net: (TRUE if reg.init else FALSE)
                       for net, reg in circuit.registers.items()}
         self.repr_map = {}  # merged lit -> representative lit
         self.frame_inputs = []  # per frame: {input net -> AIG var}
-        self.solver = Solver()
-        self.sat_var = {0: self.solver.new_var()}
-        self.solver.add_clause([-self.sat_var[0]])
-        self._encoded = 0  # vars encoded into the solver so far
-        # Incremental signatures: random words and counterexample bits per
-        # var, extended as vars appear — never a full re-simulation.
+        # Incremental random signatures, extended as vars appear — never
+        # a full re-simulation.
         self.signatures = {0: 0}
-        self.cex_sig = {0: 0}
-        self.n_cex = 0
         self.stats = {
             "frames": 0,
             "ands_built": 0,
@@ -67,8 +59,9 @@ class FrameSweeper:
             "sat_budget": 0,
             "diff_queries": 0,
             "structural_diff_skips": 0,
-            "solver_constructions": 1,
+            "solver_constructions": 0,
         }
+        self.prover = _Prover(self.aig, conflict_budget, self.stats)
 
     # -- representatives ---------------------------------------------------
 
@@ -92,7 +85,6 @@ class FrameSweeper:
             var = lit_var(lit)
             frame_vars[net] = var
             self.signatures[var] = self.rng.getrandbits(self.width)
-            self.cex_sig[var] = 0  # zero under every saved refutation
         self.frame_inputs.append(frame_vars)
         for name in self.circuit.topo_order():
             gate = self.circuit.gates[name]
@@ -104,157 +96,30 @@ class FrameSweeper:
         new_ands = [v for v in range(first_new, aig.num_vars + 1)
                     if v in aig.ands]
         self.stats["ands_built"] += len(new_ands)
-        self._extend_signatures(new_ands)
-        self._encode(new_ands)
+        for var in new_ands:
+            rhs0, rhs1 = aig.ands[var]
+            self.signatures[var] = self._word(rhs0) & self._word(rhs1)
+        self.prover.encode(new_ands)
         self._sweep_new(new_ands)
         return lit_of
 
-    def _extend_signatures(self, new_ands):
-        """Signatures for new nodes from their (already known) fanins."""
-        full, cex_full = self.full, (1 << self.n_cex) - 1
-        for var in new_ands:
-            rhs0, rhs1 = self.aig.ands[var]
-            self.signatures[var] = (self._lit_word(rhs0, self.signatures,
-                                                   full)
-                                    & self._lit_word(rhs1, self.signatures,
-                                                     full))
-            self.cex_sig[var] = (self._lit_word(rhs0, self.cex_sig, cex_full)
-                                 & self._lit_word(rhs1, self.cex_sig,
-                                                  cex_full))
-
-    @staticmethod
-    def _lit_word(lit, table, full):
-        word = table[lit_var(lit)]
-        return word ^ full if lit & 1 else word
-
-    def _encode(self, new_ands):
-        for var in new_ands:
-            y = self.sat_var[var] = self.solver.new_var()
-            rhs0, rhs1 = self.aig.ands[var]
-            a = self._sat(rhs0)
-            b = self._sat(rhs1)
-            self.solver.add_clause([-y, a])
-            self.solver.add_clause([-y, b])
-            self.solver.add_clause([y, -a, -b])
-
-    def _sat(self, lit):
-        var = lit_var(lit)
-        if var not in self.sat_var:
-            self.sat_var[var] = self.solver.new_var()
-        return _sat_lit(self.sat_var, lit)
-
-    # -- sweeping ----------------------------------------------------------
+    def _word(self, lit):
+        word = self.signatures[lit_var(lit)]
+        return word ^ self.full if lit & 1 else word
 
     def _sweep_new(self, new_ands):
         """Merge this frame's nodes onto older equivalents."""
         if not new_ands:
             return
-        full = self.full
-        new_set = set(new_ands)
-
-        def norm(var):
-            sig = self.signatures[var] & full
-            if sig & 1:
-                return sig ^ full, (True, var)
-            return sig, (False, var)
-
-        classes = {}
-        for var in range(self.aig.num_vars + 1):
-            if (2 * var) in self.repr_map:
-                continue  # already merged away
-            key, member = norm(var)
-            classes.setdefault(key, []).append(member)
-        for members in classes.values():
-            if len(members) < 2:
-                continue
-            leaders = [members[0]]
-            for member in members[1:]:
-                cm, vm = member
-                merged = False
-                if vm in new_set:
-                    mb = self._member_bits(member)
-                    for leader in leaders:
-                        if self._member_bits(leader) != mb:
-                            continue
-                        if self._prove_equal(leader, member):
-                            cl, vl = leader
-                            target = 2 * vl + (1 if cl != cm else 0)
-                            self.repr_map[2 * vm] = target
-                            self.repr_map[2 * vm + 1] = lit_neg(target)
-                            self.stats["merges"] += 1
-                            merged = True
-                            break
-                if not merged:
-                    leaders.append(member)
-
-    def _member_bits(self, member):
-        complemented, var = member
-        bits = self.cex_sig[var]
-        if complemented:
-            bits ^= (1 << self.n_cex) - 1
-        return bits
-
-    def _prove_equal(self, leader, member):
-        la = self._member_sat(leader)
-        lb = self._member_sat(member)
-        act = self.solver.new_var()
-        self.solver.add_clause([-act, la, lb])
-        self.solver.add_clause([-act, -la, -lb])
-        self.stats["sat_queries"] += 1
-        verdict = self.solver.solve(assumptions=[act],
-                                    conflict_budget=self.conflict_budget)
-        if verdict:
-            # Harvest the model before the retirement unit wipes it.
-            self._record_cex_pattern()
-        self.solver.add_clause([-act])
-        if verdict is False:
-            self.solver.add_clause([-la, lb])
-            self.solver.add_clause([la, -lb])
-            return True
-        if verdict is None:
-            self.stats["sat_budget"] += 1
-            return False
-        self.stats["sat_refuted"] += 1
-        return False
-
-    def _member_sat(self, member):
-        complemented, var = member
-        lit = self.sat_var[var]
-        return -lit if complemented else lit
-
-    def _record_cex_pattern(self):
-        """Append the refuting model as one signature bit on every var."""
-        bit = 1 << self.n_cex
-        values = {0: 0}
-        aig = self.aig
-        for var in range(1, aig.num_vars + 1):
-            rhs = aig.ands.get(var)
-            if rhs is None:
-                # Inputs the solver never saw are unconstrained; pick 0.
-                sat = self.sat_var.get(var)
-                values[var] = 1 if sat is not None \
-                    and self.solver.value(sat) else 0
-            else:
-                values[var] = (self._lit_word(rhs[0], values, 1)
-                               & self._lit_word(rhs[1], values, 1))
-            if values[var]:
-                self.cex_sig[var] |= bit
-        self.n_cex += 1
+        live = [var for var in range(self.aig.num_vars + 1)
+                if 2 * var not in self.repr_map]
+        classes = _candidate_classes(live, self.signatures, self.full)
+        for var, target in self.prover.sweep(classes,
+                                             set(new_ands).__contains__):
+            self.repr_map[2 * var] = target
+            self.repr_map[2 * var + 1] = lit_neg(target)
 
     # -- queries -----------------------------------------------------------
-
-    def live_ands(self, roots):
-        """AND nodes reachable from ``roots`` + the current state."""
-        seen = set()
-        stack = [lit_var(self._rep(l)) for l in roots]
-        stack.extend(lit_var(self._rep(l)) for l in self.state.values())
-        while stack:
-            var = stack.pop()
-            if var in seen or var not in self.aig.ands:
-                continue
-            seen.add(var)
-            stack.extend(lit_var(l) for l in self.aig.ands[var])
-        return len(seen)
 
     def outputs_differ(self, pairs, lit_of):
         """SAT-check "some pair differs this frame"; None or a model env.
@@ -273,37 +138,26 @@ class FrameSweeper:
         if not live:
             self.stats["structural_diff_skips"] += 1
             return None
-        act = self.solver.new_var()
+        solver, lit = self.prover.solver, self.prover.lit
+        act = solver.new_var()
         diff_lits = []
         for a, b in live:
-            d = self.solver.new_var()
-            sa, sb = self._sat(a), self._sat(b)
-            self.solver.add_clause([-d, sa, sb])
-            self.solver.add_clause([-d, -sa, -sb])
+            d = solver.new_var()
+            sa, sb = lit(a), lit(b)
+            solver.add_clause([-d, sa, sb])
+            solver.add_clause([-d, -sa, -sb])
             diff_lits.append(d)
-        self.solver.add_clause([-act] + diff_lits)
+        solver.add_clause([-act] + diff_lits)
         self.stats["diff_queries"] += 1
-        verdict = self.solver.solve(assumptions=[act],
-                                    conflict_budget=self.conflict_budget)
-        env = None
-        if verdict:
-            # Read the model *before* retiring the activation literal: the
-            # retirement unit propagates at the root and wipes assignments.
-            env = {}
-            for frame_vars in self.frame_inputs:
-                for var in frame_vars.values():
-                    sat = self.sat_var.get(var)
-                    env[var] = bool(sat is not None
-                                    and self.solver.value(sat))
-        self.solver.add_clause([-act])
+        verdict, model = self.prover.query(act)
         if verdict is None:
             raise _DiffBudgetExhausted()
-        return env
+        return model
 
     def extract_trace(self, env):
         """Turn a difference model into a :class:`CexTrace`."""
         frames = [
-            {net: env.get(var, False) for net, var in frame_vars.items()}
+            {net: bool(env[var]) for net, var in frame_vars.items()}
             for frame_vars in self.frame_inputs
         ]
         return CexTrace(inputs=frames[:-1], final_input=frames[-1])

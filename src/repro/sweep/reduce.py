@@ -11,20 +11,21 @@ the original (inputs, registers and outputs keep their names, order and
 initial values).
 
 The sweep itself is the paper's signal correspondence collapsed to one
-time frame, run with the incremental-solver idiom of
-:mod:`repro.core.satbackend`: one solver per circuit, one CNF encoding of
-the whole AIG, and one activation-literal query per candidate pair —
-``act -> (a XOR b)`` solved under the single assumption ``[act]``, retired
-with the unit clause ``[-act]`` — so a reduction costs one solver
-construction no matter how many candidates it examines.  Refuting models
-feed distinguishing patterns back into per-node counterexample signatures,
-a cheap filter that prunes later queries in the same class.
+time frame, and this module holds the only copy of it: :class:`_Prover`
+runs it with the incremental-solver idiom of :mod:`repro.core.satbackend`
+— one solver, one CNF encoding of the AIG, and one activation-literal
+query per candidate pair — for :func:`fraig_reduce` over one circuit,
+for :class:`~repro.sweep.frames.FrameSweeper` once per unrolled frame
+(FRAIG-BMC), and through :func:`fraig_reduce` for the combinational
+checker in :mod:`repro.cec.fraigcec`.  Refuting models feed
+distinguishing patterns back into per-node counterexample signatures, a
+cheap filter that prunes later queries in the same class.
 
 Determinism: two genuinely equivalent nodes agree on *every* simulation
 pattern, so they land in the same candidate class under any seed, and each
 merges onto its topologically first equivalent node.  With an unbounded
 conflict budget (the default) the merge set — and hence the reduced
-structure and its :func:`~repro.netlist.strash.structural_fingerprint` —
+structure and its :func:`~repro.interop.fingerprint.aig_fingerprint` —
 is independent of the simulation seed.  A finite ``conflict_budget`` may
 leave seed-dependent merges unproven; use it only where determinism is not
 required.
@@ -180,135 +181,191 @@ def _sweep(aig, rng, width, conflict_budget, stats):
     """Return ``{old var -> equivalent old literal}`` of certified merges."""
     if not aig.ands:
         return {}
-    from ..sat.solver import Solver
-
     order = aig.topo_vars()
-    input_set = set(aig.inputs)
     full = (1 << width) - 1
     patterns = {var: rng.getrandbits(width) for var in aig.inputs}
     signatures, _ = aig.simulate(patterns, width=width)
 
-    # Candidate classes keyed on the polarity-normalized signature (bit 0
-    # cleared by complementing), so antivalent nodes — and the constant —
-    # share a class.  Iteration order [const] + inputs + topo keeps leaders
-    # topologically first, which both guarantees the rebuild can resolve a
-    # merge target and makes the merge set canonical (see module docstring).
-    def norm(var):
-        sig = signatures[var] & full
-        if sig & 1:
-            return sig ^ full, (True, var)
-        return sig, (False, var)
-
-    classes = {}
-    for var in [0] + list(aig.inputs) + order:
-        key, member = norm(var)
-        classes.setdefault(key, []).append(member)
-    candidates = [m for m in classes.values() if len(m) > 1]
+    # Iteration order [const] + inputs + topo keeps leaders topologically
+    # first, which both guarantees the rebuild can resolve a merge target
+    # and makes the merge set canonical (see module docstring).
+    candidates = _candidate_classes([0] + list(aig.inputs) + order,
+                                    signatures, full)
     stats["classes"] = len(candidates)
     stats["candidates"] = sum(len(m) - 1 for m in candidates)
     if not candidates:
         return {}
 
-    # One solver, one encoding of the whole AIG — the satbackend idiom.
-    solver = Solver()
-    stats["solver_constructions"] += 1
-    sat_var = {0: solver.new_var()}
-    solver.add_clause([-sat_var[0]])
+    prover = _Prover(aig, conflict_budget, stats)
+    # Inputs take solver vars 1..I ahead of the AND nodes: the solver's
+    # search, and so every refuting model, depends on that numbering.
     for var in aig.inputs:
-        sat_var[var] = solver.new_var()
-    for var in order:
-        y = sat_var[var] = solver.new_var()
-        rhs0, rhs1 = aig.ands[var]
-        a = _sat_lit(sat_var, rhs0)
-        b = _sat_lit(sat_var, rhs1)
-        solver.add_clause([-y, a])
-        solver.add_clause([-y, b])
-        solver.add_clause([y, -a, -b])
-
-    # Counterexample signatures: one bit per refuting model, appended to
-    # every node.  Equal functions agree on every pattern, so filtering on
-    # them never loses a true merge — it only skips doomed queries.
-    cex_sig = {var: 0 for var in signatures}
-    n_cex = 0
-
-    def member_bits(member):
-        complemented, var = member
-        bits = cex_sig[var]
-        if complemented:
-            bits ^= (1 << n_cex) - 1
-        return bits
-
-    def member_sat_lit(member):
-        complemented, var = member
-        return -sat_var[var] if complemented else sat_var[var]
-
-    retired = 0
-
-    def prove_equal(leader, member):
-        """One activation-literal query: UNSAT under [act] == equivalent."""
-        nonlocal n_cex, retired
-        la = member_sat_lit(leader)
-        lb = member_sat_lit(member)
-        act = solver.new_var()
-        # act -> (la XOR lb): satisfiable only where the two cones differ.
-        solver.add_clause([-act, la, lb])
-        solver.add_clause([-act, -la, -lb])
-        stats["sat_queries"] += 1
-        verdict = solver.solve(assumptions=[act],
-                               conflict_budget=conflict_budget)
-        env = None
-        if verdict:
-            # Read the model *before* retiring the activation literal: the
-            # retirement unit propagates at the root and wipes assignments.
-            env = {var: (1 if solver.value(sat_var[var]) else 0)
-                   for var in aig.inputs}
-        solver.add_clause([-act])
-        retired += 1
-        if retired % _SIMPLIFY_EVERY == 0:
-            solver.simplify()
-        if verdict is False:
-            # Certified equal: pin the equivalence so later queries in the
-            # same cone propagate instead of re-deriving it.
-            solver.add_clause([-la, lb])
-            solver.add_clause([la, -lb])
-            return True
-        if verdict is None:
-            stats["sat_budget"] += 1
-            return False
-        stats["sat_refuted"] += 1
-        values, _ = aig.simulate(env, width=1)
-        for var, value in values.items():
-            if value:
-                cex_sig[var] |= 1 << n_cex
-        n_cex += 1
-        return False
-
-    proven = {}
-    for members in candidates:
-        leaders = [members[0]]
-        for member in members[1:]:
-            cm, vm = member
-            merged = False
-            if vm not in input_set:  # free variables are never rewritten
-                mb = member_bits(member)
-                for leader in leaders:
-                    if member_bits(leader) != mb:
-                        continue
-                    if prove_equal(leader, member):
-                        cl, vl = leader
-                        proven[vm] = 2 * vl + (1 if cl != cm else 0)
-                        stats["merges"] += 1
-                        merged = True
-                        break
-            if not merged:
-                leaders.append(member)
-    stats["cex_patterns"] = n_cex
+        prover.lit(2 * var)
+    prover.encode(order)
+    input_set = set(aig.inputs)  # free variables are never rewritten
+    proven = dict(prover.sweep(candidates,
+                               lambda var: var not in input_set))
+    stats["cex_patterns"] = prover.n_cex
     return proven
 
 
-def _sat_lit(sat_var, lit):
-    var = sat_var[lit_var(lit)]
-    return -var if lit_sign(lit) else var
+def _candidate_classes(variables, signatures, full):
+    """Group ``variables`` by polarity-normalized simulation signature.
+
+    ``signatures`` are words of the width ``full`` masks.  A member is
+    the literal of its var whose signature has bit 0 clear (the var
+    complemented when bit 0 is set), so antivalent nodes — and the
+    constant — share a class.  Members keep the order of ``variables``;
+    classes with one member are dropped.
+    """
+    classes = {}
+    for var in variables:
+        sig = signatures[var]
+        key = sig ^ full if sig & 1 else sig
+        classes.setdefault(key, []).append(2 * var + (sig & 1))
+    return [members for members in classes.values() if len(members) > 1]
+
+
+class _Prover:
+    """The SAT-sweep prover: one incremental solver over a growing AIG.
+
+    :meth:`encode` adds the clauses of new AND nodes; :meth:`sweep` walks
+    candidate classes and certifies each merge with one activation-literal
+    query — ``act -> (a XOR b)`` solved under ``[act]``, retired with the
+    unit ``[-act]`` — so a solver is built once however many candidates
+    are examined.  Refuting models feed counterexample signatures, one bit
+    per model on every node: equal functions agree on every pattern, so
+    filtering on them never loses a true merge, it only skips doomed
+    queries.  :func:`fraig_reduce` runs it over one circuit's cone,
+    :class:`~repro.sweep.frames.FrameSweeper` once per unrolled frame.
+    """
+
+    def __init__(self, aig, conflict_budget, stats):
+        from ..sat.solver import Solver
+
+        self.aig = aig
+        self.conflict_budget = conflict_budget
+        self.stats = stats
+        stats["solver_constructions"] += 1
+        self.solver = Solver()
+        self.sat_var = {0: self.solver.new_var()}
+        self.solver.add_clause([-self.sat_var[0]])
+        self.order = []  # encoded AND vars, fanins first
+        self.cex_sig = {}  # var -> counterexample bits (absent: all 0)
+        self.n_cex = 0
+        self.retired = 0
+
+    def lit(self, aig_lit):
+        """Solver literal of an AIG literal; a new free var gets one."""
+        var = lit_var(aig_lit)
+        sat = self.sat_var.get(var)
+        if sat is None:
+            sat = self.sat_var[var] = self.solver.new_var()
+        return -sat if lit_sign(aig_lit) else sat
+
+    def encode(self, and_vars):
+        """Add ``y <-> a & b`` for each AND var, given fanins first."""
+        add = self.solver.add_clause
+        for var in and_vars:
+            y = self.sat_var[var] = self.solver.new_var()
+            rhs0, rhs1 = self.aig.ands[var]
+            a, b = self.lit(rhs0), self.lit(rhs1)
+            add([-y, a])
+            add([-y, b])
+            add([y, -a, -b])
+            self.cex_sig[var] = (self._lit_bits(rhs0)
+                                 & self._lit_bits(rhs1))
+            self.order.append(var)
+
+    def _lit_bits(self, lit):
+        bits = self.cex_sig.get(lit_var(lit), 0)
+        return bits ^ ((1 << self.n_cex) - 1) if lit_sign(lit) else bits
+
+    def query(self, act):
+        """Solve under ``[act]`` and retire ``act``.
+
+        Returns ``(verdict, model)``; on SAT ``model`` maps every AIG
+        input var to 0/1 (0 for vars the solver never saw), read *before*
+        the retirement unit propagates at the root and wipes it.
+        """
+        solver = self.solver
+        verdict = solver.solve(assumptions=[act],
+                               conflict_budget=self.conflict_budget)
+        model = None
+        if verdict:
+            model = {}
+            for var in self.aig.inputs:
+                sat = self.sat_var.get(var)
+                model[var] = 1 if sat is not None and solver.value(sat) else 0
+        solver.add_clause([-act])
+        self.retired += 1
+        if self.retired % _SIMPLIFY_EVERY == 0:
+            solver.simplify()
+        return verdict, model
+
+    def prove_equal(self, leader, member):
+        """One activation-literal query: UNSAT under [act] == equivalent."""
+        la, lb = self.lit(leader), self.lit(member)
+        act = self.solver.new_var()
+        # act -> (la XOR lb): satisfiable only where the two cones differ.
+        self.solver.add_clause([-act, la, lb])
+        self.solver.add_clause([-act, -la, -lb])
+        self.stats["sat_queries"] += 1
+        verdict, model = self.query(act)
+        if verdict is False:
+            # Certified equal: pin the equivalence so later queries in the
+            # same cone propagate instead of re-deriving it.
+            self.solver.add_clause([-la, lb])
+            self.solver.add_clause([la, -lb])
+            return True
+        if verdict is None:
+            self.stats["sat_budget"] += 1
+            return False
+        self.stats["sat_refuted"] += 1
+        self._record_cex(model)
+        return False
+
+    def _record_cex(self, values):
+        """Append one refuting model as one signature bit on every node."""
+        values[0] = 0
+        ands = self.aig.ands
+        for var in self.order:
+            rhs0, rhs1 = ands[var]
+            values[var] = ((values[lit_var(rhs0)] ^ lit_sign(rhs0))
+                           & (values[lit_var(rhs1)] ^ lit_sign(rhs1)))
+        bit = 1 << self.n_cex
+        for var, value in values.items():
+            if value:
+                self.cex_sig[var] = self.cex_sig.get(var, 0) | bit
+        self.n_cex += 1
+
+    def sweep(self, classes, mergeable):
+        """Certify merges inside candidate classes; returns their list.
+
+        Each class is walked in order.  A member whose var is
+        ``mergeable`` is proved against the leaders with its
+        counterexample bits and merges onto the first proved equal, as
+        ``(var, literal of the leader it equals)``; every other member
+        leads.
+        """
+        merges = []
+        for members in classes:
+            leaders = members[:1]
+            for member in members[1:]:
+                target = None
+                if mergeable(lit_var(member)):
+                    bits = self._lit_bits(member)
+                    for leader in leaders:
+                        if (self._lit_bits(leader) == bits
+                                and self.prove_equal(leader, member)):
+                            target = leader ^ lit_sign(member)
+                            break
+                if target is None:
+                    leaders.append(member)
+                else:
+                    merges.append((lit_var(member), target))
+                    self.stats["merges"] += 1
+        return merges
 
 
 # --------------------------------------------------------------------------

@@ -117,6 +117,18 @@ def test_match_inputs_order_detects_swapped_asymmetric_inputs():
     assert not result.equivalent
 
 
+def test_fraig_as_cec():
+    """An optimized impl is proved by sweeping alone: every output pair of
+    the product lands on one witness record, so SAT never runs."""
+    from repro.transform import optimize
+
+    spec = comb(5, n_gates=14)
+    impl = optimize(spec, level=2, seed=77)
+    result = check_comb_equivalence_fraig(spec, impl)
+    assert result.equivalent
+    assert "merges" in result.stats and "conflicts" not in result.stats
+
+
 def test_sequential_circuit_rejected():
     seq = random_sequential_circuit(5, n_inputs=2, n_regs=2, n_gates=8)
     comb_c = comb(5)

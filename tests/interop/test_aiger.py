@@ -167,10 +167,27 @@ def test_nonzero_extension_header_fields_are_rejected():
     ("aag 2 1 0 1 1\n2\n4\n4 2 9\n", "out of range"),
     ("aag 1 1 0 0 0\n2\nq9 name\n", "symbol"),
     ("aag 1 1 0 0 0\n2\ni7 name\n", "missing entry"),
+    ("aag 1 1 0 0 0\nx\n", "non-numeric input"),
+    ("aag 1 0 1 0 0\n2 x\n", "non-numeric latch"),
+    ("aag 1 1 0 1 0\n2\ny\n", "non-numeric output"),
+    ("aag 2 1 0 0 1\n2\n4 2 z\n", "non-numeric and"),
+    ("aag 1 1 0 1 0\n2\n\n", "missing output"),
 ])
 def test_malformed_ascii_inputs_raise_parse_errors(text, message):
     with pytest.raises(ParseError, match=message):
         loads_aiger(text)
+
+
+@pytest.mark.parametrize("blob,message", [
+    (b"aig 1 0 1 0 0\nx\n", "non-numeric latch"),
+    (b"aig 1 0 1 0 0\n\n", "missing latch"),
+    (b"aig 1 1 0 1 0\ny\n", "non-numeric output"),
+    (b"aig 1 1 0 1 0\n\n", "missing output"),
+    (b"aig 1 1 0 1 0\n\xff\n", "non-numeric output"),
+])
+def test_malformed_binary_inputs_raise_parse_errors(blob, message):
+    with pytest.raises(ParseError, match=message):
+        loads_aiger(blob)
 
 
 def test_truncated_binary_and_section_raises():

@@ -97,6 +97,23 @@ def test_cli_info_rejects_unknown_extension(tmp_path, capsys):
     assert "unsupported circuit file extension" in err
 
 
+def test_cli_info_rejects_malformed_aiger_body(tmp_path, capsys):
+    cases = {
+        "input.aag": b"aag 1 1 0 0 0\nx\n",
+        "latch.aag": b"aag 1 0 1 0 0\n2 x\n",
+        "output.aag": b"aag 1 1 0 1 0\n2\ny\n",
+        "and.aag": b"aag 2 1 0 0 1\n2\n4 2 z\n",
+        "blank.aag": b"aag 1 1 0 1 0\n2\n\n",
+        "latch.aig": b"aig 1 0 1 0 0\nx\n",
+        "blank.aig": b"aig 1 1 0 1 0\n\n",
+    }
+    for name, blob in cases.items():
+        path = tmp_path / name
+        path.write_bytes(blob)
+        assert main(["info", str(path)]) == 2, name
+        assert capsys.readouterr().err.startswith("error: "), name
+
+
 def test_cli_verify_rejects_unknown_extension(tmp_path, capsys):
     path = tmp_path / "fmt.v"
     path.write_text("module m; endmodule\n")

@@ -1,25 +1,26 @@
-"""AIG tests: construction, conversion, AIGER I/O, fraig SAT sweeping."""
+"""AIG tests: construction, conversion and SAT sweeping.
+
+The AIGER codec is covered by ``tests/interop/test_aiger.py``.
+"""
 
 import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import NetlistError, ParseError
+from repro.errors import NetlistError
 from repro.netlist import Circuit, GateType, SequentialSimulator, single_eval
 from repro.netlist.aig import (
     Aig,
     FALSE,
     TRUE,
-    dumps_aag,
-    fraig,
     from_circuit,
     lit_neg,
-    loads_aag,
     to_circuit,
 )
+from repro.sweep import fraig_reduce
 
-from .helpers import circuit_seeds, counter_circuit, random_sequential_circuit, toggle_circuit
+from .helpers import circuit_seeds, random_sequential_circuit
 
 
 # --------------------------------------------------------------- basic ops
@@ -152,90 +153,10 @@ def test_structural_sharing_across_gates():
     assert lit_of["g2"] == lit_neg(lit_of["g1"])
 
 
-# --------------------------------------------------------------- AIGER I/O
+# --------------------------------------------------------------- SAT sweeping
 
 
-def test_aag_round_trip_semantics():
-    circuit = counter_circuit(3)
-    aig, _ = from_circuit(circuit)
-    text = dumps_aag(aig)
-    assert text.startswith("aag ")
-    again = loads_aag(text)
-    assert again.num_ands == aig.num_ands
-    assert len(again.latches) == len(aig.latches)
-    back = to_circuit(again)
-    sim_a = SequentialSimulator(circuit, width=16, seed=3)
-    sim_b = SequentialSimulator(back, width=16, seed=3)
-    sig_a = sim_a.run(10)
-    sig_b = sim_b.run(10)
-    assert sig_a[circuit.outputs[0]] == sig_b[back.outputs[0]]
-
-
-def test_aag_symbol_table():
-    aig = Aig()
-    aig.add_input("alpha")
-    q = aig.add_latch(init=True, name="beta")
-    aig.set_latch_next(q, TRUE)
-    aig.add_output(q)
-    text = dumps_aag(aig)
-    assert "i0 alpha" in text
-    assert "l0 beta" in text
-    again = loads_aag(text)
-    assert again.names[again.inputs[0]] == "alpha"
-    assert again.latches[0][2] is True
-
-
-def test_aag_parse_errors():
-    with pytest.raises(ParseError):
-        loads_aag("not an aig")
-    with pytest.raises(ParseError):
-        loads_aag("aag 1 1\n")
-    with pytest.raises(ParseError):
-        loads_aag("aag 1 1 0 0 0\n3\n")  # negated input
-
-
-def test_aag_file_io(tmp_path):
-    from repro.netlist.aig import dump_aag, load_aag
-
-    circuit = toggle_circuit()
-    aig, _ = from_circuit(circuit)
-    path = tmp_path / "toggle.aag"
-    dump_aag(aig, path)
-    again = load_aag(path)
-    assert again.num_ands == aig.num_ands
-
-
-# --------------------------------------------------------------- fraig
-
-
-def comb_circuit(seed, n_gates=14):
-    return random_sequential_circuit(seed, n_inputs=4, n_regs=0,
-                                     n_gates=n_gates)
-
-
-def assert_aig_equiv(aig_a, aig_b, n_inputs, rounds=64):
-    import random as pyrandom
-
-    rng = pyrandom.Random(9)
-    env_a = {v: rng.getrandbits(rounds) for v in aig_a.inputs}
-    env_b = dict(zip(aig_b.inputs, (env_a[v] for v in aig_a.inputs)))
-    _, lv_a = aig_a.simulate(env_a, width=rounds)
-    _, lv_b = aig_b.simulate(env_b, width=rounds)
-    for la, lb in zip(aig_a.outputs, aig_b.outputs):
-        assert lv_a(la) == lv_b(lb)
-
-
-@settings(max_examples=20, deadline=None)
-@given(circuit_seeds)
-def test_fraig_preserves_outputs(seed):
-    circuit = comb_circuit(seed)
-    aig, _ = from_circuit(circuit)
-    reduced, lit_map = fraig(aig)
-    assert_aig_equiv(aig, reduced, len(aig.inputs))
-    assert reduced.num_ands <= aig.num_ands
-
-
-def test_fraig_merges_functionally_equal_nodes():
+def _twin_and():
     c = Circuit("dupfn")
     c.add_input("a")
     c.add_input("b")
@@ -246,15 +167,11 @@ def test_fraig_merges_functionally_equal_nodes():
     c.add_gate("g2", GateType.NOR, ["na", "nb"])
     c.add_gate("o", GateType.XOR, ["g1", "g2"])  # constant 0
     c.add_output("o")
-    aig, _ = from_circuit(c)
-    reduced, _ = fraig(aig)
-    # The output collapses to the constant: no AND nodes remain.
-    assert reduced.outputs[0] in (FALSE, TRUE)
-    assert reduced.outputs[0] == FALSE
-    assert reduced.num_ands == 0
+    c.add_output("g2")  # keeps the merged node live
+    return c
 
 
-def test_fraig_detects_antivalence():
+def _antivalent_pair():
     c = Circuit("anti")
     c.add_input("a")
     c.add_input("b")
@@ -262,62 +179,49 @@ def test_fraig_detects_antivalence():
     c.add_gate("g2", GateType.AND, ["a", "b"])
     c.add_gate("o", GateType.XNOR, ["g1", "g2"])  # constant 0
     c.add_output("o")
-    aig, _ = from_circuit(c)
-    reduced, _ = fraig(aig)
-    assert reduced.outputs[0] == FALSE
+    c.add_output("g2")
+    return c
 
 
-def test_fraig_node_equal_to_input():
+def _absorbing_or():
     c = Circuit("redund")
     c.add_input("a")
     c.add_input("b")
     c.add_gate("ab", GateType.AND, ["a", "b"])
-    c.add_gate("a_or_ab", GateType.OR, ["a", "ab"])  # absorption: == a
-    c.add_output("a_or_ab")
-    aig, _ = from_circuit(c)
-    reduced, _ = fraig(aig)
-    assert reduced.num_ands == 0
-    assert reduced.outputs[0] == 2 * reduced.inputs[0]
+    c.add_gate("o", GateType.OR, ["a", "ab"])  # absorption: == a
+    c.add_output("o")
+    return c
 
 
-def test_fraig_rejects_sequential():
-    aig, _ = from_circuit(toggle_circuit())
-    with pytest.raises(NetlistError):
-        fraig(aig)
+def _rare_difference():
+    c = Circuit("rare")
+    names = ["x{}".format(k) for k in range(20)]
+    for name in names:
+        c.add_input(name)
+    # g is 1 only on the all-ones input, which random simulation all but
+    # never hits: simulation pairs g (and its deep subtrees) with the
+    # constant, and only refuting SAT models split them.
+    c.add_gate("g", GateType.AND, names)
+    c.add_output("g")
+    return c
 
 
-def test_fraig_as_cec():
-    """fraig is a combinational equivalence checker: feed it a miter of an
-    optimized circuit against the original and the output must fold to 0."""
-    from repro.transform import optimize
+_CONST0 = {"net": None, "negated": False, "const": 0}
 
-    spec = comb_circuit(5)
-    impl = optimize(spec, level=2, seed=77)
-    aig = Aig()
-    lit_of = {}
-    for net in spec.inputs:
-        lit_of[net] = aig.add_input(name=net)
-    spec_aig, spec_lits = from_circuit(spec)
-    impl_aig, impl_lits = from_circuit(impl)
-    # Rebuild both inside one AIG over shared inputs.
-    def embed(circuit):
-        from repro.netlist.aig import _gate_to_aig
 
-        local = dict(lit_of)
-        for name in circuit.topo_order():
-            gate = circuit.gates[name]
-            local[name] = _gate_to_aig(
-                aig, gate.gtype, [local[f] for f in gate.fanins]
-            )
-        return local
-
-    spec_map = embed(spec)
-    impl_map = embed(impl)
-    diff_lits = [
-        aig.xor2(spec_map[a], impl_map[b])
-        for a, b in zip(spec.outputs, impl.outputs)
-    ]
-    miter = lit_neg(aig.and_many([lit_neg(d) for d in diff_lits]))
-    aig.add_output(miter)
-    reduced, _ = fraig(aig)
-    assert reduced.outputs[0] == FALSE
+@pytest.mark.parametrize("build,expect,ands", [
+    (_twin_and, lambda w: {"g2": w["g1"], "o": _CONST0}, 1),
+    (_antivalent_pair,
+     lambda w: {"g1": dict(w["g2"], negated=True), "o": _CONST0}, 1),
+    (_absorbing_or,
+     lambda w: {"o": {"net": "a", "negated": False, "const": None}}, 0),
+    (_rare_difference, lambda w: {"g": dict(w["g"], const=None)}, 19),
+], ids=["merge", "antivalence", "node_equal_to_input", "rare_difference"])
+def test_fraig_reduce_witness_map(build, expect, ands):
+    """Sweeping merges equal and antivalent nodes, onto inputs too, and
+    keeps apart nodes that only a SAT model distinguishes."""
+    reduction = fraig_reduce(build().validate())
+    witness = reduction.net_map
+    for net, record in expect(witness).items():
+        assert witness[net] == record, net
+    assert reduction.stats["ands_after"] == ands

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.netlist import structural_fingerprint
+from repro.interop.fingerprint import aig_fingerprint
 from repro.reach import CexTrace, SecResult
 from repro.service import JobSpec, ResultCache
 from repro.service.job import CACHE_FORMAT_VERSION
@@ -17,25 +17,25 @@ from .helpers import magic_pair, tiny_pair
 def test_fingerprint_invariant_under_renaming():
     spec, _ = tiny_pair()
     renamed = spec.renamed("p_", keep_inputs=True)
-    assert structural_fingerprint(spec) == structural_fingerprint(renamed)
+    assert aig_fingerprint(spec) == aig_fingerprint(renamed)
 
 
 def test_fingerprint_invariant_under_structural_duplicates():
     spec, impl = tiny_pair()  # impl is spec plus a BUF indirection
-    assert structural_fingerprint(spec) == structural_fingerprint(impl)
+    assert aig_fingerprint(spec) == aig_fingerprint(impl)
 
 
 def test_fingerprint_distinguishes_circuits():
     spec, _ = tiny_pair()
     other, _ = magic_pair(n_inputs=4)
-    assert structural_fingerprint(spec) != structural_fingerprint(other)
+    assert aig_fingerprint(spec) != aig_fingerprint(other)
 
 
 def test_fingerprint_sensitive_to_initial_value():
     spec, _ = tiny_pair()
     flipped = spec.copy()
     flipped.registers["r"].init = True
-    assert structural_fingerprint(spec) != structural_fingerprint(flipped)
+    assert aig_fingerprint(spec) != aig_fingerprint(flipped)
 
 
 # -- job specs ---------------------------------------------------------------

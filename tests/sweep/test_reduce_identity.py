@@ -20,7 +20,8 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import NetlistError
-from repro.netlist import CompiledSim, structural_fingerprint
+from repro.interop.fingerprint import aig_fingerprint
+from repro.netlist import CompiledSim
 from repro.sweep import fraig_reduce
 
 from ..netlist.helpers import random_sequential_circuit
@@ -81,7 +82,7 @@ def test_fingerprint_independent_of_simulation_seed(circuit_seed):
     circuit = random_sequential_circuit(circuit_seed, n_inputs=3, n_regs=4,
                                         n_gates=20)
     prints = {
-        structural_fingerprint(fraig_reduce(circuit, seed=s).reduced)
+        aig_fingerprint(fraig_reduce(circuit, seed=s).reduced)
         for s in (1, 2, 3, 2024)
     }
     assert len(prints) == 1
@@ -92,8 +93,8 @@ def test_fingerprint_stable_across_repeated_runs():
                                         n_gates=22)
     first = fraig_reduce(circuit)
     second = fraig_reduce(circuit)
-    assert (structural_fingerprint(first.reduced)
-            == structural_fingerprint(second.reduced))
+    assert (aig_fingerprint(first.reduced)
+            == aig_fingerprint(second.reduced))
     assert first.stats["merges"] == second.stats["merges"]
 
 
