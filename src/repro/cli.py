@@ -160,11 +160,7 @@ def _cmd_verify(args):
                     options["time_limit"] = args.time_limit
                 if args.node_limit:
                     options["node_limit"] = args.node_limit
-            elif args.method == "sat_sweep":
-                options["incremental"] = not args.no_incremental
-                if args.time_limit:
-                    options["time_limit"] = args.time_limit
-            elif args.method == "fraig_sweep":
+            elif args.method in ("sat_sweep", "fraig_sweep"):
                 if args.time_limit:
                     options["time_limit"] = args.time_limit
             elif args.method == "traversal":
@@ -727,9 +723,6 @@ def build_parser():
     p_verify.add_argument("--no-simulation", action="store_true")
     p_verify.add_argument("--no-fundeps", action="store_true")
     p_verify.add_argument("--no-retiming", action="store_true")
-    p_verify.add_argument("--no-incremental", action="store_true",
-                          help="sat_sweep only: fall back to the "
-                               "solver-per-round baseline engine")
     p_verify.add_argument("--profile", metavar="FILE",
                           help="profile the verification with cProfile and "
                                "dump pstats data to FILE")

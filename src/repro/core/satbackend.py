@@ -16,13 +16,13 @@ combinational check changes:
 The result is bit-for-bit the same partition the BDD backend computes, a
 property the test suite checks.
 
-Incremental refinement (the default engine)
--------------------------------------------
+Incremental refinement
+----------------------
 
-The naive ("monolithic") formulation rebuilds a fresh solver and re-encodes
-both unrolled frames on every refinement round, discarding all learned
-clauses.  The incremental engine instead keeps **one solver and one
-encoding per** :meth:`SatCorrespondence.compute` call:
+Rebuilding a fresh solver and re-encoding both unrolled frames on every
+refinement round would discard all learned clauses.  The engine instead
+keeps **one solver and one encoding per** :meth:`SatCorrespondence.compute`
+call:
 
 * the ``k + 1`` unrolled frames are Tseitin-encoded exactly once, into an
   incremental :class:`~repro.sat.solver.Solver` whose learned clauses,
@@ -81,17 +81,14 @@ class SatCorrespondence:
     frames before checking frame k.  ``k=1`` is exactly the paper's
     iteration; larger k strictly increases proving power.
 
-    ``incremental`` selects the engine: ``True`` (default) keeps one solver
-    and one encoding for the whole fixed point, ``False`` preserves the
-    original round-per-solver formulation (kept as a differential baseline;
-    both compute the identical partition).  ``progress(kind, **data)`` is
-    called with ``refinement_round`` events carrying class counts and
-    solver statistics; ``cancel_check()`` is polled before every query.
+    One solver and one encoding serve the whole fixed point.
+    ``progress(kind, **data)`` is called with ``refinement_round`` events
+    carrying class counts and solver statistics; ``cancel_check()`` is
+    polled before every query.
     """
 
     def __init__(self, product, seed=2024, sim_frames=24, sim_width=32,
-                 time_limit=None, k=1, incremental=True,
-                 progress=None, cancel_check=None):
+                 time_limit=None, k=1, progress=None, cancel_check=None):
         if k < 1:
             raise ValueError("induction depth k must be >= 1")
         self.product = product
@@ -102,7 +99,6 @@ class SatCorrespondence:
         self.sim_width = sim_width
         self.time_limit = time_limit
         self.k = k
-        self.incremental = incremental
         self.progress = progress
         self.cancel_check = cancel_check
         self.stats = {
@@ -174,11 +170,8 @@ class SatCorrespondence:
         for sig in self._signals:
             buckets.setdefault(sig.signature, []).append(sig)
         classes = list(buckets.values())
-        if self.incremental:
-            self._setup_incremental()
-            classes = self._split_at_initial_incremental(classes, deadline)
-        else:
-            classes = self._split_classes_at_initial(classes, deadline)
+        self._setup_solver()
+        classes = self._split_at_initial(classes, deadline)
         self._emit("initial_split", classes=len(classes),
                    **self.solver_stats())
         iterations = 0
@@ -186,11 +179,7 @@ class SatCorrespondence:
             iterations += 1
             if max_iterations is not None and iterations > max_iterations:
                 raise ResourceBudgetExceeded("SAT fixpoint budget exhausted")
-            if self.incremental:
-                classes, changed = self._refine_round_incremental(
-                    classes, deadline)
-            else:
-                classes, changed = self._refine_round(classes, deadline)
+            classes, changed = self._refine_round(classes, deadline)
             self.stats["rounds"] = iterations
             self._emit("refinement_round", round=iterations,
                        classes=len(classes), changed=changed,
@@ -212,12 +201,6 @@ class SatCorrespondence:
     def _emit(self, kind, **data):
         if self.progress is not None:
             self.progress(kind, **data)
-
-    def _absorb_solver(self, solver):
-        """Fold a discarded (monolithic-round) solver's effort into stats."""
-        live = solver.stats()
-        for key in _SOLVER_COUNTERS:
-            self.stats[key] += live[key]
 
     def _check_budget(self, deadline):
         if deadline is not None and time.monotonic() > deadline:
@@ -248,9 +231,9 @@ class SatCorrespondence:
         self.stats["solver_constructions"] += 1
         return Solver()
 
-    # -- incremental engine ----------------------------------------------------
+    # -- the shared solver -----------------------------------------------------
 
-    def _setup_incremental(self):
+    def _setup_solver(self):
         """One encoding, one solver, both shared by base case and rounds."""
         enc = TseitinEncoder()
         self._frames = self._encode_unrolled(enc, self.k + 1)
@@ -325,7 +308,7 @@ class SatCorrespondence:
                 out.append(([group[0]], group[1:]))
         return out
 
-    def _split_at_initial_incremental(self, classes, deadline):
+    def _split_at_initial(self, classes, deadline):
         """Base case on the shared encoding: members agree on the first k
         frames from s0 (Eq. 2 for k = 1, its k-induction generalization
         otherwise), with counterexample inputs replayed against all
@@ -366,7 +349,7 @@ class SatCorrespondence:
         self._solver.simplify()
         return done
 
-    def _refine_round_incremental(self, classes, deadline):
+    def _refine_round(self, classes, deadline):
         """One Eq. 3 round: Q guarded by a fresh activation literal, models
         replayed into mass splits, refuted constraints retired by unit."""
         solver = self._solver
@@ -417,100 +400,6 @@ class SatCorrespondence:
         solver.simplify()
         return done, len(done) > len(classes)
 
-    # -- monolithic engine (differential baseline) -----------------------------
-
-    def _split_classes_at_initial(self, classes, deadline):
-        """Base case with a throwaway per-call solver (original engine)."""
-        enc = TseitinEncoder()
-        frames = self._encode_unrolled(enc, self.k)
-        true_var = enc.new_var()
-        solver = self._new_solver()
-        solver.add_cnf(enc.cnf)
-        solver.add_clause([true_var])
-        for net, reg in self.circuit.registers.items():
-            var = frames[0][net]
-            solver.add_clause([var if reg.init else -var])
-
-        def lit(sig, frame_vars):
-            var = true_var if sig.net == CONST_NET else frame_vars[sig.net]
-            return -var if sig.complemented else var
-
-        def differ(a, b):
-            self._check_budget(deadline)
-            for frame_vars in frames:
-                la, lb = lit(a, frame_vars), lit(b, frame_vars)
-                for assumptions in ([la, -lb], [-la, lb]):
-                    self.stats["sat_queries"] += 1
-                    if solver.solve(assumptions=assumptions):
-                        return True
-            return False
-
-        try:
-            return _split_all(classes, differ)
-        finally:
-            self._absorb_solver(solver)
-
-    def _refine_round(self, classes, deadline):
-        """One Eq. 3 round, rebuilt from scratch (original engine)."""
-        enc = TseitinEncoder()
-        frames = self._encode_unrolled(enc, self.k + 1)
-        true_var = enc.new_var()
-        solver = self._new_solver()
-        solver.add_cnf(enc.cnf)
-        solver.add_clause([true_var])
-
-        def lit(sig, frame_vars):
-            var = true_var if sig.net == CONST_NET else frame_vars[sig.net]
-            return -var if sig.complemented else var
-
-        # Q: equivalence clauses at frames 0..k-1 for every current class.
-        for frame_vars in frames[:-1]:
-            for cls in classes:
-                if len(cls) < 2:
-                    continue
-                rep = lit(cls[0], frame_vars)
-                for member in cls[1:]:
-                    m = lit(member, frame_vars)
-                    solver.add_clause([-rep, m])
-                    solver.add_clause([rep, -m])
-
-        changed_any = [False]
-        check_frame = frames[-1]
-
-        def differ(a, b):
-            self._check_budget(deadline)
-            la, lb = lit(a, check_frame), lit(b, check_frame)
-            for assumptions in ([la, -lb], [-la, lb]):
-                self.stats["sat_queries"] += 1
-                if solver.solve(assumptions=assumptions):
-                    changed_any[0] = True
-                    return True
-            return False
-
-        try:
-            new_classes = _split_all(classes, differ)
-        finally:
-            self._absorb_solver(solver)
-        return new_classes, changed_any[0]
-
-
-def _split_all(classes, differ):
-    result = []
-    for cls in classes:
-        if len(cls) == 1:
-            result.append(cls)
-            continue
-        subgroups = []
-        for sig in cls:
-            for group in subgroups:
-                if not differ(sig, group[0]):
-                    group.append(sig)
-                    break
-            else:
-                subgroups.append([sig])
-        result.extend(subgroups)
-    return result
-
 
 class _AugmentedProduct:
     """Product view over an augmented working copy of the circuit."""
@@ -525,17 +414,14 @@ def check_equivalence_sat_sweep(spec, impl, match_inputs="name",
                                 sim_frames=24, sim_width=32,
                                 time_limit=None, max_iterations=None, k=1,
                                 use_retiming=False, max_retiming_rounds=3,
-                                incremental=True,
                                 progress=None, cancel_check=None):
     """SEC by SAT-based signal correspondence; returns a :class:`SecResult`.
 
     Sound and incomplete exactly like the BDD engine.  ``k > 1`` runs
     k-induction; ``use_retiming`` runs the Fig. 4 loop (lag-1 signal
     augmentation between fixed points), both strictly increasing proving
-    power.  ``incremental=False`` falls back to the solver-per-round
-    baseline engine (identical verdicts, kept for differential testing and
-    benchmarking).  ``progress``/``cancel_check`` are the service-layer
-    hooks shared with the BDD engine.
+    power.  ``progress``/``cancel_check`` are the service-layer hooks shared
+    with the BDD engine.
     """
     from ..netlist.product import build_product
     from .retiming_aug import CircuitAugmenter
@@ -555,7 +441,7 @@ def check_equivalence_sat_sweep(spec, impl, match_inputs="name",
         engine = SatCorrespondence(
             _AugmentedProduct(product, working), seed=seed,
             sim_frames=sim_frames, sim_width=sim_width,
-            time_limit=remaining, k=k, incremental=incremental,
+            time_limit=remaining, k=k,
             progress=progress, cancel_check=cancel_check,
         )
         try:

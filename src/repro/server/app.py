@@ -1,4 +1,4 @@
-"""The networked verification daemon (``repro-sec serve``).
+"""The job front end and the networked verification daemon (``repro-sec serve``).
 
 A stdlib-only asyncio HTTP server multiplexing the existing service stack
 — :class:`~repro.service.scheduler.WorkerPool` workers,
@@ -17,6 +17,10 @@ A stdlib-only asyncio HTTP server multiplexing the existing service stack
 ``GET /v1/stats``         queue depth, worker utilization, cache hit rate,
                           aggregated solver stats
 ========================  =====================================================
+
+:class:`JobFrontEnd` serves that API over a :class:`~repro.server.store.
+JobStore`; :class:`VerifyServer` runs its jobs on local workers and
+:class:`repro.fleet.CoordinatorServer` dispatches them to worker daemons.
 
 Durability: every job is a JSON record in the :class:`~repro.server.store.
 JobStore`; on restart queued jobs resume and jobs that were running
@@ -155,57 +159,59 @@ def build_jobspec(record):
     return job
 
 
-class VerifyServer:
-    """The daemon: HTTP front end + job pump over a :class:`WorkerPool`."""
+async def _cancel_task(task):
+    """Cancel ``task`` (if any) and wait for it to unwind."""
+    if task is None:
+        return
+    task.cancel()
+    try:
+        await task
+    except (asyncio.CancelledError, Exception):
+        pass
 
-    def __init__(self, host="127.0.0.1", port=0, workers=2, store_dir=None,
-                 cache_dir=None, cache_max_entries=None, cache_max_bytes=None,
-                 queue_limit=64, job_time_limit=None, retries=1, grace=2.0,
-                 rate=20.0, burst=40, request_timeout=10.0,
-                 sse_heartbeat=10.0, sse_write_timeout=10.0,
-                 poll_interval=0.02, history_limit=2000, bus=None,
-                 ready_file=None, node_id=None,
-                 join_url=None, advertise_host=None, heartbeat_interval=2.0,
-                 trusted_proxies=(), remote_cache_url=None):
+
+class JobFrontEnd:
+    """The HTTP job API over a :class:`~repro.server.store.JobStore`.
+
+    Owns what every daemon role shares: the listener lifecycle, request
+    handling, rate limiting, submission with queue backpressure, the
+    per-job SSE event history, queued-job cancellation and ``/v1/stats``.
+    A role subclass sets :attr:`role` and supplies :meth:`_pump_once` (one
+    step of moving queued jobs forward), :meth:`_cancel_running` and
+    :meth:`_wind_down`; it may extend :meth:`_about`, :meth:`_prepare`,
+    :meth:`_route` and :meth:`stats`.
+
+    Every terminal transition emits exactly one of ``job_finished``,
+    ``job_cancelled`` or ``job_cached`` on the bus before the job's SSE
+    watchers get their ``done`` frame.
+    """
+
+    #: ``"worker"`` or ``"coordinator"``: reported by healthz and stats.
+    role = None
+
+    def __init__(self, host, port, store_dir, cache_dir, cache_max_entries,
+                 cache_max_bytes, queue_limit, rate, burst, request_timeout,
+                 sse_heartbeat, sse_write_timeout, poll_interval,
+                 history_limit, bus, ready_file, trusted_proxies=()):
         self.host = host
         self.port = port
         self.queue_limit = queue_limit
-        self.retries = retries
-        # Fleet membership (repro.fleet): a node id for healthz/debugging,
-        # the coordinator to join (None = standalone daemon), and the
-        # proxies whose X-Forwarded-For header identifies the real client
-        # for rate limiting.
-        self.node_id = node_id or "node-{}-{}".format(
-            os.getpid(), os.urandom(2).hex())
-        self.join_url = join_url
-        self.advertise_host = advertise_host
-        self.heartbeat_interval = heartbeat_interval
-        self.trusted_proxies = frozenset(trusted_proxies or ())
-        self._member = None
-        self._member_task = None
         self.request_timeout = request_timeout
         self.sse_heartbeat = sse_heartbeat
         self.sse_write_timeout = sse_write_timeout
         self.poll_interval = poll_interval
         self.history_limit = history_limit
         self.ready_file = ready_file
+        # The proxies whose X-Forwarded-For header identifies the real
+        # client for rate limiting (the fleet coordinator, for a worker).
+        self.trusted_proxies = frozenset(trusted_proxies or ())
         self.bus = bus or EventBus()
-        self.store = store_mod.JobStore(store_dir or ".repro-server")
+        self.store = store_mod.JobStore(store_dir)
         self.cache = None
         if cache_dir:
             self.cache = ResultCache(cache_dir,
                                      max_entries=cache_max_entries,
                                      max_bytes=cache_max_bytes)
-        if remote_cache_url:
-            # Fleet-shared far tier: local misses consult the
-            # coordinator's cache, local solves are published to it, so
-            # any node serves any fingerprint once one node solved it.
-            from ..fleet.cachenet import CacheClient, TieredCache
-
-            self.cache = TieredCache(self.cache,
-                                     CacheClient(remote_cache_url))
-        self.pool = WorkerPool(workers=workers, bus=self.bus,
-                               job_time_limit=job_time_limit, grace=grace)
         self.limiter = RateLimiter(rate=rate, burst=burst)
         self._history = {}    # job id -> [event dict, ...] (bounded)
         self._watchers = {}   # job id -> set of asyncio.Queue
@@ -241,39 +247,25 @@ class VerifyServer:
 
     # -- lifecycle ----------------------------------------------------------
 
+    def _about(self):
+        """Identity fields of healthz, ``server_started`` and the ready file."""
+        return {"role": self.role}
+
     async def start(self):
-        """Bind the listener, recover the persisted queue, start the pump."""
+        """Bind the listener, start the pump, write the ready file."""
         self._started_at = time.monotonic()
         self._stop_event = asyncio.Event()
-        for record in self.store.recover():
-            self.bus.emit(JOB_REQUEUED, job=record.id, name=record.name,
-                          requeues=record.requeues, reason="daemon restart")
         self._server = await asyncio.start_server(
             self._handle_connection, host=self.host, port=self.port)
         self.port = self._server.sockets[0].getsockname()[1]
         self._pump_task = asyncio.ensure_future(self._pump())
+        about = self._about()
         self.bus.emit(SERVER_STARTED, host=self.host, port=self.port,
-                      workers=self.pool.workers, pid=os.getpid(),
-                      node=self.node_id,
-                      jobs_recovered=len(self.store))
-        if self.join_url:
-            # Fleet mode: announce this node to the coordinator and keep
-            # the membership lease alive.  The advertise URL must carry
-            # the *bound* port (the daemon may have asked for port 0).
-            from ..fleet.node import FleetMember
-
-            advertise = "http://{}:{}".format(
-                self.advertise_host or
-                ("127.0.0.1" if self.host in ("", "0.0.0.0") else self.host),
-                self.port)
-            self._member = FleetMember(self.join_url, self.node_id,
-                                       advertise, self.bus,
-                                       interval=self.heartbeat_interval)
-            self._member_task = asyncio.ensure_future(self._member.run())
+                      pid=os.getpid(), jobs_recovered=len(self.store),
+                      **about)
         if self.ready_file:
-            payload = {"host": self.host, "port": self.port,
-                       "pid": os.getpid(), "node": self.node_id,
-                       "url": self.url()}
+            payload = dict(about, host=self.host, port=self.port,
+                           pid=os.getpid(), url=self.url())
             tmp = self.ready_file + ".tmp"
             with open(tmp, "w") as fh:
                 json.dump(payload, fh)
@@ -306,45 +298,24 @@ class VerifyServer:
                 loop.remove_signal_handler(signum)
             await self.stop()
 
-    async def stop(self):
-        """Graceful shutdown: stop intake, park running jobs, kill workers.
+    def run(self):
+        """Blocking entry: serve until SIGINT/SIGTERM; returns exit code 0."""
+        try:
+            asyncio.run(self.serve_forever())
+        except KeyboardInterrupt:  # pragma: no cover - non-POSIX fallback path
+            pass
+        return 0
 
-        Running jobs go back to *queued* on disk — the same resume
-        semantics as a crash, but without waiting for them to finish —
-        so a restarted daemon picks them up where the queue left off.
-        """
+    async def stop(self):
+        """Graceful shutdown: stop intake and the pump, wind the role down,
+        end every SSE stream and connection."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        if self._member_task is not None:
-            self._member_task.cancel()
-            try:
-                await self._member_task
-            except (asyncio.CancelledError, Exception):
-                pass
-            self._member_task = None
-        if self._member is not None:
-            await self._member.leave()
-            self._member = None
-        if self._pump_task is not None:
-            self._pump_task.cancel()
-            try:
-                await self._pump_task
-            except (asyncio.CancelledError, Exception):
-                pass
-        for outcome in self.pool.shutdown():
-            record = self.store.get(outcome.token)
-            if record is None or record.terminal:
-                continue
-            record.state = store_mod.QUEUED
-            record.started_at = None
-            record.requeues += 1
-            self.store.save(record)
-            self.bus.emit(JOB_REQUEUED, job=record.id, name=record.name,
-                          requeues=record.requeues,
-                          reason="daemon shutdown")
-        self.bus.emit(SERVER_STOPPED, host=self.host, port=self.port,
-                      uptime_seconds=self._uptime())
+        await _cancel_task(self._pump_task)
+        await self._wind_down()
+        self.bus.emit(SERVER_STOPPED, role=self.role, host=self.host,
+                      port=self.port, uptime_seconds=self._uptime())
         for job_id in list(self._watchers):
             self._notify_terminal(job_id)
         for task in list(self._connections):
@@ -352,100 +323,30 @@ class VerifyServer:
         if self._connections:
             await asyncio.wait(list(self._connections))
 
+    async def _wind_down(self):
+        """Role teardown between the pump stopping and ``server_stopped``."""
+
     def _uptime(self):
         if self._started_at is None:
             return 0.0
         return time.monotonic() - self._started_at
 
-    # -- the job pump -------------------------------------------------------
+    # -- the pump -----------------------------------------------------------
 
     async def _pump(self):
         while True:
             try:
-                self._start_queued()
-                for outcome in self.pool.poll():
-                    self._finish(outcome)
+                await self._pump_once()
             except asyncio.CancelledError:
                 raise
             except Exception:
-                # The pump must survive a bad record; the record itself is
-                # marked errored in _start_queued/_finish where possible.
+                # The pump must survive one bad record or node; the record
+                # itself is marked errored where possible.
                 pass
             await asyncio.sleep(self.poll_interval)
 
-    def _start_queued(self):
-        while self.pool.has_capacity():
-            queued = self.store.queued()
-            if not queued:
-                return
-            record = queued[0]
-            try:
-                job = build_jobspec(record)
-            except Exception as exc:
-                self._mark_error(record, "cannot build job: {!r}".format(exc))
-                continue
-            cached = (self.cache.get(job.cache_key())
-                      if self.cache is not None else None)
-            if cached is not None:
-                record.state = store_mod.DONE
-                record.cached = True
-                record.finished_at = time.time()
-                record.result = JobResult(
-                    record.id, cached, cached=True, wall_seconds=0.0,
-                    method=job.method).as_dict()
-                self.store.save(record)
-                self.bus.emit(JOB_CACHED, job=record.id, name=record.name,
-                              verdict=cached.equivalent, method=job.method)
-                self._accumulate_solver_stats(cached)
-                self._notify_terminal(record.id)
-                continue
-            record.state = store_mod.RUNNING
-            record.started_at = time.time()
-            self.store.save(record)
-            self.pool.submit(record.id, job)
-
-    def _finish(self, outcome):
-        record = self.store.get(outcome.token)
-        if record is None:
-            return
-        if outcome.cancelled:
-            record.state = store_mod.CANCELLED
-            record.result = outcome.result.as_dict()
-            record.finished_at = time.time()
-            self.store.save(record)
-            self.bus.emit(JOB_CANCELLED, job=record.id, name=record.name,
-                          method=outcome.job.method)
-            self._notify_terminal(record.id)
-            return
-        if outcome.error is not None and record.requeues < self.retries:
-            # Worker crash: put the job back at the head of the queue.
-            record.state = store_mod.QUEUED
-            record.started_at = None
-            record.requeues += 1
-            self.store.save(record)
-            self.bus.emit(JOB_REQUEUED, job=record.id, name=record.name,
-                          requeues=record.requeues, reason=outcome.error)
-            return
-        record.state = (store_mod.ERROR if outcome.error is not None
-                        else store_mod.DONE)
-        record.error = outcome.error
-        record.result = outcome.result.as_dict()
-        record.finished_at = time.time()
-        self.store.save(record)
-        result = outcome.result.result
-        if (self.cache is not None and outcome.error is None
-                and result is not None):
-            self.cache.put(outcome.job.cache_key(), result,
-                           meta={"job": record.name,
-                                 "method": outcome.job.method})
-        if result is not None:
-            self._accumulate_solver_stats(result)
-        self.bus.emit(JOB_FINISHED, job=record.id, name=record.name,
-                      verdict=outcome.result.verdict,
-                      method=outcome.job.method,
-                      seconds=None if result is None else result.seconds,
-                      error=outcome.error)
-        self._notify_terminal(record.id)
+    async def _pump_once(self):
+        raise NotImplementedError
 
     def _mark_error(self, record, message):
         record.state = store_mod.ERROR
@@ -456,8 +357,8 @@ class VerifyServer:
                       verdict=None, error=message)
         self._notify_terminal(record.id)
 
-    def _accumulate_solver_stats(self, result):
-        stats = (result.details or {}).get("solver_stats")
+    def _accumulate_solver_stats(self, details):
+        stats = (details or {}).get("solver_stats")
         if not isinstance(stats, dict):
             return
         for key, value in stats.items():
@@ -513,9 +414,8 @@ class VerifyServer:
         if path == "/v1/healthz":
             if method != "GET":
                 raise HttpError(405, "method not allowed")
-            return json_response(200, {"status": "ok", "role": "worker",
-                                       "node": self.node_id,
-                                       "uptime_seconds": self._uptime()})
+            return json_response(200, dict(self._about(), status="ok",
+                                           uptime_seconds=self._uptime()))
         self._throttle(request)
         if path == "/v1/stats":
             if method != "GET":
@@ -544,7 +444,7 @@ class VerifyServer:
             if method == "GET":
                 return json_response(200, record.public_dict())
             if method == "DELETE":
-                return self._cancel(record)
+                return await self._cancel(record)
             raise HttpError(405, "method not allowed")
         raise HttpError(404, "unknown path {!r}".format(path))
 
@@ -577,6 +477,10 @@ class VerifyServer:
             raise HttpError(429, "rate limit exceeded",
                             headers={"Retry-After": str(retry_after)})
 
+    def _prepare(self, payload):
+        """One submitted payload → ``(normalized payload, record meta)``."""
+        return validate_payload(payload), None
+
     def _submit(self, request):
         client = self._client_key(request)
         body = request.json()
@@ -584,10 +488,10 @@ class VerifyServer:
         payloads = body["jobs"] if many else [body]
         if not isinstance(payloads, list) or not payloads:
             raise HttpError(400, "'jobs' must be a non-empty list")
-        normalized = [validate_payload(p) for p in payloads]
+        prepared = [self._prepare(payload) for payload in payloads]
         counts = self.store.counts()
         backlog = counts[store_mod.QUEUED] + counts[store_mod.RUNNING]
-        if backlog + len(normalized) > self.queue_limit:
+        if backlog + len(prepared) > self.queue_limit:
             self.bus.emit(CLIENT_THROTTLED, client=client,
                           path=request.path, reason="queue full",
                           backlog=backlog)
@@ -595,8 +499,8 @@ class VerifyServer:
                 backlog, self.queue_limit),
                 headers={"Retry-After": "2"})
         ids = []
-        for payload in normalized:
-            record = self.store.create(payload, client=client)
+        for payload, meta in prepared:
+            record = self.store.create(payload, client=client, meta=meta)
             ids.append(record.id)
             self.bus.emit(JOB_SUBMITTED, job=record.id, name=record.name,
                           method=payload["method"], client=client)
@@ -604,22 +508,23 @@ class VerifyServer:
         response["state"] = store_mod.QUEUED
         return json_response(202, response)
 
-    def _cancel(self, record):
+    async def _cancel(self, record):
         if record.terminal:
             return json_response(
                 200, {"id": record.id, "state": record.state,
                       "detail": "already terminal"})
-        if record.state == store_mod.QUEUED:
-            record.state = store_mod.CANCELLED
-            record.finished_at = time.time()
-            self.store.save(record)
-            self.bus.emit(JOB_CANCELLED, job=record.id, name=record.name,
-                          method=record.payload.get("method"))
-            self._notify_terminal(record.id)
-            return json_response(200, {"id": record.id,
-                                       "state": record.state})
-        self.pool.cancel(record.id)
-        return json_response(202, {"id": record.id, "state": "cancelling"})
+        if record.state != store_mod.QUEUED:
+            return await self._cancel_running(record)
+        record.state = store_mod.CANCELLED
+        record.finished_at = time.time()
+        self.store.save(record)
+        self.bus.emit(JOB_CANCELLED, job=record.id, name=record.name,
+                      method=record.payload.get("method"))
+        self._notify_terminal(record.id)
+        return json_response(200, {"id": record.id, "state": record.state})
+
+    async def _cancel_running(self, record):
+        raise NotImplementedError
 
     def _summary(self, record):
         return {
@@ -627,7 +532,9 @@ class VerifyServer:
             "name": record.name,
             "method": record.payload.get("method"),
             "state": record.state,
+            "node": record.meta.get("node"),
             "cached": record.cached,
+            "requeues": record.requeues,
             "submitted_at": record.submitted_at,
             "finished_at": record.finished_at,
         }
@@ -670,7 +577,7 @@ class VerifyServer:
     # -- stats --------------------------------------------------------------
 
     def stats(self):
-        counts = self.store.counts()
+        """The keys every role publishes; roles add their own sections."""
         cache_stats = None
         if self.cache is not None:
             cache_stats = self.cache.stats()
@@ -678,11 +585,10 @@ class VerifyServer:
             cache_stats["hit_rate"] = (
                 cache_stats["hits"] / lookups if lookups else None)
         return {
+            "role": self.role,
             "uptime_seconds": self._uptime(),
-            "jobs": counts,
+            "jobs": self.store.counts(),
             "queue_limit": self.queue_limit,
-            "workers": {"total": self.pool.workers,
-                        "busy": self.pool.active},
             "cache": cache_stats,
             "events": {"published": self.events_published,
                        "dropped": self.events_dropped},
@@ -693,11 +599,190 @@ class VerifyServer:
         }
 
 
+class VerifyServer(JobFrontEnd):
+    """The daemon: the job front end + a job pump over a :class:`WorkerPool`."""
+
+    role = "worker"
+
+    def __init__(self, host="127.0.0.1", port=0, workers=2, store_dir=None,
+                 cache_dir=None, cache_max_entries=None, cache_max_bytes=None,
+                 queue_limit=64, job_time_limit=None, retries=1, grace=2.0,
+                 rate=20.0, burst=40, request_timeout=10.0,
+                 sse_heartbeat=10.0, sse_write_timeout=10.0,
+                 poll_interval=0.02, history_limit=2000, bus=None,
+                 ready_file=None, node_id=None,
+                 join_url=None, advertise_host=None, heartbeat_interval=2.0,
+                 trusted_proxies=(), remote_cache_url=None):
+        super().__init__(
+            host, port, store_dir or ".repro-server", cache_dir,
+            cache_max_entries, cache_max_bytes, queue_limit, rate, burst,
+            request_timeout, sse_heartbeat, sse_write_timeout,
+            poll_interval, history_limit, bus, ready_file,
+            trusted_proxies=trusted_proxies)
+        self.retries = retries
+        # Fleet membership (repro.fleet): a node id for healthz/debugging
+        # and the coordinator to join (None = standalone daemon).
+        self.node_id = node_id or "node-{}-{}".format(
+            os.getpid(), os.urandom(2).hex())
+        self.join_url = join_url
+        self.advertise_host = advertise_host
+        self.heartbeat_interval = heartbeat_interval
+        self._member = None
+        self._member_task = None
+        if remote_cache_url:
+            # Fleet-shared far tier: local misses consult the
+            # coordinator's cache, local solves are published to it, so
+            # any node serves any fingerprint once one node solved it.
+            from ..fleet.cachenet import CacheClient, TieredCache
+
+            self.cache = TieredCache(self.cache,
+                                     CacheClient(remote_cache_url))
+        self.pool = WorkerPool(workers=workers, bus=self.bus,
+                               job_time_limit=job_time_limit, grace=grace)
+
+    def _about(self):
+        return dict(super()._about(), node=self.node_id,
+                    workers=self.pool.workers)
+
+    # -- lifecycle ----------------------------------------------------------
+
+    async def start(self):
+        """Recover the persisted queue, bind, then join the fleet if asked."""
+        for record in self.store.recover():
+            self.bus.emit(JOB_REQUEUED, job=record.id, name=record.name,
+                          requeues=record.requeues, reason="daemon restart")
+        await super().start()
+        if self.join_url:
+            # Fleet mode: announce this node to the coordinator and keep
+            # the membership lease alive.  The advertise URL must carry
+            # the *bound* port (the daemon may have asked for port 0).
+            from ..fleet.node import FleetMember
+
+            advertise = "http://{}:{}".format(
+                self.advertise_host or
+                ("127.0.0.1" if self.host in ("", "0.0.0.0") else self.host),
+                self.port)
+            self._member = FleetMember(self.join_url, self.node_id,
+                                       advertise, self.bus,
+                                       interval=self.heartbeat_interval)
+            self._member_task = asyncio.ensure_future(self._member.run())
+
+    async def _wind_down(self):
+        """Leave the fleet, then park running jobs and kill the workers.
+
+        Running jobs go back to *queued* on disk — the same resume
+        semantics as a crash, but without waiting for them to finish —
+        so a restarted daemon picks them up where the queue left off.
+        """
+        await _cancel_task(self._member_task)
+        self._member_task = None
+        if self._member is not None:
+            await self._member.leave()
+            self._member = None
+        for outcome in self.pool.shutdown():
+            record = self.store.get(outcome.token)
+            if record is None or record.terminal:
+                continue
+            record.state = store_mod.QUEUED
+            record.started_at = None
+            record.requeues += 1
+            self.store.save(record)
+            self.bus.emit(JOB_REQUEUED, job=record.id, name=record.name,
+                          requeues=record.requeues,
+                          reason="daemon shutdown")
+
+    # -- the job pump -------------------------------------------------------
+
+    async def _pump_once(self):
+        self._start_queued()
+        for outcome in self.pool.poll():
+            self._finish(outcome)
+
+    def _start_queued(self):
+        while self.pool.has_capacity():
+            queued = self.store.queued()
+            if not queued:
+                return
+            record = queued[0]
+            try:
+                job = build_jobspec(record)
+            except Exception as exc:
+                self._mark_error(record, "cannot build job: {!r}".format(exc))
+                continue
+            cached = (self.cache.get(job.cache_key())
+                      if self.cache is not None else None)
+            if cached is not None:
+                record.state = store_mod.DONE
+                record.cached = True
+                record.finished_at = time.time()
+                record.result = JobResult(
+                    record.id, cached, cached=True, wall_seconds=0.0,
+                    method=job.method).as_dict()
+                self.store.save(record)
+                self.bus.emit(JOB_CACHED, job=record.id, name=record.name,
+                              verdict=cached.equivalent, method=job.method)
+                self._accumulate_solver_stats(cached.details)
+                self._notify_terminal(record.id)
+                continue
+            record.state = store_mod.RUNNING
+            record.started_at = time.time()
+            self.store.save(record)
+            self.pool.submit(record.id, job)
+
+    def _finish(self, outcome):
+        record = self.store.get(outcome.token)
+        if record is None:
+            return
+        if outcome.cancelled:
+            record.state = store_mod.CANCELLED
+            record.result = outcome.result.as_dict()
+            record.finished_at = time.time()
+            self.store.save(record)
+            self.bus.emit(JOB_CANCELLED, job=record.id, name=record.name,
+                          method=outcome.job.method)
+            self._notify_terminal(record.id)
+            return
+        if outcome.error is not None and record.requeues < self.retries:
+            # Worker crash: put the job back at the head of the queue.
+            record.state = store_mod.QUEUED
+            record.started_at = None
+            record.requeues += 1
+            self.store.save(record)
+            self.bus.emit(JOB_REQUEUED, job=record.id, name=record.name,
+                          requeues=record.requeues, reason=outcome.error)
+            return
+        record.state = (store_mod.ERROR if outcome.error is not None
+                        else store_mod.DONE)
+        record.error = outcome.error
+        record.result = outcome.result.as_dict()
+        record.finished_at = time.time()
+        self.store.save(record)
+        result = outcome.result.result
+        if (self.cache is not None and outcome.error is None
+                and result is not None):
+            self.cache.put(outcome.job.cache_key(), result,
+                           meta={"job": record.name,
+                                 "method": outcome.job.method})
+        if result is not None:
+            self._accumulate_solver_stats(result.details)
+        self.bus.emit(JOB_FINISHED, job=record.id, name=record.name,
+                      verdict=outcome.result.verdict,
+                      method=outcome.job.method,
+                      seconds=None if result is None else result.seconds,
+                      error=outcome.error)
+        self._notify_terminal(record.id)
+
+    async def _cancel_running(self, record):
+        self.pool.cancel(record.id)
+        return json_response(202, {"id": record.id, "state": "cancelling"})
+
+    def stats(self):
+        stats = super().stats()
+        stats["workers"] = {"total": self.pool.workers,
+                            "busy": self.pool.active}
+        return stats
+
+
 def serve(host="127.0.0.1", port=8439, **kwargs):
     """Blocking entry point used by ``repro-sec serve``; returns exit code."""
-    server = VerifyServer(host=host, port=port, **kwargs)
-    try:
-        asyncio.run(server.serve_forever())
-    except KeyboardInterrupt:  # pragma: no cover - non-POSIX fallback path
-        pass
-    return 0
+    return VerifyServer(host=host, port=port, **kwargs).run()

@@ -94,7 +94,11 @@ class JobRecord:
         )
 
     def public_dict(self):
-        """The ``GET /v1/jobs/{id}`` response body."""
+        """The ``GET /v1/jobs/{id}`` response body.
+
+        ``node`` is the fleet node a coordinator dispatched the job to
+        (``None`` on a worker daemon and for undispatched jobs).
+        """
         data = self.as_dict()
         # The bench text can be large; the submitter already has it.
         payload = dict(data["payload"])
@@ -103,6 +107,7 @@ class JobRecord:
                 payload[key] = "<{} chars>".format(len(payload[key]))
         data["payload"] = payload
         data["name"] = self.name
+        data["node"] = self.meta.get("node")
         return data
 
     def __repr__(self):
@@ -160,8 +165,8 @@ class JobStore:
         return "j{:08d}-{}".format(self._counter,
                                    os.urandom(3).hex())
 
-    def create(self, payload, client=None):
-        record = JobRecord(self.new_id(), payload, client=client)
+    def create(self, payload, client=None, meta=None):
+        record = JobRecord(self.new_id(), payload, client=client, meta=meta)
         self._records[record.id] = record
         self.save(record)
         return record

@@ -41,13 +41,30 @@ from .events import (
 )
 from .job import JobResult, JobSpec, aborted_result
 from .procs import drain_queue, get_context, start_worker, terminate_gracefully
-from .worker import run_job
+from .worker import accepted_options, run_job
 
 _POLL_INTERVAL = 0.05
 
-# Engines whose option dicts accept a time budget (job_time_limit seeding).
-_TIMED_METHODS = ("van_eijk", "traversal", "bmc", "sat_sweep",
-                  "k_induction", "sweep_induct")
+
+def _seed_budgets(job, time_limit=None, node_limit=None):
+    """Seed the scheduler-wide budgets into ``job``'s engine options.
+
+    A budget goes only to a method whose entry point takes it (see
+    :func:`~repro.service.worker.accepted_options`; registered methods get
+    none) and never overrides the job's own value.
+    """
+    if time_limit is None and node_limit is None:
+        return job
+    accepted = accepted_options(job.method) or ()
+    options = dict(job.options)
+    for key, value in (("time_limit", time_limit), ("node_limit", node_limit)):
+        if value is not None and key in accepted:
+            options.setdefault(key, value)
+    if options == job.options:
+        return job
+    return JobSpec(job.name, job.spec, job.impl, method=job.method,
+                   options=options, match_inputs=job.match_inputs,
+                   match_outputs=job.match_outputs, tags=job.tags)
 
 
 class BatchScheduler:
@@ -175,19 +192,7 @@ class BatchScheduler:
     # -- shared helpers -----------------------------------------------------
 
     def _budgeted(self, job):
-        """Seed per-job engine budgets from the scheduler's defaults."""
-        options = dict(job.options)
-        if (self.job_time_limit is not None
-                and job.method in _TIMED_METHODS):
-            options.setdefault("time_limit", self.job_time_limit)
-        if (self.node_limit is not None
-                and job.method in ("van_eijk", "traversal")):
-            options.setdefault("node_limit", self.node_limit)
-        if options == job.options:
-            return job
-        return JobSpec(job.name, job.spec, job.impl, method=job.method,
-                       options=options, match_inputs=job.match_inputs,
-                       match_outputs=job.match_outputs, tags=job.tags)
+        return _seed_budgets(job, self.job_time_limit, self.node_limit)
 
     def _cache_lookup(self, job):
         if self.cache is None:
@@ -531,15 +536,7 @@ class WorkerPool:
         return proc.pid
 
     def _budgeted(self, job):
-        if (self.job_time_limit is None
-                or job.method not in _TIMED_METHODS
-                or "time_limit" in job.options):
-            return job
-        options = dict(job.options)
-        options["time_limit"] = self.job_time_limit
-        return JobSpec(job.name, job.spec, job.impl, method=job.method,
-                       options=options, match_inputs=job.match_inputs,
-                       match_outputs=job.match_outputs, tags=job.tags)
+        return _seed_budgets(job, self.job_time_limit)
 
     def cancel(self, token):
         """Begin cancelling a running job; returns True if it was running.

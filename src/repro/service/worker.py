@@ -17,7 +17,8 @@ Additional engines can be registered with :func:`register_method`; under
 the default ``fork`` start method a registration made in the parent (e.g.
 by a test) is visible to workers.  :func:`check_options` lets submission
 sites reject a job whose options its engine would not accept, before the
-job is forked.
+job is forked; the schedulers ask :func:`accepted_options` which budgets
+(``time_limit``, ``node_limit``) a method's engine takes.
 """
 
 import importlib
@@ -64,16 +65,16 @@ _INJECTED = frozenset(("spec", "impl", "product", "match_inputs",
                        "match_outputs", "progress", "cancel_check"))
 
 
-def check_options(method, options):
-    """Raise ``ValueError`` if ``options`` holds a key ``method`` rejects.
+def accepted_options(method):
+    """The option keys a job of ``method`` may carry, or ``None``.
 
     A key is accepted when it is a keyword of the method's entry point, a
     preprocessor key, or (for ``fraig_sweep``, which forwards the rest) a
-    ``sat_sweep`` keyword.  Methods added by :func:`register_method` are
-    not checked.
+    ``sat_sweep`` keyword.  ``None`` means unchecked: methods added by
+    :func:`register_method` and unknown methods.
     """
     if method in _EXTRA_METHODS or method not in _ENTRY_POINTS:
-        return
+        return None
     from ..sweep.preprocess import PREPROCESS_OPTION_KEYS
 
     names = (method, "sat_sweep") if method == "fraig_sweep" else (method,)
@@ -84,7 +85,15 @@ def check_options(method, options):
         allowed.update(
             p.name for p in inspect.signature(entry).parameters.values()
             if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY))
-    allowed -= _INJECTED
+    return allowed - _INJECTED
+
+
+def check_options(method, options):
+    """Raise ``ValueError`` if ``options`` holds a key ``method`` rejects
+    (see :func:`accepted_options`)."""
+    allowed = accepted_options(method)
+    if allowed is None:
+        return
     for key in options:
         if key not in allowed:
             raise ValueError(

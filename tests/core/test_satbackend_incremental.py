@@ -3,22 +3,25 @@
 The incremental engine must (a) build exactly one solver and one frame
 encoding per ``compute()`` call — that is the whole point of the rework —
 and (b) compute the *identical* partition and verdict as the monolithic
-solver-per-round baseline on every circuit we can throw at it: random
-pairs, the table-1 suite, and the persisted fuzz corpus.
+solver-per-round reference engine (:class:`SolverPerRound`, below) on
+every circuit we can throw at it: random pairs, the table-1 suite, and the
+persisted fuzz corpus.
 """
 
 import os
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 import pytest
 
 from repro.circuits import row_by_name
-from repro.core import check_equivalence_sat_sweep
-from repro.core.satbackend import SatCorrespondence
+from repro.core import check_equivalence_sat_sweep, satbackend
+from repro.core.satbackend import CONST_NET, SatCorrespondence
 from repro.fuzz.corpus import discover
 from repro.fuzz.generate import build_pair
 from repro.fuzz.harness import DEFAULT_FUZZ_ENGINES
 from repro.netlist import build_product
+from repro.sat.tseitin import TseitinEncoder
 from repro.transform import optimize
 
 from ..netlist.helpers import counter_circuit, random_sequential_circuit
@@ -33,8 +36,114 @@ def product_for(seed):
     return build_product(spec, impl, match_outputs="order")
 
 
-def partition_netsets(product, incremental):
-    engine = SatCorrespondence(product, incremental=incremental)
+class SolverPerRound(SatCorrespondence):
+    """The monolithic reference engine: the base case and every refinement
+    round encode the frames into a fresh solver and discard it, learned
+    clauses and all.  The maximum correspondence is unique, so it must
+    land on the same partition as the one-solver engine."""
+
+    def _setup_solver(self):
+        pass  # nothing is shared between rounds
+
+    def _fresh_solver(self, n_frames):
+        enc = TseitinEncoder()
+        frames = self._encode_unrolled(enc, n_frames)
+        true_var = enc.new_var()
+        solver = self._new_solver()
+        solver.add_cnf(enc.cnf)
+        solver.add_clause([true_var])
+
+        def lit(sig, frame_vars):
+            var = true_var if sig.net == CONST_NET else frame_vars[sig.net]
+            return -var if sig.complemented else var
+
+        return solver, frames, lit
+
+    def _absorb(self, solver):
+        live = solver.stats()
+        for key in ("conflicts", "decisions", "propagations", "restarts"):
+            self.stats[key] += live[key]
+
+    def _split_at_initial(self, classes, deadline):
+        solver, frames, lit = self._fresh_solver(self.k)
+        for net, reg in self.circuit.registers.items():
+            var = frames[0][net]
+            solver.add_clause([var if reg.init else -var])
+
+        def differ(a, b):
+            self._check_budget(deadline)
+            for frame_vars in frames:
+                la, lb = lit(a, frame_vars), lit(b, frame_vars)
+                for assumptions in ([la, -lb], [-la, lb]):
+                    self.stats["sat_queries"] += 1
+                    if solver.solve(assumptions=assumptions):
+                        return True
+            return False
+
+        try:
+            return split_all(classes, differ)
+        finally:
+            self._absorb(solver)
+
+    def _refine_round(self, classes, deadline):
+        solver, frames, lit = self._fresh_solver(self.k + 1)
+        # Q: equivalence clauses at frames 0..k-1 for every current class.
+        for frame_vars in frames[:-1]:
+            for cls in classes:
+                if len(cls) < 2:
+                    continue
+                rep = lit(cls[0], frame_vars)
+                for member in cls[1:]:
+                    m = lit(member, frame_vars)
+                    solver.add_clause([-rep, m])
+                    solver.add_clause([rep, -m])
+        changed = []
+        check_frame = frames[-1]
+
+        def differ(a, b):
+            self._check_budget(deadline)
+            la, lb = lit(a, check_frame), lit(b, check_frame)
+            for assumptions in ([la, -lb], [-la, lb]):
+                self.stats["sat_queries"] += 1
+                if solver.solve(assumptions=assumptions):
+                    changed.append(True)
+                    return True
+            return False
+
+        try:
+            return split_all(classes, differ), bool(changed)
+        finally:
+            self._absorb(solver)
+
+
+def split_all(classes, differ):
+    """Split each class into groups of members ``differ`` cannot tell
+    from the group's first member."""
+    result = []
+    for cls in classes:
+        if len(cls) == 1:
+            result.append(cls)
+            continue
+        subgroups = []
+        for sig in cls:
+            for group in subgroups:
+                if not differ(sig, group[0]):
+                    group.append(sig)
+                    break
+            else:
+                subgroups.append([sig])
+        result.extend(subgroups)
+    return result
+
+
+def solver_per_round_sweep(spec, impl):
+    """``check_equivalence_sat_sweep`` run on the reference engine."""
+    with mock.patch.object(satbackend, "SatCorrespondence", SolverPerRound):
+        return check_equivalence_sat_sweep(spec, impl, match_outputs="order")
+
+
+def partition_netsets(product, engine_class):
+    engine = engine_class(product)
     classes, _ = engine.compute()
     return {
         frozenset((sig.net, sig.complemented) for sig in cls)
@@ -64,7 +173,7 @@ def test_monolithic_baseline_rebuilds_per_round():
     spec = counter_circuit(4)
     impl = optimize(spec, level=2, seed=3)
     product = build_product(spec, impl, match_outputs="order")
-    engine = SatCorrespondence(product, incremental=False)
+    engine = SolverPerRound(product)
     engine.compute()
     # Initial split + one construction per refinement round.
     assert engine.stats["solver_constructions"] == 1 + engine.stats["rounds"]
@@ -96,17 +205,15 @@ def test_cex_replay_splits_are_exercised():
 def test_incremental_and_monolithic_partitions_identical(seed):
     """The maximum relation is unique; both engines must land on it."""
     product = product_for(seed)
-    assert partition_netsets(product, True) == partition_netsets(
-        product, False)
+    assert partition_netsets(product, SatCorrespondence) == partition_netsets(
+        product, SolverPerRound)
 
 
 @pytest.mark.parametrize("name", ["s298", "s386"])
 def test_suite_verdicts_and_class_counts_agree(name):
     spec, impl = row_by_name(name).pair()
-    inc = check_equivalence_sat_sweep(spec, impl, match_outputs="order",
-                                      incremental=True)
-    mono = check_equivalence_sat_sweep(spec, impl, match_outputs="order",
-                                       incremental=False)
+    inc = check_equivalence_sat_sweep(spec, impl, match_outputs="order")
+    mono = solver_per_round_sweep(spec, impl)
     assert inc.equivalent == mono.equivalent
     assert inc.details["classes"] == mono.details["classes"]
     # And the new engine really was cheaper to set up.
@@ -117,10 +224,8 @@ def test_suite_verdicts_and_class_counts_agree(name):
 @pytest.mark.parametrize("entry", discover(CORPUS_DIR), ids=lambda e: e.id)
 def test_corpus_verdicts_agree(entry):
     spec, impl = build_pair(entry.recipe)
-    inc = check_equivalence_sat_sweep(spec, impl, match_outputs="order",
-                                      incremental=True)
-    mono = check_equivalence_sat_sweep(spec, impl, match_outputs="order",
-                                       incremental=False)
+    inc = check_equivalence_sat_sweep(spec, impl, match_outputs="order")
+    mono = solver_per_round_sweep(spec, impl)
     assert inc.equivalent == mono.equivalent
     assert inc.details["classes"] == mono.details["classes"]
 

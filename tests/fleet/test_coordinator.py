@@ -17,6 +17,7 @@ from repro.client import ServerClient, ServerError
 from repro.fleet import CoordinatorServer
 from repro.server import VerifyServer
 
+from ..server.helpers import spinner_payload
 from .helpers import LoopThread, delay_payload, wait_state, wait_until
 
 #: A port nothing listens on: RFC 2544 benchmark space, connect refused.
@@ -158,3 +159,57 @@ def test_submissions_carry_forwarded_client_to_workers(coordinator,
         # rate-limit buckets).
         coordinator_record = coordinator.store.get(job_id)
         assert records[0].client == coordinator_record.client == "127.0.0.1"
+
+
+def event_types(client, job_id):
+    """The job's replayed event types, ending with the ``done`` frame."""
+    return [event["type"] for event in client.events(job_id, timeout=30)]
+
+
+def test_cancel_emits_one_job_cancelled_queued_or_dispatched(coordinator,
+                                                             tmp_path):
+    """Cancelling a job still queued on the coordinator emits
+    ``job_cancelled`` there; cancelling a dispatched, running job relays
+    the worker's ``job_cancelled`` and the coordinator adds none."""
+    url = coordinator.url()
+    client = ServerClient(url, timeout=30)
+    queued_id = client.submit_payload(delay_payload(name="queued", delay=10))
+    assert client.cancel(queued_id)["state"] == "cancelled"
+    types = event_types(client, queued_id)
+    assert types == ["job_submitted", "job_cancelled", "done"]
+
+    worker = VerifyServer(
+        port=0, workers=1, poll_interval=0.02,
+        store_dir=str(tmp_path / "w" / "store"), cache_dir=None,
+        node_id="w", join_url=url, heartbeat_interval=0.1,
+        trusted_proxies=("127.0.0.1",))
+    with LoopThread(worker):
+        wait_until(lambda: client.healthz()["nodes"]["alive"] == 1,
+                   message="worker to join")
+        running_id = client.submit_payload(spinner_payload("running"))
+        on_worker = ServerClient(worker.url(), timeout=30)
+        wait_until(lambda: [job for job in on_worker.jobs()
+                            if job["state"] == "running"],
+                   message="the worker to start the job")
+        client.cancel(running_id)
+        wait_state(client, running_id, "cancelled", timeout=60)
+        types = event_types(client, running_id)
+    assert types.count("job_cancelled") == 1
+    assert types[-1] == "done"
+
+
+def test_refused_dispatch_finishes_with_an_error_event(coordinator):
+    """A node that answers dispatch with an error status fails the job,
+    and that terminal transition emits ``job_finished`` with the error.
+    The node URL here has no job API behind it, so every POST is a 404."""
+    url = coordinator.url()
+    api(url, "POST", "/v1/nodes", {"id": "refuser", "url": url + "/no-api"})
+    client = ServerClient(url, timeout=30)
+    job_id = client.submit_payload(delay_payload(name="refused", delay=10))
+    record = wait_state(client, job_id, "error", timeout=30)
+    assert "rejected dispatch" in record["error"]
+    events = list(client.events(job_id, timeout=30))
+    finished = [event for event in events if event["type"] == "job_finished"]
+    assert len(finished) == 1
+    assert finished[0]["data"]["error"] == record["error"]
+    assert events[-1]["type"] == "done"

@@ -7,8 +7,10 @@ while the test drives it synchronously through :class:`ServerClient`.
 import pytest
 
 from repro.client import ServerClient, ServerError, job_payload
+from repro.fleet import CoordinatorServer
 from repro.server import validate_payload, HttpError
 
+from ..fleet.helpers import LoopThread, wait_until
 from .helpers import ServerThread, spinner_payload, tiny_pair
 
 
@@ -258,8 +260,15 @@ def test_rate_limit_429(tmp_path):
 
 
 def test_stats_shape(tmp_path):
-    with ServerThread(store_dir=tmp_path, workers=1,
-                      cache_dir=str(tmp_path / "cache")) as server:
+    """Both roles publish one schema: the shared keys are identical and
+    each role adds only its own sections."""
+    coordinator = CoordinatorServer(port=0, store_dir=str(tmp_path / "coord"),
+                                    cache_dir=str(tmp_path / "coord-cache"),
+                                    poll_interval=0.01)
+    with LoopThread(coordinator), ServerThread(
+            store_dir=tmp_path, workers=1, cache_dir=str(tmp_path / "cache"),
+            join_url=coordinator.url(), heartbeat_interval=0.1,
+            trusted_proxies=("127.0.0.1",)) as server:
         client = client_for(server)
         spec, impl = tiny_pair()
         job_id = client.submit(spec, impl, name="tiny", method="sat_sweep")
@@ -270,6 +279,28 @@ def test_stats_shape(tmp_path):
         assert stats["queue_limit"] == 64
         assert stats["events"]["published"] > 0
         assert isinstance(stats["solver_stats"], dict)
+        assert stats["role"] == "worker"
+
+        # The same job through the coordinator (the worker's cache serves
+        # it); the coordinator sums the solver stats of what it absorbs.
+        fleet = client_for(coordinator)
+        wait_until(lambda: fleet.healthz()["nodes"]["alive"] == 1,
+                   message="worker to join")
+        fleet.wait(fleet.submit(spec, impl, name="tiny", method="sat_sweep"),
+                   poll=0.05, timeout=60)
+        fleet_stats = fleet.stats()
+    assert fleet_stats["role"] == "coordinator"
+    assert fleet_stats["jobs"]["done"] == 1
+    assert (fleet_stats["solver_stats"]["sat_queries"]
+            == stats["solver_stats"]["sat_queries"] > 0)
+    shared = set(stats) - {"workers"}
+    assert shared == set(fleet_stats) - {"nodes", "requeues",
+                                         "dispatch_failures", "tails"}
+    assert shared == {"role", "uptime_seconds", "jobs", "queue_limit",
+                      "cache", "events", "rate_limit", "solver_stats"}
+    for key in ("jobs", "cache", "events", "rate_limit"):
+        assert set(stats[key]) == set(fleet_stats[key]), key
+    assert "hit_rate" in fleet_stats["cache"]
 
 
 def test_job_listing(tmp_path):

@@ -4,6 +4,8 @@ import multiprocessing
 import os
 import time
 
+import pytest
+
 from repro.circuits import table1_suite
 from repro.reach import SecResult
 from repro.service import (
@@ -11,10 +13,13 @@ from repro.service import (
     EventBus,
     JobSpec,
     ResultCache,
+    WorkerPool,
     register_method,
     unregister_method,
 )
 from repro.service import events as ev
+from repro.service import scheduler
+from repro.service.worker import _ENTRY_POINTS, check_options
 
 from .helpers import magic_pair, tiny_pair
 
@@ -231,3 +236,71 @@ def test_results_preserve_submission_order():
     results = BatchScheduler(workers=3).run(jobs)
     assert [r.name for r in results] == [j.name for j in jobs]
     assert multiprocessing.active_children() == []
+
+
+#: Every engine but the explicit-state oracle takes a time budget; only the
+#: BDD engines take a node budget.
+TIME_LIMITED = {"van_eijk", "sat_sweep", "fraig_sweep", "k_induction",
+                "sweep_induct", "bmc", "traversal"}
+NODE_LIMITED = {"van_eijk", "traversal"}
+
+
+class ExitedWorker:
+    """Stands in for a forked worker process that has already exited."""
+
+    pid = 0
+    exitcode = 0
+
+    def is_alive(self):
+        return False
+
+    def join(self, timeout=None):
+        pass
+
+
+@pytest.mark.parametrize("method", sorted(_ENTRY_POINTS))
+def test_budgets_reach_every_engine_that_takes_them(method, monkeypatch):
+    """``job_time_limit`` and ``node_limit`` are seeded into exactly the
+    engines whose entry points take them, by the batch scheduler and by
+    the daemon's worker pool alike."""
+    seen = []
+
+    def run_job(job, emit=None, cancel_check=None):
+        seen.append(job)
+        return SecResult(True, method=job.method)
+
+    def start_worker(ctx, job, token, event_queue, result_queue):
+        seen.append(job)
+        return ExitedWorker()
+
+    monkeypatch.setattr(scheduler, "run_job", run_job)
+    monkeypatch.setattr(scheduler, "start_worker", start_worker)
+    spec, impl = tiny_pair()
+    job = JobSpec("budget", spec, impl, method=method)
+    BatchScheduler(workers=0, job_time_limit=5.0, node_limit=1000).run([job])
+    pool = WorkerPool(workers=1, job_time_limit=5.0)
+    pool.submit("budget", job)
+    pool.shutdown()
+    batch, pooled = seen
+    assert ("time_limit" in batch.options) == (method in TIME_LIMITED)
+    assert ("node_limit" in batch.options) == (method in NODE_LIMITED)
+    assert pooled.options == {key: value for key, value
+                              in batch.options.items() if key == "time_limit"}
+    check_options(method, batch.options)
+
+
+def test_registered_methods_get_no_budget():
+    seen = []
+
+    def probe(job, progress, cancel_check):
+        seen.append(dict(job.options))
+        return SecResult(True, method="probe")
+
+    register_method("probe", probe)
+    try:
+        spec, impl = tiny_pair()
+        BatchScheduler(workers=0, job_time_limit=5.0, node_limit=1000).run(
+            [JobSpec("probe", spec, impl, method="probe")])
+    finally:
+        unregister_method("probe")
+    assert seen == [{}]
