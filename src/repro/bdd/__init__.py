@@ -5,14 +5,11 @@ The package exposes:
 * :class:`BddManager` — the ROBDD manager (edges are plain integers).
 * :func:`sift`, :func:`maybe_sift`, :func:`swap_adjacent` — dynamic variable
   reordering.
-* :func:`to_dot` — Graphviz export for debugging and documentation.
+* :func:`transfer` — rebuild a BDD in another manager.
 """
 
 from .manager import BddManager
 from .reorder import maybe_sift, sift, swap_adjacent
-from .dot import to_dot
-from .exprs import parse, to_sop
 from .transfer import transfer
 
-__all__ = ["BddManager", "maybe_sift", "parse", "sift", "swap_adjacent",
-           "to_dot", "to_sop", "transfer"]
+__all__ = ["BddManager", "maybe_sift", "sift", "swap_adjacent", "transfer"]

@@ -181,12 +181,6 @@ class BddManager:
             )
         return idx << 1
 
-    def node_of(self, edge):
-        return edge >> 1
-
-    def is_complemented(self, edge):
-        return bool(edge & 1)
-
     def is_constant(self, edge):
         return edge >> 1 == 0
 
@@ -315,9 +309,6 @@ class BddManager:
 
     def apply_xnor(self, f, g):
         return self.ite(f, g, g ^ 1)
-
-    def apply_nand(self, f, g):
-        return self.apply_and(f, g) ^ 1
 
     def apply_nor(self, f, g):
         return self.apply_or(f, g) ^ 1
@@ -837,11 +828,8 @@ class BddManager:
         return freed
 
     # ------------------------------------------------------------------
-    # Internal helpers shared with the reorderer
+    # Invariant checking
     # ------------------------------------------------------------------
-
-    def _node_fields(self, node):
-        return self._var[node], self._hi[node], self._lo[node]
 
     def check_invariants(self):
         """Validate canonical-form invariants (test/debug helper)."""

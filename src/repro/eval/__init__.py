@@ -1,11 +1,9 @@
 """Evaluation harness: Table-1 runner, ablations, text rendering."""
 
 from .table1 import Table1Result, run_row, run_table, table1_jobs
-from .render import fmt_any, render_ablation, render_table1
+from .render import render_table1
 from .ablations import (
-    ablation_backends,
     ablation_fundep,
-    ablation_induction,
     ablation_opt_level,
     ablation_reach_bound,
     ablation_retiming,
@@ -14,15 +12,11 @@ from .ablations import (
 
 __all__ = [
     "Table1Result",
-    "ablation_backends",
     "ablation_fundep",
-    "ablation_induction",
     "ablation_opt_level",
     "ablation_reach_bound",
     "ablation_retiming",
     "ablation_simulation",
-    "fmt_any",
-    "render_ablation",
     "render_table1",
     "run_row",
     "run_table",

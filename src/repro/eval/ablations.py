@@ -1,20 +1,16 @@
 """Ablation experiments (the paper's §3/§4 design choices, isolated).
 
-Each function returns a list of row dicts suitable for
-:func:`repro.eval.render.render_ablation` and for assertions in the
-benchmark harness:
+Each function returns a list of row dicts; ``tests/eval/test_eval.py``
+pins their counts:
 
+* E3/E6 — retiming augmentation: provability of retimed pairs and of
+  Fig. 3 (Fig. 4).
 * E4 — simulation seeding: iteration counts with/without (§4).
 * E5 — functional dependencies: substitution counts, nodes, time (§4);
   plus the traversal baseline with/without register correspondence
   ("performs considerably worse" without, §5).
-* E6 — retiming augmentation: provability of retimed pairs (Fig. 4).
 * E7 — optimization level vs. %eqs (the 85% vs 54% footnote, §5).
 * E9 — reachability-strengthened correspondence condition (§3).
-* E8 — BDD vs. SAT refinement backends (§6 outlook).
-* E10 — k-induction with/without correspondence strengthening: proof
-  depth and dropped-candidate counts on correspondence-inconclusive
-  pairs (the induction engine's analogue of the paper's invariant).
 
 All verification calls go through the batch scheduler: every ablation
 accepts ``workers`` (0 = inline/sequential, N = parallel worker
@@ -23,7 +19,6 @@ processes), ``cache`` and ``bus`` and forwards them to
 reuse cached verdicts exactly like the Table-1 reproduction.
 """
 
-from ..circuits.induction_hard import onehot_chain_pair
 from ..circuits.paper_example import fig3_pair, onehot_ring_pair
 from ..service import BatchScheduler, JobSpec
 from ..transform import retime
@@ -165,64 +160,5 @@ def ablation_reach_bound(workers=0, cache=None, bus=None):
             "plain": plain.equivalent,
             "with_retiming": retimed.equivalent,
             "with_reach": exact.equivalent,
-        })
-    return results
-
-
-def ablation_induction(pairs=None, max_depth=16, workers=0, cache=None,
-                       bus=None):
-    """E10: candidate strengthening vs. plain k-induction.
-
-    Runs the induction engine twice on each correspondence-inconclusive
-    pair — once with the simulation-derived candidate invariant, once
-    bare — and reports the depth each proof closed at.  Strengthening
-    should close at a strictly lower (or equal) depth whenever the
-    candidates survive consecution.
-    """
-    if pairs is None:
-        pairs = [
-            ("onehot_ring",) + onehot_ring_pair(),
-            ("onehot_ring_en",) + onehot_ring_pair(enable=True),
-            ("onehot_chain6",) + onehot_chain_pair(6),
-        ]
-    jobs = []
-    for name, spec, impl in pairs:
-        jobs.append(_job(name, spec, impl, method="k_induction",
-                         strengthen=True, max_depth=max_depth))
-        jobs.append(_job(name, spec, impl, method="k_induction",
-                         strengthen=False, max_depth=max_depth))
-    outcomes = _schedule(jobs, workers=workers, cache=cache, bus=bus)
-    results = []
-    for i, (name, _, _) in enumerate(pairs):
-        on, off = outcomes[2 * i], outcomes[2 * i + 1]
-        results.append({
-            "circuit": name,
-            "depth_strengthened": on.details.get("depth"),
-            "depth_plain": off.details.get("depth"),
-            "candidates": on.details.get("candidates_active"),
-            "dropped": on.details.get("candidates_dropped"),
-            "both_proved": on.proved and off.proved,
-        })
-    return results
-
-
-def ablation_backends(rows, optimize_level=2, workers=0, cache=None,
-                      bus=None):
-    """E8: BDD fixpoint vs. SAT (intermediate-variable) fixpoint."""
-    jobs = []
-    for row in rows:
-        spec, impl = row.pair(optimize_level=optimize_level)
-        jobs.append(_job(row.name, spec, impl, use_retiming=False))
-        jobs.append(_job(row.name, spec, impl, method="sat_sweep"))
-    outcomes = _schedule(jobs, workers=workers, cache=cache, bus=bus)
-    results = []
-    for i, row in enumerate(rows):
-        bdd, sat = outcomes[2 * i], outcomes[2 * i + 1]
-        results.append({
-            "circuit": row.name,
-            "bdd_time": bdd.seconds,
-            "sat_time": sat.seconds,
-            "bdd_verdict": bdd.equivalent,
-            "sat_verdict": sat.equivalent,
         })
     return results

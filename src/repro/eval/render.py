@@ -54,30 +54,3 @@ def render_table1(results):
             )
         )
     return "\n".join(lines)
-
-
-def render_ablation(title, rows, columns):
-    """Generic two-level ablation table.
-
-    ``rows`` is a list of dicts; ``columns`` lists (key, header, formatter).
-    """
-    widths = [max(len(header), 10) for _, header, _ in columns]
-    header_line = "  ".join(
-        "{:>{}}".format(header, w) for (_, header, _), w in zip(columns, widths)
-    )
-    lines = [title, header_line, "-" * len(header_line)]
-    for row in rows:
-        cells = []
-        for (key, _, formatter), width in zip(columns, widths):
-            value = row.get(key)
-            cells.append("{:>{}}".format(formatter(value), width))
-        lines.append("  ".join(cells))
-    return "\n".join(lines)
-
-
-def fmt_any(value):
-    if value is None:
-        return "-"
-    if isinstance(value, float):
-        return "{:.2f}".format(value)
-    return str(value)

@@ -16,7 +16,7 @@ from .simulate import (
 from .strash import strash
 from .bddnet import build_bdds, gate_bdd
 from .unroll import unroll
-from . import aig, bench, blif, cones, stats, vcd, verilog
+from . import aig, bench, blif, cones, vcd, verilog
 
 __all__ = [
     "Circuit",
@@ -45,7 +45,6 @@ __all__ = [
     "bench",
     "blif",
     "cones",
-    "stats",
     "vcd",
     "verilog",
 ]

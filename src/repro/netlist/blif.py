@@ -4,7 +4,9 @@ Supports the combinational + latch subset used for equivalence-checking
 workloads: ``.model``, ``.inputs``, ``.outputs``, ``.names`` (PLA covers),
 ``.latch`` (with optional init value) and ``.end``.  Covers are converted to
 AND/OR/NOT gate networks on input; on output every gate is serialized as a
-single-cube or XOR-expanded cover.
+single-cube or XOR-expanded cover.  A latch init value must be ``0`` or
+``1`` (default ``0``): the don't-care and unknown values ``2`` and ``3``
+are rejected, because equivalence from the initial state needs one.
 """
 
 from .circuit import Circuit, GateType
@@ -37,11 +39,18 @@ def loads(text, name=None):
             _require(circuit, lineno)
             if len(tokens) < 3:
                 raise ParseError(".latch needs input and output", lineno)
+            if len(tokens) > 6:
+                raise ParseError("too many .latch fields", lineno)
+            # .latch <in> <out> [<type> <control>] [<init>]
             data_in, out = tokens[1], tokens[2]
-            init = False
-            if len(tokens) >= 4 and tokens[-1] in ("0", "1", "2", "3"):
-                init = tokens[-1] == "1"
-            circuit.add_register(out, data_in, init=init)
+            init = "0"
+            if len(tokens) in (4, 6):
+                init = tokens[-1]
+            if init not in ("0", "1"):
+                raise ParseError(
+                    ".latch init must be 0 or 1, got {!r}".format(init),
+                    lineno)
+            circuit.add_register(out, data_in, init=init == "1")
             i += 1
         elif head == ".names":
             _require(circuit, lineno)

@@ -2,8 +2,6 @@
 
 from .cnf import Cnf
 from .solver import Solver, luby
-from .tseitin import TseitinEncoder, encode_miter
-from .simplify import SimplifyResult, simplify
+from .tseitin import TseitinEncoder
 
-__all__ = ["Cnf", "SimplifyResult", "Solver", "TseitinEncoder",
-           "encode_miter", "luby", "simplify"]
+__all__ = ["Cnf", "Solver", "TseitinEncoder", "luby"]

@@ -37,10 +37,6 @@ class Cnf:
             raise SatError("empty clause added (formula trivially UNSAT)")
         self.clauses.append(clause)
 
-    def add_clauses(self, clauses):
-        for clause in clauses:
-            self.add_clause(clause)
-
     def extend(self, other):
         """Append another formula's clauses (variables must be pre-merged)."""
         if other.num_vars > self.num_vars:

@@ -54,11 +54,6 @@ def _to_internal(dimacs_lit):
     return 2 * var + (1 if dimacs_lit < 0 else 0)
 
 
-def _to_dimacs(internal_lit):
-    var = (internal_lit >> 1) + 1
-    return -var if internal_lit & 1 else var
-
-
 def luby(i):
     """The Luby restart sequence (1,1,2,1,1,2,4,...), 1-based index."""
     k = 1

@@ -100,29 +100,3 @@ class TseitinEncoder:
         self.cnf.add_clause([y, a, b])
         self.cnf.add_clause([y, -a, -b])
         return y
-
-
-def encode_miter(spec, impl, match_inputs="name"):
-    """CNF that is satisfiable iff some input makes two *combinational*
-    circuits differ on some output pair.
-
-    Both circuits must be register-free.  Returns ``(cnf, spec_vars,
-    impl_vars)``; the caller can feed the CNF to :class:`Solver`.
-    """
-    if spec.num_registers or impl.num_registers:
-        raise NetlistError("encode_miter expects combinational circuits")
-    if len(spec.outputs) != len(impl.outputs):
-        raise NetlistError("output count mismatch")
-    enc = TseitinEncoder()
-    spec_vars = enc.encode_frame(spec)
-    if match_inputs == "name":
-        leaves = {net: spec_vars[net] for net in spec.inputs}
-    else:
-        leaves = dict(zip(impl.inputs, (spec_vars[n] for n in spec.inputs)))
-    impl_vars = enc.encode_frame(impl, leaves=leaves)
-    diff_lits = []
-    for s_out, i_out in zip(spec.outputs, impl.outputs):
-        d = enc.equal_var(spec_vars[s_out], impl_vars[i_out])
-        diff_lits.append(-d)
-    enc.add_clause(diff_lits)
-    return enc.cnf, spec_vars, impl_vars

@@ -512,9 +512,6 @@ class WorkerPool:
     def has_capacity(self):
         return len(self._running) < self.workers
 
-    def running_tokens(self):
-        return list(self._running)
-
     # -- submit / cancel ----------------------------------------------------
 
     def submit(self, token, job):

@@ -13,11 +13,10 @@
 """
 
 from .engine import check_equivalence_fraig_sweep
-from .frames import FrameSweeper, fraig_bmc_refute, naive_unroll_ands
+from .frames import FrameSweeper, fraig_bmc_refute
 from .preprocess import (
     PREPROCESS_PASSES,
     attach_preprocess_details,
-    preprocess_circuit,
     preprocess_jobspec,
     preprocess_pair,
     split_preprocess_options,
@@ -32,8 +31,6 @@ __all__ = [
     "check_equivalence_fraig_sweep",
     "fraig_bmc_refute",
     "fraig_reduce",
-    "naive_unroll_ands",
-    "preprocess_circuit",
     "preprocess_jobspec",
     "preprocess_pair",
     "split_preprocess_options",

@@ -209,25 +209,3 @@ def fraig_bmc_refute(product, max_depth=32, time_limit=None,
             return finish(False, depth, counterexample=trace,
                           cex_depth=depth)
     return finish(None, max_depth, bound_reached=max_depth)
-
-
-def naive_unroll_ands(circuit, depth):
-    """AND count of the plain (strash-only) unrolling — the bench baseline."""
-    aig = Aig()
-    state = {net: (TRUE if reg.init else FALSE)
-             for net, reg in circuit.registers.items()}
-    roots = []
-    for t in range(depth):
-        lit_of = dict(state)
-        for net in circuit.inputs:
-            lit_of[net] = aig.add_input(name="{}@{}".format(net, t))
-        for name in circuit.topo_order():
-            gate = circuit.gates[name]
-            lit_of[name] = _gate_to_aig(
-                aig, gate.gtype, [lit_of[f] for f in gate.fanins])
-        roots.extend(lit_of[net] for net in circuit.outputs)
-        state = {net: lit_of[reg.data_in]
-                 for net, reg in circuit.registers.items()}
-    for lit in roots:
-        aig.add_output(lit)
-    return aig.num_ands

@@ -39,13 +39,6 @@ def check_preprocess(passes):
     return passes
 
 
-def preprocess_circuit(circuit, passes="fraig", seed=2024, **options):
-    """Run one preprocessing pass; returns a
-    :class:`~repro.sweep.reduce.FraigReduction`."""
-    check_preprocess(passes)
-    return fraig_reduce(circuit, seed=seed, **options)
-
-
 def preprocess_pair(spec, impl, passes="fraig", seed=2024, **options):
     """Reduce both sides; returns ``(spec', impl', info)``.
 

@@ -75,15 +75,6 @@ class FraigReduction:
         self.net_map = net_map
         self.stats = stats
 
-    def translate_net(self, net):
-        """Witness record for one original net; raises on unknown nets."""
-        try:
-            return self.net_map[net]
-        except KeyError:
-            raise NetlistError(
-                "net {!r} does not exist in circuit {!r}".format(
-                    net, self.original.name))
-
     def translate_trace(self, trace):
         """Map a counterexample on the reduced circuit back to the original.
 

@@ -22,7 +22,6 @@ import random
 
 from ..errors import TransformError
 from ..netlist.circuit import GateType, eval_gate
-from ..netlist.simulate import single_eval
 
 # Gates a forward move can cross (constants have no fanins to absorb).
 _MOVABLE = (
@@ -163,13 +162,3 @@ def retime(circuit, moves=4, seed=0, direction="both"):
     result = sweep(result)
     result.validate()
     return result
-
-
-def initial_output_values(circuit):
-    """Output values in the initial state under all-zero inputs (debug aid)."""
-    values = single_eval(
-        circuit,
-        {net: False for net in circuit.inputs},
-        circuit.initial_state(),
-    )
-    return {net: values[net] for net in circuit.outputs}

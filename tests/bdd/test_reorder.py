@@ -5,7 +5,6 @@ import itertools
 from hypothesis import given, settings, strategies as st
 
 from repro.bdd import BddManager, sift, swap_adjacent, maybe_sift
-from repro.bdd.dot import to_dot
 
 from .test_ops_property import NVARS, build_bdd, eval_expr, exprs, all_envs
 
@@ -129,16 +128,6 @@ def test_maybe_sift_trigger():
         mgr.register_root(v)
     assert not maybe_sift(mgr, threshold=10 ** 9)
     assert maybe_sift(mgr, threshold=1)
-
-
-def test_dot_export_smoke():
-    mgr = BddManager()
-    a, b = mgr.add_vars(["a", "b"])
-    f = mgr.apply_xor(a, b)
-    text = to_dot(mgr, f, names=["parity"])
-    assert "digraph" in text
-    assert "parity" in text
-    assert text.count("->") >= 4
 
 
 def test_order_queries_after_sift():

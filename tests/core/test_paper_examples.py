@@ -35,6 +35,23 @@ def test_fig2_discovers_the_papers_classes():
     assert any({"s.v1", "i.w1"} <= set(c) for c in flat)
 
 
+def test_fig2_correspondence_condition():
+    spec, impl = fig2_pair()
+    # Without substitution the v6 equivalence stays a conjunct of Q.
+    fix, _, frame = final_classes(spec, impl, use_fundeps=False)
+    mgr = frame.manager
+    v1 = mgr.var_edge(frame.state_id["s.v1"])
+    v2 = mgr.var_edge(frame.state_id["s.v2"])
+    v6 = mgr.var_edge(frame.state_id["i.v6"])
+    w1 = mgr.var_edge(frame.state_id["i.w1"])
+    # Definition 1 on Fig. 2: Q simplifies to v1·v2 == v6, up to the
+    # register pairing v1 == w1.
+    condition = mgr.apply_xnor(mgr.apply_and(v1, v2), v6)
+    strengthened = mgr.apply_and(condition, mgr.apply_xnor(v1, w1))
+    assert mgr.apply_implies(fix.q_edge, condition) == mgr.true
+    assert mgr.apply_implies(strengthened, fix.q_edge) == mgr.true
+
+
 def test_fig2_fundep_substitution_used():
     spec, impl = fig2_pair()
     fix, _, _ = final_classes(spec, impl, use_fundeps=True)

@@ -46,6 +46,16 @@ def test_backends_compute_identical_partitions(seed):
     )
 
 
+def test_backends_compute_identical_partitions_on_suite_row():
+    from repro.circuits import row_by_name
+
+    spec, impl = row_by_name("s386").pair()
+    product = build_product(spec, impl, match_outputs="order")
+    assert normalize(bdd_partition_netsets(product)) == normalize(
+        sat_partition_netsets(product)
+    )
+
+
 def test_proves_optimized_counter():
     spec = counter_circuit(4)
     impl = optimize(spec, level=2, seed=3)

@@ -12,6 +12,7 @@ from repro import verify
 from repro.core.satbackend import check_equivalence_sat_sweep
 from repro.circuits import onehot_chain_pair, onehot_ring_pair
 from repro.errors import VerificationError
+from repro.fuzz.generate import build_pair
 from repro.fuzz.replay import validate_refutation
 from repro.induction import (
     INDUCTION_FALLBACK,
@@ -25,13 +26,37 @@ from repro.transform import inject_distinguishable_fault, optimize
 
 from ..netlist.helpers import counter_circuit, toggle_circuit
 
+#: Fuzz recipes (the ``repro.fuzz.generate`` format) whose pairs defeat
+#: the SAT sweep: retimed, some also XOR-reencoded, random circuits.
+FUZZ_RECIPES = [
+    {"base": {"name": "ih6", "n_regs": 6, "n_inputs": 2, "n_outputs": 1,
+              "seed": 5875, "deep_counter_bits": 0, "mixer_width": 0},
+     "transforms": [{"kind": "xor_reencode", "pairs": 2, "seed": 107},
+                    {"kind": "retime", "moves": 2, "seed": 329}]},
+    {"base": {"name": "ih15", "n_regs": 7, "n_inputs": 2, "n_outputs": 1,
+              "seed": 14668, "deep_counter_bits": 0, "mixer_width": 0},
+     "transforms": [{"kind": "xor_reencode", "pairs": 2, "seed": 260},
+                    {"kind": "retime", "moves": 2, "seed": 806}]},
+    {"base": {"name": "ih33", "n_regs": 5, "n_inputs": 2, "n_outputs": 1,
+              "seed": 32254, "deep_counter_bits": 0, "mixer_width": 0},
+     "transforms": [{"kind": "xor_reencode", "pairs": 2, "seed": 566},
+                    {"kind": "retime", "moves": 2, "seed": 1760}]},
+    {"base": {"name": "ih41", "n_regs": 5, "n_inputs": 4, "n_outputs": 1,
+              "seed": 40070, "deep_counter_bits": 0, "mixer_width": 0},
+     "transforms": [{"kind": "retime", "moves": 4, "seed": 1278}]},
+    {"base": {"name": "ih117", "n_regs": 5, "n_inputs": 2, "n_outputs": 1,
+              "seed": 114322, "deep_counter_bits": 0, "mixer_width": 0},
+     "transforms": [{"kind": "retime", "moves": 2, "seed": 3634}]},
+]
+
 #: Correspondence-inconclusive pairs (the fixed point cannot prove them)
 #: that k-induction must close without traversal.
 INCONCLUSIVE_PAIRS = [
     ("onehot_ring", lambda: onehot_ring_pair()),
     ("onehot_ring_en", lambda: onehot_ring_pair(enable=True)),
     ("onehot_chain6", lambda: onehot_chain_pair(6)),
-]
+] + [(recipe["base"]["name"], lambda recipe=recipe: build_pair(recipe))
+     for recipe in FUZZ_RECIPES]
 
 
 @pytest.mark.parametrize("name,make", INCONCLUSIVE_PAIRS,

@@ -267,7 +267,8 @@ def test_env_net_category_is_exhaustive():
 
 def test_engines_never_import_numpy():
     """Seeding, SAT replay, FRAIG sweeping and the fuzz replay oracle run
-    on the stdlib kernel alone."""
+    on the stdlib kernel alone; pyproject.toml declares no dependencies, so
+    neither numpy nor networkx may be imported."""
     script = textwrap.dedent("""
         import sys
         import repro
@@ -282,10 +283,10 @@ def test_engines_never_import_numpy():
                           counterexample=CexTrace(inputs=[{"x": True}],
                                                   final_input={"x": False}))
         assert not validate_refutation(spec, impl, claim).valid
-        print("numpy" in sys.modules)
+        print("numpy" in sys.modules, "networkx" in sys.modules)
     """)
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
     out = subprocess.run([sys.executable, "-c", script], check=True, env=env,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "False False"

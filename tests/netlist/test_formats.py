@@ -147,6 +147,23 @@ def test_blif_errors():
         blif.loads(".model m\n.inputs a\n.names a f\n1 1\n0 0\n.end\n")  # mixed
     with pytest.raises(ParseError):
         blif.loads(".model m\n.latch x\n.end\n")
+    # Van Eijk's method needs a defined initial state: an init value of
+    # 2 (don't care), 3 (unknown) or anything else but 0/1 is rejected.
+    for latch in ("a b 2", "a b 3", "a b 7", "a b re clk 2",
+                  "a b re clk x", "a b re clk 0 1"):
+        with pytest.raises(ParseError):
+            blif.loads(".model m\n.inputs a\n.outputs b\n"
+                       ".latch {}\n.end\n".format(latch))
+
+
+@pytest.mark.parametrize("latch,init", [
+    ("a b", False), ("a b 1", True), ("a b 0", False),
+    ("a b re clk", False), ("a b re clk 1", True),
+])
+def test_blif_latch_forms(latch, init):
+    c = blif.loads(".model m\n.inputs a\n.outputs b\n"
+                   ".latch {}\n.end\n".format(latch))
+    assert c.registers["b"].init is init
 
 
 @settings(max_examples=30, deadline=None)

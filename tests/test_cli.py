@@ -161,12 +161,19 @@ def test_info(circuit_files, capsys):
 def test_table1_quick(capsys):
     code = main(["table1", "--scales", "small", "--traversal-time-limit",
                  "5", "--proposed-time-limit", "30"])
-    # Running the whole small table through the CLI is covered by the
-    # benchmark; here a smoke run over the renderer output suffices.
     out = capsys.readouterr().out
     assert code == 0
     assert "circuit" in out
     assert "s838" in out
+    # E1: the proposed method proves every small row; its ``res`` column
+    # is the last field of the third ``|``-separated section.
+    lines = out.splitlines()
+    start = next(i for i, line in enumerate(lines)
+                 if line.startswith("circuit"))
+    rows = lines[start + 2:]
+    assert len(rows) == 20
+    for line in rows:
+        assert line.split("|")[2].split()[-1] == "eq", line
 
 
 def test_verify_json_output(circuit_files, capsys):
