@@ -76,10 +76,6 @@ def _result_exit_code(result):
     return 0 if result.proved else (2 if result.refuted else 1)
 
 
-#: Engines whose check functions accept the service-layer ``progress`` hook.
-_PROGRESS_METHODS = ("van_eijk", "sat_sweep", "fraig_sweep", "bmc",
-                     "traversal", "k_induction", "sweep_induct")
-
 #: CLI spellings accepted by ``--engine`` beyond the canonical METHODS names.
 _ENGINE_ALIASES = {
     "induction": "k_induction",
@@ -181,8 +177,7 @@ def _cmd_verify(args):
                     options["fallback"] = not args.no_fallback
                 if args.time_limit:
                     options["time_limit"] = args.time_limit
-            if args.method in _PROGRESS_METHODS and (args.verbose
-                                                     or args.events):
+            if args.verbose or args.events:
                 job_name = spec.name or "verify"
 
                 def progress(kind, **data):

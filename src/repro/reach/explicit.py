@@ -64,8 +64,14 @@ def explicit_reachable(circuit, max_states=1 << 16, max_inputs=12):
     return seen, depth
 
 
-def explicit_check_equivalence(product, max_states=1 << 16, max_inputs=12):
-    """Oracle SEC on a product machine; returns a :class:`SecResult`."""
+def explicit_check_equivalence(product, max_states=1 << 16, max_inputs=12,
+                               progress=None, cancel_check=None):
+    """Oracle SEC on a product machine; returns a :class:`SecResult`.
+
+    ``progress(kind, **data)`` fires once per BFS ring; ``cancel_check()``
+    is polled at the same cadence and aborts with an inconclusive
+    ("cancelled") result.
+    """
     circuit = product.circuit
     circuit.validate()
     if len(circuit.inputs) > max_inputs:
@@ -80,7 +86,13 @@ def explicit_check_equivalence(product, max_states=1 << 16, max_inputs=12):
     frontier = [init]
     iterations = 0
     while frontier:
+        if cancel_check is not None and cancel_check():
+            return SecResult(equivalent=None, method="explicit",
+                             iterations=iterations,
+                             details={"aborted": "cancelled"})
         iterations += 1
+        if progress is not None:
+            progress("ring", iteration=iterations, states=len(parents))
         next_frontier = []
         for state in frontier:
             env = dict(words)

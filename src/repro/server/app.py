@@ -742,8 +742,9 @@ class VerifyServer(JobFrontEnd):
                           method=outcome.job.method)
             self._notify_terminal(record.id)
             return
-        if outcome.error is not None and record.requeues < self.retries:
-            # Worker crash: put the job back at the head of the queue.
+        if outcome.retryable and record.requeues < self.retries:
+            # Engine error or worker crash: put the job back at the head
+            # of the queue.  A time-budget kill is final.
             record.state = store_mod.QUEUED
             record.started_at = None
             record.requeues += 1

@@ -12,10 +12,12 @@ insight from the parallel-CEC literature applied to van Eijk's setting:
 * ``traversal`` — the complete-but-expensive baseline: decides anything
   whose reachable state space fits in the node budget.
 
-All lanes run as separate worker processes; the first *conclusive* verdict
-(proved or refuted) wins the race, and the losing lanes are cancelled with
-SIGTERM→SIGKILL escalation (see
-:func:`repro.service.procs.terminate_gracefully`).  If every lane finishes
+All lanes run on the one worker supervisor, a
+:class:`~repro.service.scheduler.WorkerPool` with one worker per lane; the
+first *conclusive* verdict (proved or refuted) wins the race, which
+``time_limit + grace`` bounds.  The pool's ``shutdown`` then cancels the
+lanes still running: SIGTERM (cooperative cancel), SIGKILL ``grace``
+seconds later.  A lane is never retried.  If every lane finishes
 inconclusive, the preferred lane's result (first in ``methods``) is
 returned so callers still see iteration counts and abort reasons.
 
@@ -36,12 +38,11 @@ from .events import (
     ENGINE_FINISHED,
     ENGINE_STARTED,
     ENGINE_WON,
-    Event,
     EventBus,
     PORTFOLIO_STARTED,
 )
-from .job import JobResult, JobSpec, aborted_result
-from .procs import drain_queue, get_context, start_worker, terminate_gracefully
+from .job import JobSpec, aborted_result
+from .scheduler import WorkerPool
 
 DEFAULT_PORTFOLIO_METHODS = ("van_eijk", "fraig_sweep", "k_induction",
                              "bmc", "traversal")
@@ -73,26 +74,20 @@ def run_portfolio(spec, impl, methods=DEFAULT_PORTFOLIO_METHODS,
     bus = bus or EventBus()
     name = name or "{}~{}".format(spec.name, impl.name)
     per_method_options = per_method_options or {}
-    jobs = {}
+    bus.emit(PORTFOLIO_STARTED, job=name, methods=list(methods),
+             time_limit=time_limit)
+
+    # No job_time_limit: the race deadline below bounds every lane.
+    pool = WorkerPool(workers=len(methods), bus=bus, grace=grace)
     for method in methods:
         options = dict(per_method_options.get(method, {}))
         if time_limit is not None:
             options.setdefault("time_limit", time_limit)
-        jobs[method] = JobSpec(name, spec, impl, method=method,
-                               options=options, match_inputs=match_inputs,
-                               match_outputs=match_outputs)
-    bus.emit(PORTFOLIO_STARTED, job=name, methods=list(methods),
-             time_limit=time_limit)
-
-    ctx = get_context()
-    event_queue = ctx.Queue()
-    result_queue = ctx.Queue()
-    procs = {}
-    for method in methods:
-        procs[method] = start_worker(ctx, jobs[method], method,
-                                     event_queue, result_queue)
-        bus.emit(ENGINE_STARTED, job=name, method=method,
-                 pid=procs[method].pid)
+        pool.submit(method, JobSpec(name, spec, impl, method=method,
+                                    options=options,
+                                    match_inputs=match_inputs,
+                                    match_outputs=match_outputs),
+                    event=ENGINE_STARTED)
 
     start = time.monotonic()
     deadline = None if time_limit is None else start + time_limit + grace
@@ -108,61 +103,21 @@ def run_portfolio(spec, impl, methods=DEFAULT_PORTFOLIO_METHODS,
 
     winner = None
     try:
-        while winner is None:
-            _forward_events(event_queue, bus)
-            _collect_results(result_queue, results, status, bus, name)
+        while pool.active:
+            for outcome in pool.poll():
+                _record_lane(outcome, results, status, bus, name)
             audit_refutations()
             winner = _find_winner(methods, results)
             if winner is not None:
-                break
-            for method, proc in procs.items():
-                if status[method] == "running" and not proc.is_alive():
-                    proc.join()
-                    # A finished worker flushes its result before exiting;
-                    # drain once more so a verdict racing the process's
-                    # death is collected, not misread as a crash.
-                    _collect_results(result_queue, results, status, bus,
-                                     name)
-                    if method not in results:
-                        status[method] = "crashed"
-                        results[method] = aborted_result(
-                            method, "worker crashed (exit code {})".format(
-                                proc.exitcode))
-                        bus.emit(ENGINE_FINISHED, job=name, method=method,
-                                 verdict=None, crashed=True)
-            if all(s != "running" for s in status.values()):
                 break
             if deadline is not None and time.monotonic() > deadline:
                 break
             time.sleep(_POLL_INTERVAL)
     finally:
-        fates = terminate_gracefully(list(procs.values()), grace=grace)
-        for method, proc in procs.items():
-            if status[method] != "running":
-                continue
-            fate = fates[proc]
-            if fate in ("terminated", "killed"):
-                status[method] = "cancelled"
-                bus.emit(ENGINE_CANCELLED, job=name, method=method,
-                         escalated=fate == "killed")
-            elif proc.exitcode != 0:
-                # The lane died on its own before the race was decided but
-                # after the last in-loop liveness check.
-                status[method] = "crashed"
-                results.setdefault(method, aborted_result(
-                    method, "worker crashed (exit code {})".format(
-                        proc.exitcode)))
-                bus.emit(ENGINE_FINISHED, job=name, method=method,
-                         verdict=None, crashed=True)
-            else:
-                status[method] = "finished"
-        # Late results from cancelled lanes (posted between the decision
-        # and the SIGTERM) are still drained so the queues shut down clean.
-        _forward_events(event_queue, bus)
-        _collect_results(result_queue, results, status, bus, name,
-                         quiet=True)
-        event_queue.close()
-        result_queue.close()
+        # The losing lanes are cancelled; a result one posted before its
+        # SIGTERM is kept (and audited below).
+        for outcome in pool.shutdown():
+            _record_lane(outcome, results, status, bus, name)
 
     elapsed = time.monotonic() - start
     if winner is not None:
@@ -171,9 +126,6 @@ def run_portfolio(spec, impl, methods=DEFAULT_PORTFOLIO_METHODS,
         bus.emit(ENGINE_WON, job=name, method=winner,
                  verdict=result.equivalent, seconds=elapsed)
     else:
-        # Late results drained after the race (posted between the decision
-        # and the SIGTERM) still go through the replay audit before one of
-        # them can be returned.
         audit_refutations()
         result = None
         for method in methods:
@@ -193,32 +145,29 @@ def run_portfolio(spec, impl, methods=DEFAULT_PORTFOLIO_METHODS,
     return result
 
 
-def _forward_events(event_queue, bus):
-    for payload in drain_queue(event_queue):
-        bus.publish(Event.from_dict(payload))
-
-
-def _collect_results(result_queue, results, status, bus, name, quiet=False):
-    for message in drain_queue(result_queue):
-        kind, method, payload = message
-        if kind == "result":
-            job_result = JobResult.from_dict(payload)
-            results.setdefault(method, job_result.result)
-            if status.get(method) == "running":
-                status[method] = "finished"
-            if not quiet:
-                bus.emit(ENGINE_FINISHED, job=name, method=method,
-                         verdict=job_result.result.equivalent,
-                         seconds=job_result.result.seconds,
-                         peak_nodes=job_result.result.peak_nodes)
-        else:  # engine raised: record as a failed lane
-            results.setdefault(
-                method, aborted_result(method, "engine error"))
-            if status.get(method) == "running":
-                status[method] = "error"
-            if not quiet:
-                bus.emit(ENGINE_FINISHED, job=name, method=method,
-                         verdict=None, error=payload.splitlines()[-1])
+def _record_lane(outcome, results, status, bus, name):
+    """Fold one lane's :class:`~repro.service.scheduler.PoolOutcome` into
+    the race: its fate, its result and its event."""
+    method = outcome.token
+    lane = outcome.result
+    status[method] = outcome.ended
+    if outcome.cancelled:
+        bus.emit(ENGINE_CANCELLED, job=name, method=method,
+                 escalated=outcome.killed)
+        if lane.error is not None:
+            return  # a placeholder, not a result of the lane's own
+    elif outcome.ended == "finished":
+        bus.emit(ENGINE_FINISHED, job=name, method=method,
+                 verdict=lane.result.equivalent,
+                 seconds=lane.result.seconds,
+                 peak_nodes=lane.result.peak_nodes)
+    elif outcome.ended == "crashed":
+        bus.emit(ENGINE_FINISHED, job=name, method=method, verdict=None,
+                 crashed=True)
+    else:  # the engine raised
+        bus.emit(ENGINE_FINISHED, job=name, method=method, verdict=None,
+                 error=outcome.error.splitlines()[-1])
+    results.setdefault(method, lane.result)
 
 
 def _reject_invalid_refutations(spec, impl, match_inputs, match_outputs,

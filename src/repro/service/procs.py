@@ -1,4 +1,9 @@
-"""Worker-process plumbing shared by the portfolio runner and scheduler.
+"""Worker-process plumbing for :class:`~repro.service.scheduler.WorkerPool`.
+
+The pool is the one supervisor: it alone forks workers with
+:func:`start_worker`, relays their queues with :func:`drain_queue`, reaps
+them and stops them (SIGTERM, then SIGKILL ``grace`` seconds later); the
+batch scheduler, the portfolio race and the daemon all drive the pool.
 
 Start-method note: the service prefers ``fork`` (cheap on Linux, and it
 lets tests register extra engine methods that workers inherit); on
@@ -8,7 +13,6 @@ to be picklable — they are.
 
 import multiprocessing
 import queue as queue_mod
-import time
 
 from .worker import worker_entry
 
@@ -40,29 +44,3 @@ def drain_queue(q):
         except queue_mod.Empty:
             return
 
-
-def terminate_gracefully(procs, grace=2.0):
-    """Stop worker processes: SIGTERM, wait up to ``grace``, then SIGKILL.
-
-    SIGTERM triggers the workers' cooperative-cancellation path (they
-    finish the current engine iteration and exit cleanly); processes that
-    do not exit within the grace period are killed.  Returns
-    ``{proc: "terminated" | "killed" | "finished"}`` and guarantees every
-    process is joined — no orphans survive this call.
-    """
-    outcome = {}
-    for proc in procs:
-        if proc.is_alive():
-            proc.terminate()
-            outcome[proc] = "terminated"
-        else:
-            outcome[proc] = "finished"
-    deadline = time.monotonic() + grace
-    for proc in procs:
-        proc.join(max(0.0, deadline - time.monotonic()))
-    for proc in procs:
-        if proc.is_alive():
-            proc.kill()
-            proc.join()
-            outcome[proc] = "killed"
-    return outcome

@@ -1,26 +1,42 @@
-"""Bounded-parallel batch verification with retries, fallback and caching.
+"""The one worker supervisor, and bounded-parallel batch verification.
 
-:class:`BatchScheduler` runs many :class:`~repro.service.job.JobSpec`\\ s
-concurrently across worker processes:
+:class:`WorkerPool` is the only code that forks, relays, reaps and kills
+worker processes.  :class:`BatchScheduler`, the engine race
+(:func:`~repro.service.portfolio.run_portfolio`) and the
+:mod:`repro.server` daemon are loops over its ``submit``/``poll``/
+``shutdown``.  A worker is stopped one way, whatever the cause — a
+cancel, a ``job_time_limit`` overrun or a shutdown:
+
+* SIGTERM, which the worker turns into cooperative cancellation (the
+  engine returns "cancelled" at its next iteration boundary);
+* SIGKILL ``grace`` seconds later if the worker is still alive.
+
+The time-budget kill starts at ``job_time_limit + grace`` (the engine got
+the limit as its own budget), so a stuck engine is dead by
+``job_time_limit + 2·grace``.  Each worker ends in one
+:class:`PoolOutcome`, and one retry rule reads it: only an engine error or
+a crashed worker is retried; a time-budget kill or a cancel never is.
+
+:class:`BatchScheduler` runs many :class:`~repro.service.job.JobSpec`\\ s:
 
 * at most ``workers`` jobs run at once (``workers=0`` executes inline in
   the calling process — the degenerate sequential mode the evaluation
   harness uses by default);
 * solved jobs are skipped via the :class:`~repro.service.cache.ResultCache`
   (structural hashing: re-deriving an identical pair still hits);
-* a worker that *crashes* (nonzero exit without a result) is retried up to
+* a job whose engine raised or whose worker crashed is retried up to
   ``retries`` times; a job whose engine finishes *inconclusive* can be
   resubmitted once on a ``fallback_method`` (e.g. ``bmc`` to hunt for a
   counterexample after the prover gives up);
 * ``total_time_limit`` bounds the whole batch — running workers are
-  cancelled gracefully and unstarted jobs are marked aborted;
-  ``job_time_limit`` seeds each engine's own budget and backs it with a
-  hard kill at ``job_time_limit + grace``;
+  stopped and unstarted jobs are marked aborted; ``job_time_limit`` seeds
+  each engine's own budget and backs it with the pool's kill;
 * every step is published on the :class:`~repro.service.events.EventBus`.
 
 Results come back in submission order, one :class:`JobResult` per job.
 """
 
+import itertools
 import signal
 import threading
 import time
@@ -40,7 +56,7 @@ from .events import (
     JOB_STARTED,
 )
 from .job import JobResult, JobSpec, aborted_result
-from .procs import drain_queue, get_context, start_worker, terminate_gracefully
+from .procs import drain_queue, get_context, start_worker
 from .worker import accepted_options, run_job
 
 _POLL_INTERVAL = 0.05
@@ -260,7 +276,7 @@ class BatchScheduler:
             attempt = pending.pop(0)
             reason = self._stop_reason(deadline)
             if reason is not None:
-                self._abort_remaining([attempt] + pending, results, reason)
+                self._abort([attempt] + pending, results, reason)
                 return
             self.bus.emit(JOB_STARTED, job=attempt.job.name,
                           index=attempt.index, method=attempt.job.method,
@@ -277,89 +293,45 @@ class BatchScheduler:
     # -- process pool -------------------------------------------------------
 
     def _run_pool(self, pending, results, start):
-        ctx = get_context()
-        event_queue = ctx.Queue()
-        result_queue = ctx.Queue()
-        running = {}  # token -> _Running
-        token_counter = 0
         deadline = self._deadline(start)
+        pool = WorkerPool(self.workers, bus=self.bus,
+                          job_time_limit=self.job_time_limit,
+                          grace=self.grace)
+        running = {}  # token -> _Attempt
+        tokens = itertools.count(1)
+        reason = None
         try:
             while pending or running:
                 reason = self._stop_reason(deadline)
                 if reason is not None:
-                    self._cancel_running(running, results, reason)
-                    self._abort_remaining(pending, results, reason)
-                    return
-                while pending and len(running) < self.workers:
+                    break
+                while pending and pool.has_capacity():
                     attempt = pending.pop(0)
-                    token_counter += 1
-                    proc = start_worker(ctx, attempt.job, token_counter,
-                                        event_queue, result_queue)
-                    running[token_counter] = _Running(attempt, proc)
-                    self.bus.emit(JOB_STARTED, job=attempt.job.name,
-                                  index=attempt.index,
-                                  method=attempt.job.method,
-                                  attempt=attempt.number, pid=proc.pid)
-                for payload in drain_queue(event_queue):
-                    self.bus.publish(Event.from_dict(payload))
-                for kind, token, payload in drain_queue(result_queue):
-                    run = running.get(token)
-                    if run is None:
-                        continue
-                    run.outcome = (kind, payload)
-                self._reap(running, results, pending)
-                self._enforce_job_timeout(running)
-                if running and not pending:
-                    time.sleep(_POLL_INTERVAL)
-                elif running:
-                    time.sleep(_POLL_INTERVAL / 5)
+                    token = next(tokens)
+                    running[token] = attempt
+                    pool.submit(token, attempt.job, index=attempt.index,
+                                attempt=attempt.number)
+                for outcome in pool.poll():
+                    attempt = running.pop(outcome.token)
+                    if outcome.retryable:
+                        self._retry(attempt, outcome.error, results, pending)
+                    else:
+                        self._finalize(attempt, outcome.result.result,
+                                       results, pending,
+                                       outcome.result.wall_seconds)
+                if running:
+                    time.sleep(_POLL_INTERVAL / 5 if pending
+                               else _POLL_INTERVAL)
         finally:
-            terminate_gracefully([r.proc for r in running.values()],
-                                 grace=self.grace)
-            for payload in drain_queue(event_queue):
-                self.bus.publish(Event.from_dict(payload))
-            event_queue.close()
-            result_queue.close()
+            pool.shutdown()
+        if reason is not None:
+            self._abort(running.values(), results, reason, ran=True)
+            self._abort(pending, results, reason)
 
-    def _reap(self, running, results, pending):
-        for token in list(running):
-            run = running[token]
-            if run.outcome is None and run.proc.is_alive():
-                continue
-            if run.outcome is None:
-                # Exited without reporting: give the queue a beat to
-                # deliver a result raced with process death.
-                run.proc.join()
-                if run.grace_polls < 3:
-                    run.grace_polls += 1
-                    continue
-            del running[token]
-            attempt = run.attempt
-            wall = time.monotonic() - run.started
-            if run.outcome is not None:
-                run.proc.join()
-                kind, payload = run.outcome
-                if kind == "result":
-                    self._finalize(attempt,
-                                   JobResult.from_dict(payload).result,
-                                   results, pending, wall)
-                else:
-                    self._crash(attempt, "engine error:\n" + payload,
-                                results, pending)
-            else:
-                self._crash(
-                    attempt,
-                    "worker crashed (exit code {})".format(run.proc.exitcode),
-                    results, pending,
-                    timed_out=run.timed_out,
-                )
-
-    def _crash(self, attempt, reason, results, pending, timed_out=False):
+    def _retry(self, attempt, reason, results, pending):
+        """Resubmit an attempt whose engine raised or whose worker crashed,
+        or record the failure once ``retries`` are used up."""
         job = attempt.job
-        if timed_out:
-            result = aborted_result(job.method, "job time budget exhausted")
-            self._finalize(attempt, result, results, pending, None)
-            return
         if attempt.number <= self.retries:
             self.bus.emit(JOB_RETRY, job=job.name, index=attempt.index,
                           attempt=attempt.number + 1, reason=reason)
@@ -373,47 +345,20 @@ class BatchScheduler:
                       verdict=None, method=job.method, error=reason,
                       attempts=attempt.number)
 
-    def _enforce_job_timeout(self, running):
-        """Hard-kill guard above the engines' cooperative budgets."""
-        if self.job_time_limit is None:
-            return
-        limit = self.job_time_limit + self.grace
-        for run in running.values():
-            if (run.outcome is None and not run.timed_out
-                    and time.monotonic() - run.started > limit):
-                run.timed_out = True
-                run.proc.terminate()
-
-    def _cancel_running(self, running, results,
-                        reason="batch time budget exhausted"):
-        terminate_gracefully([r.proc for r in running.values()],
-                             grace=self.grace)
-        for run in running.values():
-            attempt = run.attempt
+    def _abort(self, attempts, results, reason, ran=False):
+        """Mark ``attempts`` aborted for ``reason``; ``ran`` counts the
+        stopped attempt itself as made."""
+        for attempt in attempts:
+            made = attempt.number if ran else attempt.number - 1
             result = aborted_result(attempt.job.method, reason)
             results[attempt.index] = JobResult(
-                attempt.job.name, result, attempts=attempt.number,
+                attempt.job.name, result, attempts=made,
                 method=attempt.job.method)
             self.bus.emit(JOB_FINISHED, job=attempt.job.name,
                           index=attempt.index, verdict=None,
                           method=attempt.job.method,
                           error=reason,
-                          attempts=attempt.number)
-        running.clear()
-
-    def _abort_remaining(self, pending, results,
-                         reason="batch time budget exhausted"):
-        for attempt in pending:
-            result = aborted_result(attempt.job.method, reason)
-            results[attempt.index] = JobResult(
-                attempt.job.name, result, attempts=attempt.number - 1,
-                method=attempt.job.method)
-            self.bus.emit(JOB_FINISHED, job=attempt.job.name,
-                          index=attempt.index, verdict=None,
-                          method=attempt.job.method,
-                          error=reason,
-                          attempts=attempt.number - 1)
-        del pending[:]
+                          attempts=made)
 
 
 class _Attempt:
@@ -436,59 +381,58 @@ class _Attempt:
         return clone
 
 
-class _Running:
-    """Bookkeeping for one live worker process."""
-
-    __slots__ = ("attempt", "proc", "started", "outcome", "timed_out",
-                 "grace_polls")
-
-    def __init__(self, attempt, proc):
-        self.attempt = attempt
-        self.proc = proc
-        self.started = time.monotonic()
-        self.outcome = None
-        self.timed_out = False
-        self.grace_polls = 0
-
-
 class PoolOutcome:
-    """One finished :class:`WorkerPool` job.
+    """How one :class:`WorkerPool` worker ended.
 
-    ``result`` is the worker's :class:`JobResult` (an aborted placeholder
-    for crashes and hard kills); ``error`` carries the crash description;
-    ``cancelled`` is True when the job ended because :meth:`WorkerPool.cancel`
-    was called on it.
+    ``ended`` is ``"finished"`` (the engine returned a result), ``"error"``
+    (the engine raised), ``"crashed"`` (the process died without
+    reporting), ``"timed_out"`` (stopped for ``job_time_limit``) or
+    ``"cancelled"`` (stopped by :meth:`WorkerPool.cancel` or
+    :meth:`WorkerPool.shutdown`); ``killed`` is True when the stop needed
+    SIGKILL.  ``result`` is the :class:`JobResult` the worker posted — kept
+    even if the worker was stopped afterwards — or, when it posted none,
+    an aborted placeholder whose ``error`` says why.  ``error`` describes
+    every ending but ``"finished"``.
     """
 
-    __slots__ = ("token", "job", "result", "error", "cancelled")
+    __slots__ = ("token", "job", "result", "ended", "killed", "error")
 
-    def __init__(self, token, job, result, error=None, cancelled=False):
+    def __init__(self, token, job, result, ended, killed, error):
         self.token = token
         self.job = job
         self.result = result
+        self.ended = ended
+        self.killed = killed
         self.error = error
-        self.cancelled = cancelled
+
+    @property
+    def cancelled(self):
+        return self.ended == "cancelled"
+
+    @property
+    def retryable(self):
+        """The one retry rule: only an engine error or a crash is retried;
+        a time-budget kill or a cancel never is."""
+        return self.ended in ("error", "crashed")
 
 
 class WorkerPool:
     """Non-blocking submit/poll/cancel surface over the worker processes.
 
-    Where :class:`BatchScheduler` owns a blocking loop over a fixed job
-    list, a long-lived host (the :mod:`repro.server` asyncio daemon) needs
-    to interleave job execution with other work.  ``WorkerPool`` exposes
-    the same worker plumbing incrementally — every method returns
-    immediately:
+    Every method but :meth:`shutdown` returns immediately, so a long-lived
+    host (the :mod:`repro.server` asyncio daemon) can interleave job
+    execution with other work, and a blocking caller (the batch, the
+    portfolio) is a short loop around :meth:`poll`:
 
     * :meth:`submit` forks a worker for one job (caller checks
       :meth:`has_capacity` first, queueing policy lives with the caller);
-    * :meth:`poll` drains worker events onto the bus, escalates pending
-      cancellations past their grace period and returns the
-      :class:`PoolOutcome` list of jobs that finished since the last call;
-    * :meth:`cancel` requests the SIGTERM → cooperative-cancel → SIGKILL
-      path for one running job without blocking on it.
+    * :meth:`poll` relays worker events onto the bus, applies the
+      ``job_time_limit`` kill, escalates overdue SIGTERMs to SIGKILL and
+      returns the :class:`PoolOutcome` list of workers reaped since the
+      last call;
+    * :meth:`cancel` starts the SIGTERM → SIGKILL path for one job without
+      blocking on it.
 
-    The pool is *async-safe* in the sense the daemon needs: no method
-    blocks, so a single asyncio task can drive it with awaits in between.
     It is not thread-safe — drive it from one thread/task only.
     """
 
@@ -514,11 +458,13 @@ class WorkerPool:
 
     # -- submit / cancel ----------------------------------------------------
 
-    def submit(self, token, job):
+    def submit(self, token, job, event=JOB_STARTED, **fields):
         """Fork a worker for ``job``; ``token`` routes its outcome back.
 
-        Raises :class:`RuntimeError` when the pool is full or the token is
-        already in flight — callers gate on :meth:`has_capacity`.
+        Emits ``event`` with the job's name and method, the worker's pid
+        and ``fields``.  Raises :class:`RuntimeError` when the pool is full
+        or the token is already in flight — callers gate on
+        :meth:`has_capacity`.
         """
         if not self.has_capacity():
             raise RuntimeError("worker pool is full")
@@ -528,8 +474,8 @@ class WorkerPool:
         proc = start_worker(self._ctx, job, token,
                             self._event_queue, self._result_queue)
         self._running[token] = _PoolRun(job, proc)
-        self.bus.emit(JOB_STARTED, job=job.name, method=job.method,
-                      pid=proc.pid)
+        self.bus.emit(event, job=job.name, method=job.method, pid=proc.pid,
+                      **fields)
         return proc.pid
 
     def _budgeted(self, job):
@@ -538,66 +484,63 @@ class WorkerPool:
     def cancel(self, token):
         """Begin cancelling a running job; returns True if it was running.
 
-        SIGTERM triggers the worker's cooperative-cancellation path; if it
-        has not exited ``grace`` seconds later, :meth:`poll` escalates to
-        SIGKILL.  The job's :class:`PoolOutcome` (flagged ``cancelled``)
-        is delivered by a later :meth:`poll`.
+        The job's :class:`PoolOutcome` (``ended == "cancelled"``) is
+        delivered by a later :meth:`poll`.
         """
         run = self._running.get(token)
         if run is None:
             return False
-        if not run.cancelled:
-            run.cancelled = True
-            run.kill_at = time.monotonic() + self.grace
-            if run.proc.is_alive():
-                run.proc.terminate()
+        self._stop(run, "cancelled")
         return True
+
+    def _stop(self, run, ended):
+        """The one escalation path: SIGTERM now, SIGKILL ``grace`` seconds
+        later (:meth:`poll` sends it)."""
+        if run.stop is not None:
+            return
+        run.stop = ended
+        run.kill_at = time.monotonic() + self.grace
+        if run.proc.is_alive():
+            run.proc.terminate()
 
     # -- poll ---------------------------------------------------------------
 
     def poll(self):
-        """Advance the pool one step; returns finished :class:`PoolOutcome`\\ s.
+        """Relay events, apply the kills, reap; returns :class:`PoolOutcome`\\ s.
 
-        Drains worker progress events onto the bus, applies the
-        ``job_time_limit`` hard-kill guard, escalates overdue cancellations
-        and reaps exited workers.  Never blocks.
+        Never blocks.
         """
         for payload in drain_queue(self._event_queue):
             self.bus.publish(Event.from_dict(payload))
         for kind, token, payload in drain_queue(self._result_queue):
             run = self._running.get(token)
             if run is not None:
-                run.outcome = (kind, payload)
-        self._enforce_limits()
-        return self._reap()
-
-    def _enforce_limits(self):
+                run.message = (kind, payload)
         now = time.monotonic()
         for run in self._running.values():
-            if run.outcome is not None or not run.proc.is_alive():
+            if run.message is not None or not run.proc.is_alive():
                 continue
-            if run.cancelled:
-                if run.kill_at is not None and now > run.kill_at:
-                    run.kill_at = None
-                    run.proc.kill()
-            elif (self.job_time_limit is not None and not run.timed_out
-                    and now - run.started > self.job_time_limit + self.grace):
-                run.timed_out = True
-                run.proc.terminate()
-                run.kill_at = now + self.grace
+            if run.kill_at is None:
+                if (self.job_time_limit is not None and now - run.started
+                        > self.job_time_limit + self.grace):
+                    self._stop(run, "timed_out")
+            elif now >= run.kill_at and not run.killed:
+                run.killed = True
+                run.proc.kill()
+        return self._reap()
 
     def _reap(self):
         finished = []
-        for token in list(self._running):
-            run = self._running[token]
-            if run.outcome is None and run.proc.is_alive():
-                continue
-            if run.outcome is None and run.grace_polls < 3:
-                # Exited without reporting: give the queue a beat to deliver
-                # a result raced with process death.
+        for token, run in list(self._running.items()):
+            if run.message is None:
+                if run.proc.is_alive():
+                    continue
                 run.proc.join()
-                run.grace_polls += 1
-                continue
+                if run.grace_polls < 3:
+                    # Exited without reporting: give the queue a beat to
+                    # deliver a result raced with process death.
+                    run.grace_polls += 1
+                    continue
             del self._running[token]
             run.proc.join()
             finished.append(self._outcome(token, run))
@@ -605,54 +548,45 @@ class WorkerPool:
 
     def _outcome(self, token, run):
         job = run.job
-        if run.outcome is not None:
-            kind, payload = run.outcome
-            if kind == "result":
-                result = JobResult.from_dict(payload)
-                result.wall_seconds = time.monotonic() - run.started
-                if run.cancelled:
-                    return PoolOutcome(token, job, result, cancelled=True)
-                return PoolOutcome(token, job, result)
+        kind, payload = run.message or (None, None)
+        ended = run.stop or {"result": "finished", "error": "error"}.get(
+            kind, "crashed")
+        wall = time.monotonic() - run.started
+        if kind == "error":
             error = "engine error:\n" + payload
-        elif run.cancelled:
-            error = "cancelled (killed after grace period)"
-        elif run.timed_out:
-            error = "job time budget exhausted"
-        else:
+        elif ended == "crashed":
             error = "worker crashed (exit code {})".format(run.proc.exitcode)
-        reason = ("cancelled" if run.cancelled
-                  else error.splitlines()[0])
-        result = JobResult(job.name, aborted_result(job.method, reason),
-                           error=error, method=job.method,
-                           wall_seconds=time.monotonic() - run.started)
-        return PoolOutcome(token, job, result, error=error,
-                           cancelled=run.cancelled)
+        elif ended == "timed_out":
+            error = "job time budget exhausted"
+        elif ended == "cancelled":
+            error = "cancelled"
+        else:
+            error = None
+        if kind == "result":
+            result = JobResult.from_dict(payload)
+            result.wall_seconds = wall
+        else:
+            result = JobResult(
+                job.name, aborted_result(job.method, error.splitlines()[0]),
+                error=error, method=job.method, wall_seconds=wall)
+        return PoolOutcome(token, job, result, ended, run.killed, error)
 
     # -- shutdown -----------------------------------------------------------
 
-    def shutdown(self, grace=None):
-        """Stop every running worker (SIGTERM → SIGKILL); returns outcomes.
+    def shutdown(self):
+        """Cancel every running job and reap it; returns their outcomes.
 
-        Blocking (up to the grace period) — the one pool method that is,
-        reserved for daemon teardown.  Pending worker events are flushed to
-        the bus before the queues close.
+        The one blocking pool method: it waits out the cancel path (up to
+        ``grace`` before SIGKILL).  Worker events are relayed to the bus
+        before the queues close.
         """
-        grace = self.grace if grace is None else grace
-        terminate_gracefully([r.proc for r in self._running.values()],
-                             grace=grace)
-        for payload in drain_queue(self._event_queue):
-            self.bus.publish(Event.from_dict(payload))
-        outcomes = []
         for token in list(self._running):
-            run = self._running.pop(token)
-            run.cancelled = True
-            for kind, tok, payload in drain_queue(self._result_queue):
-                target = self._running.get(tok)
-                if target is not None:
-                    target.outcome = (kind, payload)
-                elif tok == token:
-                    run.outcome = (kind, payload)
-            outcomes.append(self._outcome(token, run))
+            self.cancel(token)
+        outcomes = []
+        while self._running:
+            outcomes.extend(self.poll())
+            if self._running:
+                time.sleep(_POLL_INTERVAL / 5)
         self._event_queue.close()
         self._result_queue.close()
         return outcomes
@@ -661,15 +595,15 @@ class WorkerPool:
 class _PoolRun:
     """Bookkeeping for one live :class:`WorkerPool` worker."""
 
-    __slots__ = ("job", "proc", "started", "outcome", "cancelled",
-                 "timed_out", "kill_at", "grace_polls")
+    __slots__ = ("job", "proc", "started", "message", "stop", "kill_at",
+                 "killed", "grace_polls")
 
     def __init__(self, job, proc):
         self.job = job
         self.proc = proc
         self.started = time.monotonic()
-        self.outcome = None
-        self.cancelled = False
-        self.timed_out = False
+        self.message = None  # ("result" | "error", payload) once posted
+        self.stop = None  # "timed_out" | "cancelled" once SIGTERM'd
         self.kill_at = None
+        self.killed = False
         self.grace_polls = 0

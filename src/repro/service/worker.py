@@ -1,7 +1,7 @@
 """Worker-side job execution.
 
-:func:`run_job` dispatches a :class:`~repro.service.job.JobSpec` to the
-right engine with progress/cancellation hooks injected;
+:func:`run_job` runs a :class:`~repro.service.job.JobSpec` through
+:func:`repro.verify` with progress/cancellation hooks injected;
 :func:`worker_entry` is the ``multiprocessing.Process`` target wrapping it
 with the cross-process plumbing:
 
@@ -10,8 +10,11 @@ with the cross-process plumbing:
 * ``SIGTERM`` is caught and translated into *cooperative* cancellation —
   the engine notices at its next iteration boundary and returns an
   inconclusive ("cancelled") result, so the worker exits cleanly with its
-  BDD/SAT state unwound instead of dying mid-operation.  Parents escalate
-  to ``SIGKILL`` only after a grace period (see portfolio/scheduler).
+  BDD/SAT state unwound instead of dying mid-operation.  The one
+  supervisor, :class:`~repro.service.scheduler.WorkerPool`, sends SIGKILL
+  ``grace`` seconds after the SIGTERM if the worker is still alive (one
+  long call that never polls the hook); it retries a job only when its
+  engine raised or its worker crashed, never after such a stop.
 
 Additional engines can be registered with :func:`register_method`; under
 the default ``fork`` start method a registration made in the parent (e.g.
@@ -29,7 +32,7 @@ import threading
 import time
 import traceback
 
-from ..netlist.product import build_product
+from .. import verify
 from .events import JOB_PROGRESS, Event
 from .job import JobResult, aborted_result
 
@@ -130,72 +133,21 @@ def run_job(job, emit=None, cancel_check=None):
     runner = _EXTRA_METHODS.get(job.method)
     if runner is not None:
         return runner(job, progress, cancel_check)
-    options = dict(job.options)
-    if job.method == "van_eijk":
-        from ..core.engine import VanEijkVerifier
-
-        verifier = VanEijkVerifier(progress=progress,
-                                   cancel_check=cancel_check, **options)
-        return verifier.verify(job.spec, job.impl,
-                               match_inputs=job.match_inputs,
-                               match_outputs=job.match_outputs)
-    if job.method == "sat_sweep":
-        from ..core.satbackend import check_equivalence_sat_sweep
-
-        return check_equivalence_sat_sweep(
-            job.spec, job.impl, match_inputs=job.match_inputs,
-            match_outputs=job.match_outputs, progress=progress,
-            cancel_check=cancel_check, **options)
-    if job.method == "fraig_sweep":
-        from ..sweep import check_equivalence_fraig_sweep
-
-        return check_equivalence_fraig_sweep(
-            job.spec, job.impl, match_inputs=job.match_inputs,
-            match_outputs=job.match_outputs, progress=progress,
-            cancel_check=cancel_check, **options)
-    if job.method == "k_induction":
-        from ..induction import check_equivalence_k_induction
-
-        return check_equivalence_k_induction(
-            job.spec, job.impl, match_inputs=job.match_inputs,
-            match_outputs=job.match_outputs, progress=progress,
-            cancel_check=cancel_check, **options)
-    if job.method == "sweep_induct":
-        from ..induction import check_equivalence_sweep_induction
-
-        return check_equivalence_sweep_induction(
-            job.spec, job.impl, match_inputs=job.match_inputs,
-            match_outputs=job.match_outputs, progress=progress,
-            cancel_check=cancel_check, **options)
-    product = build_product(job.spec, job.impl,
-                            match_inputs=job.match_inputs,
-                            match_outputs=job.match_outputs)
-    if job.method == "bmc":
-        from ..core.bmc import bmc_refute
-
-        return bmc_refute(product, progress=progress,
-                          cancel_check=cancel_check, **options)
-    if job.method == "traversal":
-        from ..reach.traversal import check_equivalence_traversal
-
-        return check_equivalence_traversal(
-            product, progress=progress, cancel_check=cancel_check, **options)
-    if job.method == "explicit":
-        from ..reach.explicit import explicit_check_equivalence
-
-        return explicit_check_equivalence(product, **options)
-    raise ValueError("unknown job method {!r}".format(job.method))
+    return verify(job.spec, job.impl, method=job.method,
+                  match_inputs=job.match_inputs,
+                  match_outputs=job.match_outputs, progress=progress,
+                  cancel_check=cancel_check, **job.options)
 
 
 def worker_entry(job, token, event_queue, result_queue):
     """Process target: run ``job`` and report on ``result_queue``.
 
-    ``token`` is an opaque identifier the parent uses to route the result
-    (job index for the scheduler, method name for the portfolio).  The
-    result message is ``("result", token, JobResult-dict)`` on success or
-    ``("error", token, traceback-string)`` on an engine exception; a crash
-    (hard kill, segfault, ``os._exit``) sends nothing — parents detect it
-    from the exit code.
+    ``token`` is the opaque identifier the pool routes the result by (an
+    attempt number for the batch, the method for the portfolio, the job
+    id for the daemon).  The result message is ``("result", token,
+    JobResult-dict)`` on success or ``("error", token, traceback-string)``
+    on an engine exception; a crash (hard kill, segfault, ``os._exit``)
+    sends nothing — the pool detects it from the exit code.
     """
     cancelled = threading.Event()
 

@@ -4,13 +4,17 @@ The server runs on a background thread (:class:`helpers.ServerThread`)
 while the test drives it synchronously through :class:`ServerClient`.
 """
 
+import os
+
 import pytest
 
 from repro.client import ServerClient, ServerError, job_payload
 from repro.fleet import CoordinatorServer
 from repro.server import validate_payload, HttpError
+from repro.service import register_method, unregister_method
 
 from ..fleet.helpers import LoopThread, wait_until
+from ..service.helpers import stubborn
 from .helpers import ServerThread, spinner_payload, tiny_pair
 
 
@@ -244,6 +248,43 @@ def test_cancel_queued_and_running(tmp_path):
         # Cancelling a terminal job is a no-op, not an error.
         response = client.cancel(running_id)
         assert response["detail"] == "already terminal"
+
+
+def test_time_budget_kill_is_final(tmp_path):
+    """A job stuck past job_time_limit + 2·grace is killed, ends in error
+    and is not requeued (registered runners take precedence over the
+    built-in engine of the same name)."""
+    register_method("bmc", stubborn)
+    try:
+        with ServerThread(store_dir=tmp_path, workers=1, job_time_limit=0.3,
+                          grace=0.3, retries=1) as server:
+            client = client_for(server)
+            job_id = client.submit_payload(spinner_payload())
+            record = client.wait(job_id, poll=0.05, timeout=10)
+    finally:
+        unregister_method("bmc")
+    assert record["state"] == "error"
+    assert record["requeues"] == 0
+    assert "job time budget exhausted" in record["error"]
+
+
+def test_crashed_worker_is_requeued_once(tmp_path):
+    def crash(job, progress, cancel_check):
+        os._exit(3)
+
+    register_method("k_induction", crash)
+    try:
+        with ServerThread(store_dir=tmp_path, workers=1, retries=1) as server:
+            client = client_for(server)
+            spec, impl = tiny_pair()
+            job_id = client.submit(spec, impl, name="crashy",
+                                   method="k_induction")
+            record = client.wait(job_id, poll=0.05, timeout=10)
+    finally:
+        unregister_method("k_induction")
+    assert record["state"] == "error"
+    assert record["requeues"] == 1
+    assert "exit code 3" in record["error"]
 
 
 def test_rate_limit_429(tmp_path):

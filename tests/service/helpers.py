@@ -1,6 +1,15 @@
-"""Shared circuit fixtures for the service tests."""
+"""Shared circuit fixtures and engine stand-ins for the service tests."""
+
+import time
 
 from repro.netlist import Circuit, GateType
+
+
+def stubborn(job, progress, cancel_check):
+    """A registered-runner stand-in for one long ``Solver.solve``: it never
+    reads ``cancel_check``, so only SIGKILL stops it."""
+    while True:
+        time.sleep(0.05)
 
 
 def tiny_pair():

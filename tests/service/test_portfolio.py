@@ -1,13 +1,15 @@
 """Portfolio racing: first conclusive engine wins, losers are cancelled."""
 
 import multiprocessing
+import time
 
 import pytest
 
-from repro.service import EventBus, run_portfolio
+from repro.service import (EventBus, register_method, run_portfolio,
+                           unregister_method)
 from repro.service import events as ev
 
-from .helpers import magic_pair, tiny_pair
+from .helpers import magic_pair, stubborn, tiny_pair
 
 
 def _assert_no_orphans():
@@ -180,6 +182,46 @@ def test_valid_refutation_carries_replay_report():
     replay = result.details["replay"]
     assert replay["valid"] is True
     assert replay["mismatch_frame"] is not None
+
+
+def test_stuck_losing_lane_is_killed():
+    """A losing lane that never polls its cancel hook gets SIGKILL."""
+    register_method("stubborn", stubborn)
+    try:
+        spec, impl = tiny_pair()
+        bus = EventBus()
+        seen = []
+        bus.subscribe(seen.append)
+        result = run_portfolio(spec, impl, methods=("stubborn", "van_eijk"),
+                               grace=0.3, bus=bus)
+    finally:
+        unregister_method("stubborn")
+    _assert_no_orphans()
+    assert result.proved
+    assert result.details["portfolio"] == {
+        "winner": "van_eijk",
+        "lanes": {"stubborn": "cancelled", "van_eijk": "won"}}
+    cancelled = [e for e in seen if e.type == ev.ENGINE_CANCELLED]
+    assert len(cancelled) == 1
+    assert cancelled[0].data == {"method": "stubborn", "escalated": True}
+    assert not any(e.type == ev.JOB_STARTED for e in seen)
+
+
+def test_race_deadline_bounds_a_stuck_lane():
+    register_method("stubborn", stubborn)
+    try:
+        spec, impl = tiny_pair()
+        t0 = time.monotonic()
+        result = run_portfolio(spec, impl, methods=("stubborn",),
+                               time_limit=0.5, grace=0.3)
+        elapsed = time.monotonic() - t0
+    finally:
+        unregister_method("stubborn")
+    _assert_no_orphans()
+    assert elapsed < 5
+    assert result.method == "portfolio"
+    assert result.details["aborted"] == "portfolio time budget exhausted"
+    assert result.details["portfolio"]["lanes"] == {"stubborn": "cancelled"}
 
 
 def test_portfolio_requires_methods():

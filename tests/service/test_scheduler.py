@@ -2,6 +2,8 @@
 
 import multiprocessing
 import os
+import signal
+import threading
 import time
 
 import pytest
@@ -19,9 +21,9 @@ from repro.service import (
 )
 from repro.service import events as ev
 from repro.service import scheduler
-from repro.service.worker import _ENTRY_POINTS, check_options
+from repro.service.worker import _ENTRY_POINTS, check_options, run_job
 
-from .helpers import magic_pair, tiny_pair
+from .helpers import magic_pair, stubborn, tiny_pair
 
 
 def _suite_jobs(count=6):
@@ -119,6 +121,55 @@ def test_crash_without_retries_reports_error():
     assert results[0].verdict is None
     assert "exit code 4" in results[0].error
     assert results[0].result.details["aborted"] == results[0].error
+
+
+def test_job_time_limit_kills_a_stuck_engine_and_never_retries():
+    register_method("stubborn", stubborn)
+    try:
+        spec, impl = tiny_pair()
+        bus = EventBus()
+        seen = []
+        bus.subscribe(seen.append)
+        batch = BatchScheduler(workers=1, bus=bus, job_time_limit=0.3,
+                               grace=0.3, retries=1)
+        box = {}
+
+        def run():
+            box["results"] = batch.run(
+                [JobSpec("stuck", spec, impl, method="stubborn")])
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join(15)
+        if thread.is_alive():
+            # Without the kill the batch never ends; unblock it, then fail.
+            for child in multiprocessing.active_children():
+                os.kill(child.pid, signal.SIGKILL)
+            thread.join(15)
+            pytest.fail("batch still running 15 s into a 0.3 s job budget")
+    finally:
+        unregister_method("stubborn")
+    [result] = box["results"]
+    assert result.verdict is None
+    assert result.result.details["aborted"] == "job time budget exhausted"
+    assert result.attempts == 1
+    assert not any(e.type == ev.JOB_RETRY for e in seen)
+    assert multiprocessing.active_children() == []
+
+
+def test_run_job_cancels_the_explicit_oracle_between_rings():
+    spec, impl = tiny_pair()
+    polls = []
+
+    def cancel_check():
+        polls.append(None)
+        return len(polls) > 1  # run_job's pre-check passes, the BFS stops
+
+    result = run_job(JobSpec("oracle", spec, impl, method="explicit",
+                             match_outputs="order"),
+                     cancel_check=cancel_check)
+    assert result.inconclusive
+    assert result.details["aborted"] == "cancelled"
 
 
 def test_inconclusive_fallback_to_bmc():

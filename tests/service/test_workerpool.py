@@ -1,13 +1,15 @@
 """Tests for the non-blocking WorkerPool surface the daemon drives."""
 
+import multiprocessing
 import time
 
 import pytest
 
-from repro.service import JobSpec, WorkerPool
+from repro.service import (JobSpec, WorkerPool, register_method,
+                           unregister_method)
 from repro.service.events import EventBus, JOB_PROGRESS, JOB_STARTED
 
-from .helpers import tiny_pair
+from .helpers import stubborn, tiny_pair
 
 
 def make_job(name="tiny", method="sat_sweep", **options):
@@ -100,6 +102,25 @@ def test_job_time_limit_hard_kill():
         assert outcome.result.result.inconclusive
     finally:
         pool.shutdown()
+
+
+def test_job_time_limit_kills_an_engine_that_never_polls():
+    """SIGTERM at job_time_limit + grace, SIGKILL grace later: an engine
+    stuck in one long call cannot hold the slot."""
+    register_method("stubborn", stubborn)
+    pool = WorkerPool(workers=1, job_time_limit=0.3, grace=0.3)
+    try:
+        pool.submit("stuck", make_job("stuck", method="stubborn"))
+        outcomes = poll_until(pool, lambda o: len(o) == 1, timeout=10)
+        outcome = outcomes[0]
+        assert outcome.ended == "timed_out"
+        assert outcome.killed is True
+        assert not outcome.retryable
+        assert outcome.error == "job time budget exhausted"
+        assert multiprocessing.active_children() == []
+    finally:
+        pool.shutdown()
+        unregister_method("stubborn")
 
 
 def test_budget_seeding():
