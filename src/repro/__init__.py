@@ -29,10 +29,20 @@ from .errors import (
     TransformError,
     VerificationError,
 )
+from .budget import Budget
 from .netlist import Circuit, GateType, build_product
-from .reach import CexTrace, SecResult
-from .core import VanEijkVerifier, check_equivalence_sat_sweep
-from .induction import KInductionEngine, check_equivalence_k_induction
+from .reach import (
+    CexTrace,
+    SecResult,
+    check_equivalence_traversal,
+    explicit_check_equivalence,
+)
+from .core import VanEijkVerifier, bmc_refute, check_equivalence_sat_sweep
+from .induction import (
+    KInductionEngine,
+    check_equivalence_k_induction,
+    check_equivalence_sweep_induction,
+)
 
 __version__ = "1.0.0"
 
@@ -41,7 +51,8 @@ METHODS = ("van_eijk", "traversal", "sat_sweep", "fraig_sweep",
 
 
 def verify(spec, impl, method="van_eijk", match_inputs="name",
-           match_outputs="order", **options):
+           match_outputs="order", time_limit=None, cancel_check=None,
+           **options):
     """Check two sequential circuits for equivalence.
 
     ``method`` selects the engine:
@@ -71,73 +82,55 @@ def verify(spec, impl, method="van_eijk", match_inputs="name",
     preserves the per-frame functions and the circuit interface), and the
     reduction telemetry lands in ``details["preprocess"]``.
 
+    ``time_limit`` (seconds) and ``cancel_check()`` form the call's one
+    :class:`~repro.budget.Budget`, which covers preprocessing and the
+    engine alike; a spent budget returns an inconclusive result whose
+    ``details["aborted"]`` is "time budget exhausted" or "cancelled".
+
     Returns a :class:`~repro.reach.SecResult`.
     """
+    if method not in METHODS:
+        raise ValueError(
+            "unknown method {!r}; choose one of {}".format(method, METHODS))
+    budget = Budget(time_limit, cancel_check)
+    info = None
     if options.get("preprocess"):
-        from .sweep import (
-            attach_preprocess_details,
-            preprocess_pair,
-            split_preprocess_options,
-        )
+        from .sweep import preprocess_pair, split_preprocess_options
 
         passes, pre_kwargs, options = split_preprocess_options(options)
-        spec, impl, info = preprocess_pair(spec, impl, passes=passes,
-                                           **pre_kwargs)
-        result = verify(spec, impl, method=method,
-                        match_inputs=match_inputs,
-                        match_outputs=match_outputs, **options)
-        return attach_preprocess_details(result, info)
-    if method == "fraig_sweep":
+        try:
+            spec, impl, info = preprocess_pair(spec, impl, passes=passes,
+                                               budget=budget, **pre_kwargs)
+        except ResourceBudgetExceeded as exc:
+            return SecResult(None, method=method,
+                             details={"aborted": str(exc)})
+    kwargs = dict(options, budget=budget)
+    pair = dict(spec=spec, impl=impl, match_inputs=match_inputs,
+                match_outputs=match_outputs)
+    if method == "van_eijk":
+        result = VanEijkVerifier(**kwargs).verify(**pair)
+    elif method == "sat_sweep":
+        result = check_equivalence_sat_sweep(**pair, **kwargs)
+    elif method == "fraig_sweep":
         from .sweep import check_equivalence_fraig_sweep
 
-        return check_equivalence_fraig_sweep(
-            spec, impl, match_inputs=match_inputs,
-            match_outputs=match_outputs, **options
-        )
-    if method == "van_eijk":
-        verifier = VanEijkVerifier(**options)
-        return verifier.verify(spec, impl, match_inputs=match_inputs,
-                               match_outputs=match_outputs)
-    if method == "sat_sweep":
-        return check_equivalence_sat_sweep(
-            spec, impl, match_inputs=match_inputs,
-            match_outputs=match_outputs, **options
-        )
-    if method == "k_induction":
-        from .induction import check_equivalence_k_induction
-
-        return check_equivalence_k_induction(
-            spec, impl, match_inputs=match_inputs,
-            match_outputs=match_outputs, **options
-        )
-    if method == "sweep_induct":
-        from .induction import check_equivalence_sweep_induction
-
-        return check_equivalence_sweep_induction(
-            spec, impl, match_inputs=match_inputs,
-            match_outputs=match_outputs, **options
-        )
-    product = build_product(spec, impl, match_inputs=match_inputs,
-                            match_outputs=match_outputs)
-    if method == "bmc":
-        from .core.bmc import bmc_refute
-
-        return bmc_refute(product, **options)
-    if method == "traversal":
-        from .reach import check_equivalence_traversal
-
-        return check_equivalence_traversal(product, **options)
-    if method == "explicit":
-        from .reach import explicit_check_equivalence
-
-        return explicit_check_equivalence(product, **options)
-    raise ValueError(
-        "unknown method {!r}; choose one of {}".format(method, METHODS)
-    )
+        result = check_equivalence_fraig_sweep(**pair, **kwargs)
+    elif method == "k_induction":
+        result = check_equivalence_k_induction(**pair, **kwargs)
+    elif method == "sweep_induct":
+        result = check_equivalence_sweep_induction(**pair, **kwargs)
+    else:
+        entry = {"bmc": bmc_refute, "traversal": check_equivalence_traversal,
+                 "explicit": explicit_check_equivalence}[method]
+        result = entry(build_product(**pair), **kwargs)
+    if info is not None:
+        result.details["preprocess"] = info
+    return result
 
 
 __all__ = [
     "BddError",
+    "Budget",
     "CexTrace",
     "Circuit",
     "GateType",

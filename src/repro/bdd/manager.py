@@ -28,6 +28,9 @@ from ..errors import BddError, NodeLimitExceeded
 
 _TERMINAL_LEVEL = 1 << 60
 
+#: ``_mk`` polls the manager's budget once every this many created nodes.
+_POLL_EVERY = 4096
+
 
 class BddManager:
     """A manager owning a shared multi-rooted BDD forest.
@@ -38,10 +41,14 @@ class BddManager:
         Optional cap on the number of *live* nodes.  Exceeding it raises
         :class:`~repro.errors.NodeLimitExceeded`; the paper imposes the same
         kind of memory limit (100 MB) on its BDD package.
+    budget:
+        Optional run :class:`~repro.budget.Budget`, polled as nodes are
+        created and by sifting, so one long operation cannot outrun it.
     """
 
-    def __init__(self, node_limit=None):
+    def __init__(self, node_limit=None, budget=None):
         self.node_limit = node_limit
+        self.budget = budget
         # Node storage; index 0 is the terminal ONE node.
         self._var = [_TERMINAL_LEVEL]
         self._hi = [0]
@@ -179,6 +186,8 @@ class BddManager:
             raise NodeLimitExceeded(
                 "BDD node limit of {} exceeded".format(self.node_limit)
             )
+        if self.budget is not None and not self.created_nodes % _POLL_EVERY:
+            self.budget.check()
         return idx << 1
 
     def is_constant(self, edge):

@@ -169,7 +169,9 @@ def sift(manager, max_growth=1.2, max_vars=None):
     Each variable (largest unique subtable first) is moved through the whole
     order by adjacent swaps and parked at the position that minimized the
     total number of live nodes.  Movement in one direction is abandoned early
-    when the size exceeds ``max_growth`` times the best size seen.
+    when the size exceeds ``max_growth`` times the best size seen.  The
+    manager's budget is polled before each variable; a spent one stops the
+    pass there with every edge still valid.
     """
     sifter = _Sifter(manager)
     m = manager
@@ -178,6 +180,8 @@ def sift(manager, max_growth=1.2, max_vars=None):
     if max_vars is not None:
         order = order[:max_vars]
     for var in order:
+        if m.budget is not None:
+            m.budget.check()
         if len(m._unique[var]) <= 1:
             continue
         best_size = m.live_nodes

@@ -143,7 +143,9 @@ def _cmd_verify(args):
 
                 attach_preprocess_details(result, preprocess_info)
         else:
-            options = {}
+            options = {"time_limit": args.time_limit or None}
+            if args.node_limit and args.method in ("van_eijk", "traversal"):
+                options["node_limit"] = args.node_limit
             if args.method == "van_eijk":
                 options.update(
                     use_simulation=not args.no_simulation,
@@ -152,31 +154,15 @@ def _cmd_verify(args):
                 )
                 if args.reach_bound:
                     options["reach_bound"] = args.reach_bound
-                if args.time_limit:
-                    options["time_limit"] = args.time_limit
-                if args.node_limit:
-                    options["node_limit"] = args.node_limit
-            elif args.method in ("sat_sweep", "fraig_sweep"):
-                if args.time_limit:
-                    options["time_limit"] = args.time_limit
-            elif args.method == "traversal":
-                if args.time_limit:
-                    options["time_limit"] = args.time_limit
-                if args.node_limit:
-                    options["node_limit"] = args.node_limit
             elif args.method == "bmc":
                 options["max_depth"] = args.max_depth
                 if args.fraig_frames:
                     options["fraig_frames"] = True
-                if args.time_limit:
-                    options["time_limit"] = args.time_limit
             elif args.method in ("k_induction", "sweep_induct"):
                 options["max_depth"] = args.max_depth
                 options["strengthen"] = not args.no_strengthen
                 if args.method == "sweep_induct":
                     options["fallback"] = not args.no_fallback
-                if args.time_limit:
-                    options["time_limit"] = args.time_limit
             if args.verbose or args.events:
                 job_name = spec.name or "verify"
 

@@ -10,6 +10,7 @@ diagnostic than either simulation or traversal rings.
 
 import time
 
+from ..budget import Budget
 from ..errors import ResourceBudgetExceeded
 from ..netlist.product import build_product
 from ..reach.result import CexTrace, SecResult
@@ -17,9 +18,9 @@ from ..sat.solver import Solver
 from ..sat.tseitin import TseitinEncoder
 
 
-def bmc_refute(product, max_depth=32, time_limit=None,
-               conflict_budget=None, fraig_frames=False, fraig_seed=2024,
-               progress=None, cancel_check=None):
+def bmc_refute(product, max_depth=32, conflict_budget=None,
+               fraig_frames=False, fraig_seed=2024, progress=None,
+               budget=None):
     """Search for a counterexample of length 1..max_depth.
 
     Returns a :class:`SecResult`: refuted (with a shortest-length trace),
@@ -31,105 +32,85 @@ def bmc_refute(product, max_depth=32, time_limit=None,
     equivalent cones are encoded once instead of once per frame.  Verdicts
     and shortest counterexamples are identical to the naive unrolling.
 
-    ``progress(kind, **data)`` fires once per unrolled depth;
-    ``cancel_check()`` is polled at the same cadence and aborts the search
-    with an inconclusive ("cancelled") result.
+    ``progress(kind, **data)`` fires once per unrolled depth; ``budget``
+    (a :class:`~repro.budget.Budget`) is checked at the same cadence and
+    polled by the solver; a spent one ends the search inconclusive.
     """
+    budget = budget or Budget()
     if fraig_frames:
         from ..sweep.frames import fraig_bmc_refute
 
         return fraig_bmc_refute(
-            product, max_depth=max_depth, time_limit=time_limit,
-            conflict_budget=conflict_budget, seed=fraig_seed,
-            progress=progress, cancel_check=cancel_check)
+            product, max_depth=max_depth, conflict_budget=conflict_budget,
+            seed=fraig_seed, progress=progress, budget=budget)
     start = time.monotonic()
-    deadline = None if time_limit is None else start + time_limit
+
+    def finish(equivalent, depth, counterexample=None, **details):
+        return SecResult(
+            equivalent=equivalent, method="bmc", iterations=depth,
+            seconds=time.monotonic() - start,
+            counterexample=counterexample, details=details,
+        )
+
     circuit = product.circuit
     circuit.validate()
     enc = TseitinEncoder()
     frame_vars = []
-    solver = Solver()
+    solver = Solver(budget)
     leaves = None
-    for depth in range(1, max_depth + 1):
-        if deadline is not None and time.monotonic() > deadline:
-            return SecResult(
-                equivalent=None, method="bmc",
-                iterations=depth - 1,
-                seconds=time.monotonic() - start,
-                details={"aborted": "time budget exhausted"},
-            )
-        if cancel_check is not None and cancel_check():
-            return SecResult(
-                equivalent=None, method="bmc",
-                iterations=depth - 1,
-                seconds=time.monotonic() - start,
-                details={"aborted": "cancelled"},
-            )
-        if progress is not None:
-            progress("depth", depth=depth, clauses=len(enc.cnf.clauses))
-        clause_mark = len(enc.cnf.clauses)
-        current = enc.encode_frame(circuit, leaves=leaves)
-        frame_vars.append(current)
-        if depth == 1:
-            for net, reg in circuit.registers.items():
-                enc.add_clause(
-                    [current[net] if reg.init else -current[net]]
+    try:
+        for depth in range(1, max_depth + 1):
+            budget.check()
+            if progress is not None:
+                progress("depth", depth=depth, clauses=len(enc.cnf.clauses))
+            clause_mark = len(enc.cnf.clauses)
+            current = enc.encode_frame(circuit, leaves=leaves)
+            frame_vars.append(current)
+            if depth == 1:
+                for net, reg in circuit.registers.items():
+                    enc.add_clause(
+                        [current[net] if reg.init else -current[net]]
+                    )
+            leaves = {
+                net: current[reg.data_in]
+                for net, reg in circuit.registers.items()
+            }
+            # Difference selector for this frame, activated by assumption.
+            diff_lits = []
+            for s_out, i_out in product.output_pairs:
+                diff_lits.append(
+                    -enc.equal_var(current[s_out], current[i_out]))
+            any_diff = enc.new_var()
+            for lit in diff_lits:
+                enc.add_clause([-lit, any_diff])
+            enc.add_clause([-any_diff] + diff_lits)
+            for clause in enc.cnf.clauses[clause_mark:]:
+                if not solver.add_clause(clause):
+                    return finish(None, depth,
+                                  note="unrolling became unsatisfiable")
+            verdict = solver.solve(assumptions=[any_diff],
+                                   conflict_budget=conflict_budget)
+            if verdict is None:
+                return finish(None, depth,
+                              aborted="conflict budget exhausted")
+            if verdict:
+                model = solver.model()
+                inputs = [
+                    {
+                        net: model.get(frame[net], False)
+                        for net in circuit.inputs
+                    }
+                    for frame in frame_vars
+                ]
+                trace = CexTrace(
+                    inputs=inputs[:-1],
+                    final_input=inputs[-1],
                 )
-        leaves = {
-            net: current[reg.data_in]
-            for net, reg in circuit.registers.items()
-        }
-        # Difference selector for this frame, activated by assumption.
-        diff_lits = []
-        for s_out, i_out in product.output_pairs:
-            diff_lits.append(-enc.equal_var(current[s_out], current[i_out]))
-        any_diff = enc.new_var()
-        for lit in diff_lits:
-            enc.add_clause([-lit, any_diff])
-        enc.add_clause([-any_diff] + diff_lits)
-        for clause in enc.cnf.clauses[clause_mark:]:
-            if not solver.add_clause(clause):
-                return SecResult(
-                    equivalent=None, method="bmc",
-                    iterations=depth,
-                    seconds=time.monotonic() - start,
-                    details={"note": "unrolling became unsatisfiable"},
-                )
-        verdict = solver.solve(assumptions=[any_diff],
-                               conflict_budget=conflict_budget)
-        if verdict is None:
-            return SecResult(
-                equivalent=None, method="bmc",
-                iterations=depth,
-                seconds=time.monotonic() - start,
-                details={"aborted": "conflict budget exhausted"},
-            )
-        if verdict:
-            model = solver.model()
-            inputs = [
-                {
-                    net: model.get(frame[net], False)
-                    for net in circuit.inputs
-                }
-                for frame in frame_vars
-            ]
-            trace = CexTrace(
-                inputs=inputs[:-1],
-                final_input=inputs[-1],
-            )
-            return SecResult(
-                equivalent=False, method="bmc",
-                iterations=depth,
-                seconds=time.monotonic() - start,
-                counterexample=trace,
-                details={"cex_depth": depth},
-            )
-    return SecResult(
-        equivalent=None, method="bmc",
-        iterations=max_depth,
-        seconds=time.monotonic() - start,
-        details={"bound_reached": max_depth},
-    )
+                return finish(False, depth, counterexample=trace,
+                              cex_depth=depth)
+    except ResourceBudgetExceeded as exc:
+        return finish(None, depth - 1, aborted=str(exc))
+    return finish(None, max_depth, bound_reached=max_depth)
 
 
 def check_inequivalence_bmc(spec, impl, match_inputs="name",

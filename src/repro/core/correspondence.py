@@ -15,8 +15,6 @@ exploited by *substituting* register variables away (the paper's
 the corresponding equivalences into Q.
 """
 
-import time
-
 from ..errors import ResourceBudgetExceeded
 from .cexsplit import partition_by_value
 from .partition import Partition
@@ -45,9 +43,9 @@ def initial_partition(frame, functions, use_simulation=True):
 
 
 def compute_fixpoint(frame, functions, use_simulation=True, use_fundeps=True,
-                     reach_bound=None, deadline=None, max_iterations=None,
+                     reach_bound=None, max_iterations=None,
                      reorder_threshold=None, refinement="implication",
-                     on_iteration=None, cancel_check=None):
+                     on_iteration=None, budget=None):
     """Run the fixed point; returns a :class:`CorrespondenceResult`.
 
     ``reach_bound`` is an optional BDD over the frame's state variables — an
@@ -70,10 +68,9 @@ def compute_fixpoint(frame, functions, use_simulation=True, use_fundeps=True,
     Both compute the same relation; their costs differ.
 
     ``on_iteration(iteration, partition)`` is called at the top of every
-    refinement round (progress reporting); ``cancel_check()`` is polled at
-    the same cadence and aborts the fixed point with
-    :class:`ResourceBudgetExceeded` when it returns true (cooperative
-    cancellation for the service layer).
+    refinement round (progress reporting); ``budget`` (a
+    :class:`~repro.budget.Budget`) is checked at the same cadence, and the
+    frame's manager polls it inside each round.
     """
     from ..bdd.reorder import maybe_sift
 
@@ -87,10 +84,8 @@ def compute_fixpoint(frame, functions, use_simulation=True, use_fundeps=True,
         iterations += 1
         if max_iterations is not None and iterations > max_iterations:
             raise ResourceBudgetExceeded("fixpoint iteration budget exhausted")
-        if deadline is not None and time.monotonic() > deadline:
-            raise ResourceBudgetExceeded("fixpoint time budget exhausted")
-        if cancel_check is not None and cancel_check():
-            raise ResourceBudgetExceeded("cancelled")
+        if budget is not None:
+            budget.check()
         if on_iteration is not None:
             on_iteration(iterations, partition)
         if reorder_threshold is not None:

@@ -19,6 +19,8 @@ Engineering additions beyond the paper's flow, all clearly flagged:
 
 import time
 
+from ..bdd import BddManager
+from ..budget import Budget
 from ..errors import NodeLimitExceeded, ResourceBudgetExceeded
 from ..netlist.product import build_product
 from ..reach.result import CexTrace, SecResult
@@ -40,17 +42,16 @@ class VanEijkVerifier:
 
     def __init__(self, use_simulation=True, use_fundeps=True,
                  use_retiming=True, max_retiming_rounds=3,
-                 reach_bound=None, node_limit=None, time_limit=None,
+                 reach_bound=None, node_limit=None,
                  sim_frames=24, sim_width=32, seed=2024,
                  max_iterations=None, reorder_threshold=200000,
-                 refinement="implication", progress=None, cancel_check=None):
+                 refinement="implication", progress=None, budget=None):
         self.use_simulation = use_simulation
         self.use_fundeps = use_fundeps
         self.use_retiming = use_retiming
         self.max_retiming_rounds = max_retiming_rounds
         self.reach_bound = reach_bound
         self.node_limit = node_limit
-        self.time_limit = time_limit
         self.sim_frames = sim_frames
         self.sim_width = sim_width
         self.seed = seed
@@ -58,11 +59,11 @@ class VanEijkVerifier:
         self.reorder_threshold = reorder_threshold
         self.refinement = refinement
         # Service-layer hooks: ``progress(kind, **data)`` is called at
-        # iteration and retiming-round boundaries; ``cancel_check()`` is
-        # polled at the same points — returning true aborts the run with an
-        # inconclusive ("cancelled") result instead of raising to the caller.
+        # iteration and retiming-round boundaries; ``budget`` is checked at
+        # the same points and polled by the BDD manager — a spent one ends
+        # the run inconclusive instead of raising to the caller.
         self.progress = progress
-        self.cancel_check = cancel_check
+        self.budget = budget or Budget()
 
     def _emit(self, kind, **data):
         if self.progress is not None:
@@ -78,9 +79,8 @@ class VanEijkVerifier:
 
     def verify_product(self, product):
         start = time.monotonic()
-        deadline = None if self.time_limit is None else start + self.time_limit
         try:
-            return self._run(product, start, deadline)
+            return self._run(product, start)
         except (NodeLimitExceeded, ResourceBudgetExceeded) as exc:
             return SecResult(
                 equivalent=None,
@@ -91,11 +91,11 @@ class VanEijkVerifier:
 
     # -- implementation -------------------------------------------------------
 
-    def _run(self, product, start, deadline):
+    def _run(self, product, start):
         circuit = product.circuit.copy()
         frame = TimeFrame(
             circuit,
-            node_limit=self.node_limit,
+            manager=BddManager(self.node_limit, self.budget),
             seed=self.seed,
             sim_frames=self.sim_frames,
             sim_width=self.sim_width,
@@ -136,12 +136,11 @@ class VanEijkVerifier:
                 use_simulation=self.use_simulation,
                 use_fundeps=self.use_fundeps,
                 reach_bound=reach_edge,
-                deadline=deadline,
                 max_iterations=self.max_iterations,
                 reorder_threshold=self.reorder_threshold,
                 refinement=self.refinement,
                 on_iteration=on_iteration if self.progress else None,
-                cancel_check=self.cancel_check,
+                budget=self.budget,
             )
             total_iterations += fix.iterations
             base_iterations = total_iterations
@@ -157,8 +156,7 @@ class VanEijkVerifier:
                 )
             if not self.use_retiming or retime_rounds >= self.max_retiming_rounds:
                 break
-            if self.cancel_check is not None and self.cancel_check():
-                raise ResourceBudgetExceeded("cancelled")
+            self.budget.check()
             new_nets = augmenter.augment_round()
             if not new_nets:
                 break
@@ -208,7 +206,8 @@ class VanEijkVerifier:
         from ..reach.transition import TransitionSystem
         from ..reach.traversal import symbolic_reachability
 
-        ts = TransitionSystem(frame.circuit, node_limit=self.node_limit)
+        ts = TransitionSystem(frame.circuit,
+                              manager=BddManager(self.node_limit, self.budget))
         if self.reach_bound == "approx":
             bound = approximate_reachable(ts)
         elif self.reach_bound == "exact":

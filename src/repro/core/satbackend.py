@@ -48,6 +48,7 @@ solver's conflict/propagation counters.  Both are threaded through the
 
 import time
 
+from ..budget import Budget
 from ..errors import ResourceBudgetExceeded
 from ..netlist.simulate import SequentialSimulator, make_sim
 from ..reach.result import SecResult
@@ -83,12 +84,13 @@ class SatCorrespondence:
 
     One solver and one encoding serve the whole fixed point.
     ``progress(kind, **data)`` is called with ``refinement_round`` events
-    carrying class counts and solver statistics; ``cancel_check()`` is
-    polled before every query.
+    carrying class counts and solver statistics; ``budget`` (a
+    :class:`~repro.budget.Budget`) is checked before every query and
+    polled inside it.
     """
 
     def __init__(self, product, seed=2024, sim_frames=24, sim_width=32,
-                 time_limit=None, k=1, progress=None, cancel_check=None):
+                 k=1, progress=None, budget=None):
         if k < 1:
             raise ValueError("induction depth k must be >= 1")
         self.product = product
@@ -97,10 +99,9 @@ class SatCorrespondence:
         self.seed = seed
         self.sim_frames = sim_frames
         self.sim_width = sim_width
-        self.time_limit = time_limit
         self.k = k
         self.progress = progress
-        self.cancel_check = cancel_check
+        self.budget = budget or Budget()
         self.stats = {
             "solver_constructions": 0,
             "frame_encodings": 0,
@@ -162,16 +163,15 @@ class SatCorrespondence:
         ``classes`` is a list of lists of ``(net, complemented)`` pairs, the
         same shape the BDD backend exposes through its partition.
         """
-        deadline = (None if self.time_limit is None
-                    else time.monotonic() + self.time_limit)
         # T0: group by normalized simulation signature, then confirm with
         # exact frame-0-at-s0 checks (condition 1 of Definition 2).
         buckets = {}
         for sig in self._signals:
             buckets.setdefault(sig.signature, []).append(sig)
         classes = list(buckets.values())
+        self.budget.check()  # seeding done; the encoding is the next long step
         self._setup_solver()
-        classes = self._split_at_initial(classes, deadline)
+        classes = self._split_at_initial(classes, self.budget)
         self._emit("initial_split", classes=len(classes),
                    **self.solver_stats())
         iterations = 0
@@ -179,7 +179,7 @@ class SatCorrespondence:
             iterations += 1
             if max_iterations is not None and iterations > max_iterations:
                 raise ResourceBudgetExceeded("SAT fixpoint budget exhausted")
-            classes, changed = self._refine_round(classes, deadline)
+            classes, changed = self._refine_round(classes, self.budget)
             self.stats["rounds"] = iterations
             self._emit("refinement_round", round=iterations,
                        classes=len(classes), changed=changed,
@@ -202,11 +202,8 @@ class SatCorrespondence:
         if self.progress is not None:
             self.progress(kind, **data)
 
-    def _check_budget(self, deadline):
-        if deadline is not None and time.monotonic() > deadline:
-            raise ResourceBudgetExceeded("SAT fixpoint time budget exhausted")
-        if self.cancel_check is not None and self.cancel_check():
-            raise ResourceBudgetExceeded("cancelled")
+    def _check_budget(self, budget):
+        budget.check()
 
     def _encode_unrolled(self, enc, n_frames):
         """Encode ``n_frames`` consecutive frames; returns their var maps.
@@ -229,7 +226,7 @@ class SatCorrespondence:
 
     def _new_solver(self):
         self.stats["solver_constructions"] += 1
-        return Solver()
+        return Solver(self.budget)
 
     # -- the shared solver -----------------------------------------------------
 
@@ -254,8 +251,8 @@ class SatCorrespondence:
         var = self._true_var if sig.net == CONST_NET else frame_vars[sig.net]
         return -var if sig.complemented else var
 
-    def _query(self, assumptions, deadline):
-        self._check_budget(deadline)
+    def _query(self, assumptions, budget):
+        self._check_budget(budget)
         self.stats["sat_queries"] += 1
         return self._solver.solve(assumptions=assumptions)
 
@@ -308,7 +305,7 @@ class SatCorrespondence:
                 out.append(([group[0]], group[1:]))
         return out
 
-    def _split_at_initial(self, classes, deadline):
+    def _split_at_initial(self, classes, budget):
         """Base case on the shared encoding: members agree on the first k
         frames from s0 (Eq. 2 for k = 1, its k-induction generalization
         otherwise), with counterexample inputs replayed against all
@@ -329,7 +326,7 @@ class SatCorrespondence:
                 lb = self._lit(member, frame_vars)
                 for assumptions in ([self._init_act, la, -lb],
                                     [self._init_act, -la, lb]):
-                    if self._query(assumptions, deadline):
+                    if self._query(assumptions, budget):
                         model_frames = self._replay_model(self.k)
                         break
                 if model_frames is not None:
@@ -349,7 +346,7 @@ class SatCorrespondence:
         self._solver.simplify()
         return done
 
-    def _refine_round(self, classes, deadline):
+    def _refine_round(self, classes, budget):
         """One Eq. 3 round: Q guarded by a fresh activation literal, models
         replayed into mass splits, refuted constraints retired by unit."""
         solver = self._solver
@@ -379,7 +376,7 @@ class SatCorrespondence:
             lb = self._lit(member, check_frame)
             distinguished = False
             for assumptions in ([act, la, -lb], [act, -la, lb]):
-                if self._query(assumptions, deadline):
+                if self._query(assumptions, budget):
                     distinguished = True
                     break
             if not distinguished:
@@ -412,22 +409,21 @@ class _AugmentedProduct:
 def check_equivalence_sat_sweep(spec, impl, match_inputs="name",
                                 match_outputs="order", seed=2024,
                                 sim_frames=24, sim_width=32,
-                                time_limit=None, max_iterations=None, k=1,
+                                max_iterations=None, k=1,
                                 use_retiming=False, max_retiming_rounds=3,
-                                progress=None, cancel_check=None):
+                                progress=None, budget=None):
     """SEC by SAT-based signal correspondence; returns a :class:`SecResult`.
 
     Sound and incomplete exactly like the BDD engine.  ``k > 1`` runs
     k-induction; ``use_retiming`` runs the Fig. 4 loop (lag-1 signal
     augmentation between fixed points), both strictly increasing proving
-    power.  ``progress``/``cancel_check`` are the service-layer hooks shared
-    with the BDD engine.
+    power.  ``progress`` and the one ``budget`` every retiming round
+    shares are the service-layer hooks of the BDD engine.
     """
     from ..netlist.product import build_product
     from .retiming_aug import CircuitAugmenter
 
     start = time.monotonic()
-    deadline = None if time_limit is None else start + time_limit
     product = build_product(spec, impl, match_inputs=match_inputs,
                             match_outputs=match_outputs)
     working = product.circuit.copy()
@@ -437,12 +433,10 @@ def check_equivalence_sat_sweep(spec, impl, match_inputs="name",
     classes = []
     totals = None
     while True:
-        remaining = None if deadline is None else deadline - time.monotonic()
         engine = SatCorrespondence(
             _AugmentedProduct(product, working), seed=seed,
-            sim_frames=sim_frames, sim_width=sim_width,
-            time_limit=remaining, k=k,
-            progress=progress, cancel_check=cancel_check,
+            sim_frames=sim_frames, sim_width=sim_width, k=k,
+            progress=progress, budget=budget,
         )
         try:
             classes, iterations = engine.compute(

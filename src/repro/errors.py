@@ -45,8 +45,3 @@ class VerificationError(ReproError):
 
 class ResourceBudgetExceeded(ReproError):
     """Raised when a verification run exceeds its time or node budget."""
-
-    def __init__(self, message, elapsed=None, nodes=None):
-        super().__init__(message)
-        self.elapsed = elapsed
-        self.nodes = nodes

@@ -9,6 +9,7 @@ formulation and the soundness argument.
 
 from .engine import (
     INDUCTION_FALLBACK,
+    PROGRESS_INDUCTION_ROUND,
     KInductionEngine,
     check_equivalence_k_induction,
     check_equivalence_sweep_induction,
@@ -19,11 +20,9 @@ from .invariant import (
     candidates_from_classes,
     candidates_from_simulation,
 )
-from .schedule import DepthSchedule, PROGRESS_INDUCTION_ROUND
 
 __all__ = [
     "Candidate",
-    "DepthSchedule",
     "INDUCTION_FALLBACK",
     "InvariantSet",
     "KInductionEngine",

@@ -14,7 +14,7 @@ induction on the product machine:
   make the method complete on finite systems), then P∧C must hold on frame
   ``k``.  UNSAT proves P invariant.
 
-Both cases run on **one** incremental solver per depth schedule — frames,
+Both cases run on **one** incremental solver per run — frames,
 output-difference selectors, uniqueness clauses and strengthening clauses
 are appended monotonically; everything retractable is guarded by activation
 literals and assumed per query, exactly the ``core/satbackend.py`` idiom.
@@ -37,6 +37,7 @@ in particular P — holds in every reachable state.
 
 import time
 
+from ..budget import Budget
 from ..errors import ResourceBudgetExceeded, VerificationError
 from ..netlist.product import build_product
 from ..netlist.simulate import CompiledSim, bit_parallel_eval
@@ -51,11 +52,13 @@ from .invariant import (
     candidates_from_classes,
     candidates_from_simulation,
 )
-from .schedule import DepthSchedule
 
 #: Event emitted by the combined mode when an inconclusive fixed point
 #: hands its partition to induction instead of traversal.
 INDUCTION_FALLBACK = "induction_fallback"
+
+#: Event kind emitted once per completed induction depth.
+PROGRESS_INDUCTION_ROUND = "induction_round"
 
 
 class KInductionEngine:
@@ -63,16 +66,16 @@ class KInductionEngine:
 
     ``strengthen`` selects the candidate source: an explicit ``partition``
     (correspondence classes), else random-simulation register signatures;
-    ``strengthen=False`` runs plain k-induction.  ``max_depth``,
-    ``time_limit`` and ``clause_limit`` feed the
-    :class:`~repro.induction.schedule.DepthSchedule`; ``progress`` /
-    ``cancel_check`` are the service-layer hooks shared with the other
-    engines.
+    ``strengthen=False`` runs plain k-induction.  Depths ``1..max_depth``
+    are tried in turn, one ``induction_round`` event each.  Every query
+    first checks ``budget`` (a :class:`~repro.budget.Budget`, which the
+    solver also polls) and ``clause_limit``, the incremental CNF's analogue
+    of the BDD engines' node budgets.
     """
 
     def __init__(self, max_depth=16, strengthen=True, partition=None,
-                 seed=2024, sim_frames=24, sim_width=32, time_limit=None,
-                 clause_limit=None, progress=None, cancel_check=None):
+                 seed=2024, sim_frames=24, sim_width=32,
+                 clause_limit=None, progress=None, budget=None):
         if max_depth < 1:
             raise ValueError("max_depth must be >= 1")
         self.max_depth = max_depth
@@ -81,10 +84,9 @@ class KInductionEngine:
         self.seed = seed
         self.sim_frames = sim_frames
         self.sim_width = sim_width
-        self.time_limit = time_limit
         self.clause_limit = clause_limit
         self.progress = progress
-        self.cancel_check = cancel_check
+        self.budget = budget or Budget()
 
     # -- public API ---------------------------------------------------------
 
@@ -97,7 +99,6 @@ class KInductionEngine:
     def verify_product(self, product):
         start = time.monotonic()
         self._reset(product)
-        self.schedule.start()
         try:
             return self._run(start)
         except ResourceBudgetExceeded as exc:
@@ -109,10 +110,7 @@ class KInductionEngine:
         self.product = product
         self.circuit = product.circuit.copy()
         self.circuit.validate()
-        self.schedule = DepthSchedule(
-            max_depth=self.max_depth, time_limit=self.time_limit,
-            clause_limit=self.clause_limit, cancel_check=self.cancel_check,
-            progress=self.progress)
+        self.rounds = 0
         self.stats = {
             "solver_constructions": 0,
             "frame_encodings": 0,
@@ -164,7 +162,12 @@ class KInductionEngine:
                 "k-induction CNF became unsatisfiable at root level")
 
     def _query(self, assumptions):
-        self.schedule.check(clauses=len(self._enc.cnf.clauses))
+        self.budget.check()
+        clauses = len(self._enc.cnf.clauses)
+        if self.clause_limit is not None and clauses > self.clause_limit:
+            raise ResourceBudgetExceeded(
+                "induction clause budget exhausted ({} > {})".format(
+                    clauses, self.clause_limit))
         self.stats["sat_queries"] += 1
         return self._solver.solve(assumptions=assumptions)
 
@@ -182,7 +185,7 @@ class KInductionEngine:
 
     def _setup(self):
         self._enc = TseitinEncoder()
-        self._solver = Solver()
+        self._solver = Solver(self.budget)
         self.stats["solver_constructions"] += 1
         self.invariants.bind(self._enc)
         frame0 = self._enc.encode_frame(self.circuit)
@@ -289,7 +292,7 @@ class KInductionEngine:
         refutation = self._base_check(0, start)
         if refutation is not None:
             return refutation
-        for depth in self.schedule.depths():
+        for depth in range(1, self.max_depth + 1):
             self._last_depth = depth
             while len(self._frames) <= depth:
                 self._encode_next_frame()
@@ -298,10 +301,12 @@ class KInductionEngine:
                 if refutation is not None:
                     return refutation
             proved = self._step_check(depth)
-            self.schedule.emit_round(
-                depth, proved=proved,
-                cnf_clauses=len(self._enc.cnf.clauses),
-                **self.invariants.counts(), **self.solver_stats())
+            self.rounds += 1
+            if self.progress is not None:
+                self.progress(
+                    PROGRESS_INDUCTION_ROUND, depth=depth, round=self.rounds,
+                    proved=proved, cnf_clauses=len(self._enc.cnf.clauses),
+                    **self.invariants.counts(), **self.solver_stats())
             if proved:
                 return self._result(True, start, {"depth": depth})
         return self._result(None, start,
@@ -385,7 +390,7 @@ class KInductionEngine:
             "max_depth": self.max_depth,
             "strengthen": self.strengthen,
             "candidate_source": self._candidate_source,
-            "rounds": self.schedule.rounds,
+            "rounds": self.rounds,
             "solver_stats": self.solver_stats(),
         }
         details.update(self.invariants.counts())
@@ -416,10 +421,10 @@ def check_equivalence_k_induction(spec, impl, match_inputs="name",
 def check_equivalence_sweep_induction(spec, impl, match_inputs="name",
                                       match_outputs="order", seed=2024,
                                       sim_frames=24, sim_width=32,
-                                      time_limit=None, max_iterations=None,
+                                      max_iterations=None,
                                       max_depth=16, strengthen=True,
                                       fallback=True, clause_limit=None,
-                                      progress=None, cancel_check=None):
+                                      progress=None, budget=None):
     """Combined mode: SAT signal correspondence, then induction fallback.
 
     Runs the paper's fixed point first; a conclusive partition returns
@@ -427,15 +432,15 @@ def check_equivalence_sweep_induction(spec, impl, match_inputs="name",
     :class:`KInductionEngine` as the strengthening invariant (event
     ``induction_fallback``) instead of falling back to state-space
     traversal.  ``fallback=False`` fails fast, returning the inconclusive
-    correspondence verdict untouched.
+    correspondence verdict untouched.  Both phases share one ``budget``.
     """
     start = time.monotonic()
-    deadline = None if time_limit is None else start + time_limit
+    budget = budget or Budget()
     product = build_product(spec, impl, match_inputs=match_inputs,
                             match_outputs=match_outputs)
     sweep = SatCorrespondence(
         product, seed=seed, sim_frames=sim_frames, sim_width=sim_width,
-        time_limit=time_limit, progress=progress, cancel_check=cancel_check)
+        progress=progress, budget=budget)
     classes = None
     iterations = 0
     sweep_aborted = None
@@ -457,22 +462,22 @@ def check_equivalence_sweep_induction(spec, impl, match_inputs="name",
             details={"phase": "correspondence", "sweep": sweep_details})
     reason = sweep_aborted or "correspondence inconclusive"
     if not fallback:
+        details = {"phase": "correspondence", "sweep": sweep_details,
+                   "fallback": "disabled", "reason": reason}
+        if sweep_aborted is not None:
+            details["aborted"] = sweep_aborted
         return SecResult(
             equivalent=None, method="sweep_induct", iterations=iterations,
-            seconds=time.monotonic() - start,
-            details={"phase": "correspondence", "sweep": sweep_details,
-                     "fallback": "disabled", "reason": reason})
+            seconds=time.monotonic() - start, details=details)
     if progress is not None:
         progress(INDUCTION_FALLBACK, reason=reason,
                  classes=sweep_details["classes"] or 0,
                  iterations=iterations)
-    remaining = None if deadline is None else deadline - time.monotonic()
     engine = KInductionEngine(
         max_depth=max_depth, strengthen=strengthen,
         partition=classes if strengthen else None,
         seed=seed, sim_frames=sim_frames, sim_width=sim_width,
-        time_limit=remaining, clause_limit=clause_limit,
-        progress=progress, cancel_check=cancel_check)
+        clause_limit=clause_limit, progress=progress, budget=budget)
     result = engine.verify_product(product)
     details = dict(result.details)
     details.update({"phase": "induction", "sweep": sweep_details,
@@ -487,6 +492,7 @@ def check_equivalence_sweep_induction(spec, impl, match_inputs="name",
 __all__ = [
     "INDUCTION_FALLBACK",
     "KInductionEngine",
+    "PROGRESS_INDUCTION_ROUND",
     "check_equivalence_k_induction",
     "check_equivalence_sweep_induction",
 ]

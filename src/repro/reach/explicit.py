@@ -5,6 +5,7 @@ exhaustive), but completely independent of the BDD machinery, which is what
 makes it a trustworthy oracle for the symbolic engines.
 """
 
+from ..budget import Budget
 from ..errors import ResourceBudgetExceeded, VerificationError
 from ..netlist.simulate import bit_parallel_eval
 from .result import CexTrace, SecResult
@@ -65,12 +66,13 @@ def explicit_reachable(circuit, max_states=1 << 16, max_inputs=12):
 
 
 def explicit_check_equivalence(product, max_states=1 << 16, max_inputs=12,
-                               progress=None, cancel_check=None):
+                               progress=None, budget=None):
     """Oracle SEC on a product machine; returns a :class:`SecResult`.
 
-    ``progress(kind, **data)`` fires once per BFS ring; ``cancel_check()``
-    is polled at the same cadence and aborts with an inconclusive
-    ("cancelled") result.
+    ``progress(kind, **data)`` fires once per BFS ring; ``budget`` (a
+    :class:`~repro.budget.Budget`) is checked once per expanded state.  A
+    spent budget or more than ``max_states`` reached states ends the search
+    inconclusive.
     """
     circuit = product.circuit
     circuit.validate()
@@ -78,6 +80,7 @@ def explicit_check_equivalence(product, max_states=1 << 16, max_inputs=12,
         raise VerificationError(
             "explicit oracle limited to {} inputs".format(max_inputs)
         )
+    budget = budget or Budget()
     regs = list(circuit.registers)
     words, width = _input_pattern_words(circuit.inputs)
     full = (1 << width) - 1
@@ -85,57 +88,59 @@ def explicit_check_equivalence(product, max_states=1 << 16, max_inputs=12,
     parents = {init: None}  # state -> (predecessor, input_assignment)
     frontier = [init]
     iterations = 0
-    while frontier:
-        if cancel_check is not None and cancel_check():
-            return SecResult(equivalent=None, method="explicit",
-                             iterations=iterations,
-                             details={"aborted": "cancelled"})
-        iterations += 1
-        if progress is not None:
-            progress("ring", iteration=iterations, states=len(parents))
-        next_frontier = []
-        for state in frontier:
-            env = dict(words)
-            for name, value in zip(regs, state):
-                env[name] = full if value else 0
-            values = bit_parallel_eval(circuit, env, width)
-            # Output check under every input.
-            for s_out, i_out in product.output_pairs:
-                mismatch = values[s_out] ^ values[i_out]
-                if mismatch:
-                    pattern = (mismatch & -mismatch).bit_length() - 1
-                    final_input = {
-                        net: bool((pattern >> i) & 1)
-                        for i, net in enumerate(circuit.inputs)
-                    }
-                    trace = _backtrace(parents, state, circuit.inputs)
-                    return SecResult(
-                        equivalent=False,
-                        method="explicit",
-                        iterations=iterations,
-                        counterexample=CexTrace(
-                            inputs=trace,
-                            final_input=final_input,
-                            state=dict(zip(regs, state)),
-                        ),
-                    )
-            data = [values[circuit.registers[r].data_in] for r in regs]
-            for pattern in range(width):
-                succ = tuple(bool((d >> pattern) & 1) for d in data)
-                if succ not in parents:
-                    if len(parents) >= max_states:
-                        raise ResourceBudgetExceeded(
-                            "explicit state budget exceeded"
-                        )
-                    parents[succ] = (
-                        state,
-                        {
+    try:
+        while frontier:
+            iterations += 1
+            if progress is not None:
+                progress("ring", iteration=iterations, states=len(parents))
+            next_frontier = []
+            for state in frontier:
+                budget.check()
+                env = dict(words)
+                for name, value in zip(regs, state):
+                    env[name] = full if value else 0
+                values = bit_parallel_eval(circuit, env, width)
+                # Output check under every input.
+                for s_out, i_out in product.output_pairs:
+                    mismatch = values[s_out] ^ values[i_out]
+                    if mismatch:
+                        pattern = (mismatch & -mismatch).bit_length() - 1
+                        final_input = {
                             net: bool((pattern >> i) & 1)
                             for i, net in enumerate(circuit.inputs)
-                        },
-                    )
-                    next_frontier.append(succ)
-        frontier = next_frontier
+                        }
+                        trace = _backtrace(parents, state, circuit.inputs)
+                        return SecResult(
+                            equivalent=False,
+                            method="explicit",
+                            iterations=iterations,
+                            counterexample=CexTrace(
+                                inputs=trace,
+                                final_input=final_input,
+                                state=dict(zip(regs, state)),
+                            ),
+                        )
+                data = [values[circuit.registers[r].data_in] for r in regs]
+                for pattern in range(width):
+                    succ = tuple(bool((d >> pattern) & 1) for d in data)
+                    if succ not in parents:
+                        if len(parents) >= max_states:
+                            raise ResourceBudgetExceeded(
+                                "explicit state budget exceeded"
+                            )
+                        parents[succ] = (
+                            state,
+                            {
+                                net: bool((pattern >> i) & 1)
+                                for i, net in enumerate(circuit.inputs)
+                            },
+                        )
+                        next_frontier.append(succ)
+            frontier = next_frontier
+    except ResourceBudgetExceeded as exc:
+        return SecResult(equivalent=None, method="explicit",
+                         iterations=iterations,
+                         details={"aborted": str(exc)})
     return SecResult(
         equivalent=True,
         method="explicit",

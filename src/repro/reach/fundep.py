@@ -76,18 +76,19 @@ def register_correspondence(circuit, manager=None):
     return mapping, ts
 
 
-def reduce_by_register_correspondence(product):
+def reduce_by_register_correspondence(product, manager=None):
     """Substitute corresponding registers away in the product circuit.
 
     Returns ``(reduced_circuit, merged_count, net_map)``; ``net_map`` sends
     every merged register to its replacement net (identity for everything
-    else), so callers can remap output pairs.  Sound: members of a
+    else), so callers can remap output pairs.  The fixed point runs on
+    ``manager`` (a fresh one by default).  Sound: members of a
     correspondence class are sequentially equivalent (or antivalent), so
     every read of a non-representative register can be redirected to (the
     complement of) its representative, after which the register is dead.
     """
     circuit = product.circuit.copy()
-    mapping, _ = register_correspondence(circuit)
+    mapping, _ = register_correspondence(circuit, manager=manager)
     merged = 0
     net_map = {}
     for member, (rep, inverted) in mapping.items():

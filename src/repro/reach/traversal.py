@@ -10,13 +10,15 @@ register-correspondence reduction (the functional-dependency exploitation of
 
 import time
 
+from ..bdd import BddManager
+from ..budget import Budget
 from ..errors import NodeLimitExceeded, ResourceBudgetExceeded
 from .transition import TransitionSystem
 from .result import SecResult, CexTrace
 
 
-def symbolic_reachability(ts, max_iterations=None, deadline=None,
-                          frontier_hook=None, rings_out=None):
+def symbolic_reachability(ts, max_iterations=None, frontier_hook=None,
+                          rings_out=None):
     """BFS fixpoint; returns (reached_bdd, rings, iterations).
 
     ``rings`` is the list of onion rings (new states per step, ring 0 being
@@ -40,8 +42,6 @@ def symbolic_reachability(ts, max_iterations=None, deadline=None,
                 raise ResourceBudgetExceeded(
                     "reachability iteration budget exhausted"
                 )
-            if deadline is not None and time.monotonic() > deadline:
-                raise ResourceBudgetExceeded("reachability time budget exhausted")
             image = ts.image(frontier)
             frontier = mgr.apply_and(image, mgr.apply_not(reached))
             reached = mgr.apply_or(reached, image)
@@ -58,9 +58,9 @@ def symbolic_reachability(ts, max_iterations=None, deadline=None,
 
 
 def check_equivalence_traversal(product, use_register_correspondence=True,
-                                node_limit=None, time_limit=None,
-                                cluster_size=4, max_iterations=None,
-                                progress=None, cancel_check=None):
+                                node_limit=None, cluster_size=4,
+                                max_iterations=None, progress=None,
+                                budget=None):
     """Full SEC by product-machine state space traversal.
 
     Returns a :class:`SecResult`.  With ``use_register_correspondence`` the
@@ -68,26 +68,29 @@ def check_equivalence_traversal(product, use_register_correspondence=True,
     registers ([5]/[9]/[6]); without it the traversal runs on the raw
     product (the paper notes this variant "performs considerably worse").
 
-    ``progress(kind, **data)`` fires once per BFS ring; ``cancel_check()``
-    is polled at the same cadence and aborts the traversal with an
-    inconclusive ("cancelled") result.
+    ``progress(kind, **data)`` fires once per BFS ring; ``budget`` (a
+    :class:`~repro.budget.Budget`) is checked at the same cadence and polled
+    by the BDD managers of the reduction and the traversal, which share
+    ``node_limit``; a spent budget ends the traversal inconclusive.
     """
     start = time.monotonic()
-    deadline = None if time_limit is None else start + time_limit
+    budget = budget or Budget()
     circuit = product.circuit
     pairs = list(product.output_pairs)
     reduction_classes = 0
-    if use_register_correspondence:
-        from .fundep import reduce_by_register_correspondence
-
-        circuit, merged, net_map = reduce_by_register_correspondence(product)
-        reduction_classes = merged
-        pairs = [
-            (net_map.get(s_out, s_out), net_map.get(i_out, i_out))
-            for s_out, i_out in pairs
-        ]
     try:
-        ts = TransitionSystem(circuit, node_limit=node_limit,
+        if use_register_correspondence:
+            from .fundep import reduce_by_register_correspondence
+
+            circuit, reduction_classes, net_map = (
+                reduce_by_register_correspondence(
+                    product, BddManager(node_limit, budget)))
+            pairs = [
+                (net_map.get(s_out, s_out), net_map.get(i_out, i_out))
+                for s_out, i_out in pairs
+            ]
+        ts = TransitionSystem(circuit,
+                              manager=BddManager(node_limit, budget),
                               cluster_size=cluster_size)
         mgr = ts.manager
         diff = mgr.or_many(
@@ -102,8 +105,7 @@ def check_equivalence_traversal(product, use_register_correspondence=True,
         rings_out = []
 
         def frontier_hook(frontier, iteration):
-            if cancel_check is not None and cancel_check():
-                raise ResourceBudgetExceeded("cancelled")
+            budget.check()
             if progress is not None:
                 progress("ring", iteration=iteration,
                          nodes=mgr.peak_live_nodes)
@@ -118,7 +120,6 @@ def check_equivalence_traversal(product, use_register_correspondence=True,
             reached, rings, iterations = symbolic_reachability(
                 ts,
                 max_iterations=max_iterations,
-                deadline=deadline,
                 frontier_hook=frontier_hook,
                 rings_out=rings_out,
             )

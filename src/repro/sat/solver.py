@@ -25,7 +25,9 @@ accumulated clause set:
   the base formula itself unsatisfiable;
 * a ``solve`` aborted by ``conflict_budget`` (returning ``None``) backtracks
   to the root and leaves the solver fully reusable — clauses learned before
-  the abort are kept;
+  the abort are kept.  A spent run :class:`~repro.budget.Budget` aborts the
+  same way but raises :class:`~repro.errors.ResourceBudgetExceeded`
+  instead of returning, so no caller can mistake it for a verdict;
 * ``add_clause`` backtracks to the root first, so a previous model is
   invalidated by any mutation (re-``solve`` to get a fresh one);
 * consecutive queries sharing an assumption *prefix* reuse the trail: the
@@ -42,11 +44,15 @@ Internal literal encoding: variable ``v`` (0-based) has literals ``2v``
 (positive) and ``2v + 1`` (negative); the public API speaks DIMACS integers.
 """
 
-from ..errors import SatError
+from ..errors import ResourceBudgetExceeded, SatError
 
 TRUE = 1
 FALSE = 0
 UNASSIGNED = -1
+
+#: ``solve`` polls its budget once every this many conflicts, and again
+#: every this many decisions (each decision scans every variable).
+_POLL_EVERY = 256
 
 
 def _to_internal(dimacs_lit):
@@ -65,9 +71,11 @@ def luby(i):
 
 
 class Solver:
-    """CDCL solver over 0-based internal variables, DIMACS at the API."""
+    """CDCL solver over 0-based internal variables, DIMACS at the API;
+    ``solve`` polls ``budget`` (a :class:`~repro.budget.Budget`) if given."""
 
-    def __init__(self):
+    def __init__(self, budget=None):
+        self.budget = budget
         self.num_vars = 0
         self.clauses = []          # list of lists of internal literals
         self.learned = []
@@ -160,7 +168,8 @@ class Solver:
         return self.ok
 
     def solve(self, assumptions=(), conflict_budget=None):
-        """Solve under assumptions; True/False, or None on budget exhaustion.
+        """Solve under assumptions; True/False, or None on conflict budget
+        exhaustion (a spent run budget raises, see the module docstring).
 
         Assumptions occupy the first decision levels.  A conflict whose
         analysis backtracks past an assumption makes that assumption evaluate
@@ -207,6 +216,8 @@ class Solver:
                 ) >= conflict_budget:
                     self._backtrack(0)
                     return None
+                if not self.conflicts % _POLL_EVERY:
+                    self._poll_budget()
                 if self.conflicts - conflicts_at_restart >= limit:
                     restart_idx += 1
                     limit = luby(restart_idx) * 64
@@ -237,6 +248,8 @@ class Solver:
                 if lit is None:
                     return True
                 self.decisions += 1
+                if not self.decisions % _POLL_EVERY:
+                    self._poll_budget()
                 self.trail_lim.append(len(self.trail))
                 self._enqueue(lit, None)
 
@@ -312,6 +325,15 @@ class Solver:
         }
 
     # -- internals ---------------------------------------------------------
+
+    def _poll_budget(self):
+        if self.budget is None:
+            return
+        try:
+            self.budget.check()
+        except ResourceBudgetExceeded:
+            self._backtrack(0)
+            raise
 
     def _lit_value(self, lit):
         v = self.assign[lit >> 1]

@@ -8,7 +8,7 @@ worker processes.  :class:`BatchScheduler`, the engine race
 cancel, a ``job_time_limit`` overrun or a shutdown:
 
 * SIGTERM, which the worker turns into cooperative cancellation (the
-  engine returns "cancelled" at its next iteration boundary);
+  engine returns "cancelled" at its next budget poll);
 * SIGKILL ``grace`` seconds later if the worker is still alive.
 
 The time-budget kill starts at ``job_time_limit + grace`` (the engine got

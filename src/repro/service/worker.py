@@ -8,20 +8,22 @@ with the cross-process plumbing:
 * engine progress callbacks become ``job_progress`` event dicts on the
   parent's event queue;
 * ``SIGTERM`` is caught and translated into *cooperative* cancellation —
-  the engine notices at its next iteration boundary and returns an
-  inconclusive ("cancelled") result, so the worker exits cleanly with its
-  BDD/SAT state unwound instead of dying mid-operation.  The one
-  supervisor, :class:`~repro.service.scheduler.WorkerPool`, sends SIGKILL
-  ``grace`` seconds after the SIGTERM if the worker is still alive (one
-  long call that never polls the hook); it retries a job only when its
-  engine raised or its worker crashed, never after such a stop.
+  the engine notices at its next poll of the run's
+  :class:`~repro.budget.Budget` (built-in engines poll it down to single
+  SAT and BDD operations) and returns an inconclusive ("cancelled")
+  result, so the worker exits cleanly instead of dying mid-operation.  The
+  one supervisor, :class:`~repro.service.scheduler.WorkerPool`, sends
+  SIGKILL ``grace`` seconds after the SIGTERM if the worker is still alive
+  (a registered runner that never polls the hook); it retries a job only
+  when its engine raised or its worker crashed, never after such a stop.
 
 Additional engines can be registered with :func:`register_method`; under
 the default ``fork`` start method a registration made in the parent (e.g.
 by a test) is visible to workers.  :func:`check_options` lets submission
 sites reject a job whose options its engine would not accept, before the
 job is forked; the schedulers ask :func:`accepted_options` which budgets
-(``time_limit``, ``node_limit``) a method's engine takes.
+a method takes (``time_limit``: every built-in method; ``node_limit``: the
+BDD engines).
 """
 
 import importlib
@@ -65,23 +67,25 @@ _ENTRY_POINTS = {
 
 #: Keywords :func:`run_job` passes itself; never valid as job options.
 _INJECTED = frozenset(("spec", "impl", "product", "match_inputs",
-                       "match_outputs", "progress", "cancel_check"))
+                       "match_outputs", "progress", "cancel_check",
+                       "budget"))
 
 
 def accepted_options(method):
     """The option keys a job of ``method`` may carry, or ``None``.
 
-    A key is accepted when it is a keyword of the method's entry point, a
-    preprocessor key, or (for ``fraig_sweep``, which forwards the rest) a
-    ``sat_sweep`` keyword.  ``None`` means unchecked: methods added by
-    :func:`register_method` and unknown methods.
+    A key is accepted when it is :func:`repro.verify`'s ``time_limit``, a
+    keyword of the method's entry point, a preprocessor key, or (for
+    ``fraig_sweep``, which forwards the rest) a ``sat_sweep`` keyword.
+    ``None`` means unchecked: methods added by :func:`register_method` and
+    unknown methods.
     """
     if method in _EXTRA_METHODS or method not in _ENTRY_POINTS:
         return None
     from ..sweep.preprocess import PREPROCESS_OPTION_KEYS
 
     names = (method, "sat_sweep") if method == "fraig_sweep" else (method,)
-    allowed = set(PREPROCESS_OPTION_KEYS)
+    allowed = {"time_limit", *PREPROCESS_OPTION_KEYS}
     for name in names:
         module, attr = _ENTRY_POINTS[name]
         entry = getattr(importlib.import_module(module, __package__), attr)
@@ -108,7 +112,9 @@ def run_job(job, emit=None, cancel_check=None):
     """Execute one job in the current process; returns a ``SecResult``.
 
     ``emit(event)`` receives :class:`Event` objects for engine progress;
-    ``cancel_check()`` is polled by the engines at iteration boundaries.
+    ``cancel_check()`` joins the job's ``time_limit`` in the run's
+    :class:`~repro.budget.Budget`, which :func:`repro.verify` builds before
+    any preprocessing.
     """
 
     def progress(kind, **data):
@@ -119,24 +125,22 @@ def run_job(job, emit=None, cancel_check=None):
 
     if cancel_check is not None and cancel_check():
         return aborted_result(job.method, "cancelled")
-    if job.options.get("preprocess"):
-        # Engine-agnostic FRAIG preprocessing: rewrite the job onto the
-        # reduced pair (scheduler/daemon submission sites that want the
-        # reduction inside the cache key call preprocess_jobspec before
-        # the key is first computed; this path covers everything else —
-        # fuzz lanes, portfolio lanes, direct run_job callers).
-        from ..sweep import attach_preprocess_details, preprocess_jobspec
-
-        job, info = preprocess_jobspec(job)
-        result = run_job(job, emit=emit, cancel_check=cancel_check)
-        return attach_preprocess_details(result, info)
     runner = _EXTRA_METHODS.get(job.method)
-    if runner is not None:
+    if runner is None:
+        return verify(job.spec, job.impl, method=job.method,
+                      match_inputs=job.match_inputs,
+                      match_outputs=job.match_outputs, progress=progress,
+                      cancel_check=cancel_check, **job.options)
+    if not job.options.get("preprocess"):
         return runner(job, progress, cancel_check)
-    return verify(job.spec, job.impl, method=job.method,
-                  match_inputs=job.match_inputs,
-                  match_outputs=job.match_outputs, progress=progress,
-                  cancel_check=cancel_check, **job.options)
+    # A registered runner gets the FRAIG-reduced pair (scheduler/daemon
+    # submission sites that want the reduction inside the cache key call
+    # preprocess_jobspec before the key is first computed).
+    from ..sweep import attach_preprocess_details, preprocess_jobspec
+
+    job, info = preprocess_jobspec(job)
+    return attach_preprocess_details(runner(job, progress, cancel_check),
+                                     info)
 
 
 def worker_entry(job, token, event_queue, result_queue):
@@ -168,7 +172,7 @@ def worker_entry(job, token, event_queue, result_queue):
     # Orphan guard: if the parent dies without tearing us down (SIGKILL'd
     # scheduler/daemon — its atexit cleanup never runs), we are reparented
     # and ``getppid`` changes.  Treat that as a cancellation so the engine
-    # unwinds at its next iteration boundary instead of running forever.
+    # unwinds at its next budget poll instead of running forever.
     parent_pid = os.getppid()
 
     def cancel_check():

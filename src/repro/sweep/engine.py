@@ -12,32 +12,39 @@ refutation's input trace is already valid on the originals.
 
 import time
 
+from ..budget import Budget
+from ..errors import ResourceBudgetExceeded
+from ..reach.result import SecResult
 from .reduce import fraig_reduce
 
 
 def check_equivalence_fraig_sweep(spec, impl, match_inputs="name",
                                   match_outputs="order", seed=2024,
                                   conflict_budget=None,
-                                  progress=None, cancel_check=None,
+                                  progress=None, budget=None,
                                   **sat_options):
     """SEC by FRAIG preprocessing + SAT signal correspondence.
 
     ``sat_options`` are forwarded to
     :func:`~repro.core.satbackend.check_equivalence_sat_sweep`
-    (``sim_frames``, ``time_limit``, ``k``, ...).  Returns a
-    :class:`~repro.reach.SecResult` with ``method="fraig_sweep"`` whose
-    ``details["fraig"]`` records both reductions.
+    (``sim_frames``, ``k``, ...); both reductions and the sweep share one
+    ``budget``.  Returns a :class:`~repro.reach.SecResult` with
+    ``method="fraig_sweep"`` whose ``details["fraig"]`` records both
+    reductions.
     """
     from ..core.satbackend import check_equivalence_sat_sweep
 
     started = time.perf_counter()
-    spec_red = fraig_reduce(spec, seed=seed, conflict_budget=conflict_budget)
-    if cancel_check is not None and cancel_check():
-        from ..service.job import aborted_result
-
-        return aborted_result("fraig_sweep", "cancelled",
-                              seconds=time.perf_counter() - started)
-    impl_red = fraig_reduce(impl, seed=seed, conflict_budget=conflict_budget)
+    budget = budget or Budget()
+    try:
+        spec_red = fraig_reduce(spec, seed=seed,
+                                conflict_budget=conflict_budget, budget=budget)
+        impl_red = fraig_reduce(impl, seed=seed,
+                                conflict_budget=conflict_budget, budget=budget)
+    except ResourceBudgetExceeded as exc:
+        return SecResult(equivalent=None, method="fraig_sweep",
+                         seconds=time.perf_counter() - started,
+                         details={"aborted": str(exc)})
     if progress is not None:
         progress("fraig_reduced",
                  spec_ands=spec_red.stats["ands_after"],
@@ -46,7 +53,7 @@ def check_equivalence_fraig_sweep(spec, impl, match_inputs="name",
     result = check_equivalence_sat_sweep(
         spec_red.reduced, impl_red.reduced, match_inputs=match_inputs,
         match_outputs=match_outputs, seed=seed, progress=progress,
-        cancel_check=cancel_check, **sat_options)
+        budget=budget, **sat_options)
     result.method = "fraig_sweep"
     if result.details is None:
         result.details = {}

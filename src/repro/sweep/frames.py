@@ -26,6 +26,8 @@ transfers verbatim (frame inputs keep their names).
 import random
 import time
 
+from ..budget import Budget
+from ..errors import ResourceBudgetExceeded
 from ..netlist.aig import FALSE, TRUE, Aig, _gate_to_aig, lit_neg, lit_var
 from ..reach.result import CexTrace, SecResult
 from .reduce import _candidate_classes, _Prover
@@ -35,7 +37,7 @@ class FrameSweeper:
     """Incrementally unrolls ``circuit`` into a swept combinational AIG."""
 
     def __init__(self, circuit, seed=2024, sim_width=64,
-                 conflict_budget=None):
+                 conflict_budget=None, budget=None):
         circuit.validate()
         self.circuit = circuit
         self.aig = Aig()
@@ -61,7 +63,7 @@ class FrameSweeper:
             "structural_diff_skips": 0,
             "solver_constructions": 0,
         }
-        self.prover = _Prover(self.aig, conflict_budget, self.stats)
+        self.prover = _Prover(self.aig, conflict_budget, self.stats, budget)
 
     # -- representatives ---------------------------------------------------
 
@@ -167,9 +169,8 @@ class _DiffBudgetExhausted(Exception):
     pass
 
 
-def fraig_bmc_refute(product, max_depth=32, time_limit=None,
-                     conflict_budget=None, seed=2024, sim_width=64,
-                     progress=None, cancel_check=None):
+def fraig_bmc_refute(product, max_depth=32, conflict_budget=None,
+                     seed=2024, sim_width=64, progress=None, budget=None):
     """Drop-in :func:`repro.core.bmc.bmc_refute` with swept unrolling.
 
     Same contract: refuted with a shortest trace, or inconclusive (BMC
@@ -177,10 +178,10 @@ def fraig_bmc_refute(product, max_depth=32, time_limit=None,
     telemetry next to the naive unrolled size for comparison.
     """
     start = time.monotonic()
-    deadline = None if time_limit is None else start + time_limit
+    budget = budget or Budget()
     circuit = product.circuit
     sweeper = FrameSweeper(circuit, seed=seed, sim_width=sim_width,
-                           conflict_budget=conflict_budget)
+                           conflict_budget=conflict_budget, budget=budget)
 
     def finish(equivalent, depth, counterexample=None, **details):
         details["fraig_frames"] = dict(sweeper.stats)
@@ -190,22 +191,21 @@ def fraig_bmc_refute(product, max_depth=32, time_limit=None,
             counterexample=counterexample, details=details,
         )
 
-    for depth in range(1, max_depth + 1):
-        if deadline is not None and time.monotonic() > deadline:
-            return finish(None, depth - 1,
-                          aborted="time budget exhausted")
-        if cancel_check is not None and cancel_check():
-            return finish(None, depth - 1, aborted="cancelled")
-        lit_of = sweeper.add_frame()
-        if progress is not None:
-            progress("depth", depth=depth, ands=sweeper.stats["ands_built"],
-                     merges=sweeper.stats["merges"])
-        try:
+    try:
+        for depth in range(1, max_depth + 1):
+            budget.check()
+            lit_of = sweeper.add_frame()
+            if progress is not None:
+                progress("depth", depth=depth,
+                         ands=sweeper.stats["ands_built"],
+                         merges=sweeper.stats["merges"])
             env = sweeper.outputs_differ(product.output_pairs, lit_of)
-        except _DiffBudgetExhausted:
-            return finish(None, depth, aborted="conflict budget exhausted")
-        if env is not None:
-            trace = sweeper.extract_trace(env)
-            return finish(False, depth, counterexample=trace,
-                          cex_depth=depth)
+            if env is not None:
+                trace = sweeper.extract_trace(env)
+                return finish(False, depth, counterexample=trace,
+                              cex_depth=depth)
+    except _DiffBudgetExhausted:
+        return finish(None, depth, aborted="conflict budget exhausted")
+    except ResourceBudgetExceeded as exc:
+        return finish(None, depth - 1, aborted=str(exc))
     return finish(None, max_depth, bound_reached=max_depth)

@@ -33,6 +33,7 @@ required.
 
 import time
 
+from ..budget import Budget
 from ..errors import NetlistError
 from ..netlist.aig import (
     FALSE,
@@ -101,12 +102,14 @@ class FraigReduction:
 
 
 def fraig_reduce(circuit, sim_rounds=4, sim_width=64, seed=2024,
-                 conflict_budget=None):
+                 conflict_budget=None, budget=None):
     """Sequential-safe FRAIG sweep; returns a :class:`FraigReduction`.
 
     ``sim_rounds * sim_width`` random patterns seed the candidate classes;
     ``conflict_budget`` (per SAT query) trades completeness — and, with
-    it, seed-independence of the result — for bounded latency.
+    it, seed-independence of the result — for bounded latency.  The run's
+    ``budget`` (a :class:`~repro.budget.Budget`) is checked before every
+    SAT query and polled inside it.
     """
     started = time.perf_counter()
     circuit.validate()
@@ -124,7 +127,8 @@ def fraig_reduce(circuit, sim_rounds=4, sim_width=64, seed=2024,
         "cex_patterns": 0,
         "solver_constructions": 0,
     }
-    proven = _sweep(aig, rng, sim_rounds * sim_width, conflict_budget, stats)
+    proven = _sweep(aig, rng, sim_rounds * sim_width, conflict_budget, stats,
+                    budget)
     new_aig, lit_map = _rebuild(aig, proven)
     reduced, net_of_var = _to_named_circuit(circuit, new_aig, lit_of, lit_map)
     net_map = _witness_map(circuit, lit_of, lit_map, net_of_var)
@@ -168,7 +172,7 @@ def _embed(circuit):
 # --------------------------------------------------------------------------
 
 
-def _sweep(aig, rng, width, conflict_budget, stats):
+def _sweep(aig, rng, width, conflict_budget, stats, budget):
     """Return ``{old var -> equivalent old literal}`` of certified merges."""
     if not aig.ands:
         return {}
@@ -187,7 +191,7 @@ def _sweep(aig, rng, width, conflict_budget, stats):
     if not candidates:
         return {}
 
-    prover = _Prover(aig, conflict_budget, stats)
+    prover = _Prover(aig, conflict_budget, stats, budget)
     # Inputs take solver vars 1..I ahead of the AND nodes: the solver's
     # search, and so every refuting model, depends on that numbering.
     for var in aig.inputs:
@@ -229,16 +233,19 @@ class _Prover:
     filtering on them never loses a true merge, it only skips doomed
     queries.  :func:`fraig_reduce` runs it over one circuit's cone,
     :class:`~repro.sweep.frames.FrameSweeper` once per unrolled frame.
+    The run's ``budget`` is checked before every query and polled by the
+    solver inside it.
     """
 
-    def __init__(self, aig, conflict_budget, stats):
+    def __init__(self, aig, conflict_budget, stats, budget):
         from ..sat.solver import Solver
 
         self.aig = aig
         self.conflict_budget = conflict_budget
         self.stats = stats
+        self.budget = budget or Budget()
         stats["solver_constructions"] += 1
-        self.solver = Solver()
+        self.solver = Solver(self.budget)
         self.sat_var = {0: self.solver.new_var()}
         self.solver.add_clause([-self.sat_var[0]])
         self.order = []  # encoded AND vars, fanins first
@@ -280,6 +287,7 @@ class _Prover:
         the retirement unit propagates at the root and wipes it.
         """
         solver = self.solver
+        self.budget.check()
         verdict = solver.solve(assumptions=[act],
                                conflict_budget=self.conflict_budget)
         model = None

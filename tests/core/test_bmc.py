@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.budget import Budget
 from repro.core.bmc import bmc_refute, check_inequivalence_bmc
 from repro.errors import NetlistError
 from repro.netlist import SequentialSimulator, build_product, single_eval
@@ -137,6 +138,6 @@ def test_bmc_time_budget():
     spec = counter_circuit(5)
     impl = synthesize(spec, retime_moves=2, optimize_level=1, seed=9)
     result = check_inequivalence_bmc(spec, impl, max_depth=64,
-                                     time_limit=0.0)
+                                     budget=Budget(0.0))
     assert result.inconclusive
     assert "aborted" in result.details

@@ -4,6 +4,7 @@ budgets, and the %eqs metric."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.budget import Budget
 from repro.core import VanEijkVerifier, check_equivalence_van_eijk
 from repro.errors import VerificationError
 from repro.netlist import Circuit, GateType, bit_parallel_eval, build_product
@@ -157,7 +158,7 @@ def test_node_budget_abort():
 def test_time_budget_abort():
     spec = counter_circuit(8)
     impl = optimize(spec, level=2, seed=5)
-    result = VanEijkVerifier(time_limit=0.0).verify(
+    result = VanEijkVerifier(budget=Budget(0.0)).verify(
         spec, impl, match_outputs="order"
     )
     assert result.inconclusive

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.budget import Budget
 from repro.core import check_equivalence_sat_sweep, compute_fixpoint
 from repro.core.satbackend import SatCorrespondence
 from repro.core.timeframe import TimeFrame
@@ -107,7 +108,7 @@ def test_time_budget():
     spec = counter_circuit(6)
     impl = optimize(spec, level=2, seed=2)
     result = check_equivalence_sat_sweep(spec, impl, match_outputs="order",
-                                         time_limit=0.0)
+                                         budget=Budget(0.0))
     assert result.inconclusive
     assert "aborted" in result.details
 

@@ -9,6 +9,7 @@ survive replay; exactly one solver per run.
 import pytest
 
 from repro import verify
+from repro.budget import Budget
 from repro.core.satbackend import check_equivalence_sat_sweep
 from repro.circuits import onehot_chain_pair, onehot_ring_pair
 from repro.errors import VerificationError
@@ -16,6 +17,7 @@ from repro.fuzz.generate import build_pair
 from repro.fuzz.replay import validate_refutation
 from repro.induction import (
     INDUCTION_FALLBACK,
+    PROGRESS_INDUCTION_ROUND,
     KInductionEngine,
     check_equivalence_k_induction,
     check_equivalence_sweep_induction,
@@ -166,9 +168,18 @@ def test_bound_reached_is_inconclusive():
 def test_time_budget_aborts_inconclusive():
     spec, impl = onehot_chain_pair(8)
     result = check_equivalence_k_induction(
-        spec, impl, match_outputs="order", time_limit=0.0)
+        spec, impl, match_outputs="order", budget=Budget(0.0))
     assert result.equivalent is None
     assert "aborted" in result.details
+
+
+def test_clause_limit_aborts_inconclusive():
+    spec, impl = onehot_chain_pair(8)
+    result = check_equivalence_k_induction(
+        spec, impl, match_outputs="order", clause_limit=100)
+    assert result.equivalent is None
+    assert result.details["aborted"].startswith(
+        "induction clause budget exhausted (")
 
 
 def test_progress_rounds_emitted():
@@ -185,6 +196,12 @@ def test_progress_rounds_emitted():
     assert len(rounds) == result.details["rounds"]
     assert rounds[-1]["proved"] is True
     assert rounds[-1]["depth"] == result.details["depth"]
+
+
+def test_progress_event_name_matches_service_registry():
+    from repro.service.events import PROGRESS_INDUCTION_ROUND as service_name
+
+    assert PROGRESS_INDUCTION_ROUND == service_name == "induction_round"
 
 
 def test_max_depth_validation():

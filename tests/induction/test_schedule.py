@@ -1,69 +1,37 @@
-"""Depth scheduling: budgets, cancellation, progress events."""
+"""Depth scheduling in the k-induction engine: the depth loop and its rounds."""
 
-import pytest
-
-from repro.errors import ResourceBudgetExceeded
-from repro.induction.schedule import PROGRESS_INDUCTION_ROUND, DepthSchedule
+from repro.circuits import onehot_chain_pair, onehot_ring_pair
+from repro.induction import PROGRESS_INDUCTION_ROUND, KInductionEngine
 
 
-def test_depths_iterates_start_to_max():
-    sched = DepthSchedule(max_depth=5)
-    sched.start()
-    assert list(sched.depths()) == [1, 2, 3, 4, 5]
-
-
-def test_custom_start_and_step():
-    sched = DepthSchedule(max_depth=9, start_depth=2, step=3)
-    sched.start()
-    assert list(sched.depths()) == [2, 5, 8]
-
-
-def test_time_budget_raises():
-    sched = DepthSchedule(max_depth=10, time_limit=0.0)
-    sched.start()
-    with pytest.raises(ResourceBudgetExceeded):
-        list(sched.depths())
-
-
-def test_clause_budget_raises():
-    sched = DepthSchedule(max_depth=10, clause_limit=100)
-    sched.start()
-    sched.check(clauses=99)
-    with pytest.raises(ResourceBudgetExceeded):
-        sched.check(clauses=101)
-
-
-def test_cancel_check_raises():
-    calls = []
-
-    def cancel():
-        calls.append(1)
-        return len(calls) >= 3
-
-    sched = DepthSchedule(max_depth=10, cancel_check=cancel)
-    sched.start()
-    with pytest.raises(ResourceBudgetExceeded):
-        for _ in sched.depths():
-            pass
-
-
-def test_emit_round_counts_and_forwards():
+def _recorder():
     events = []
 
     def progress(kind, **data):
         events.append((kind, data))
 
-    sched = DepthSchedule(max_depth=4, progress=progress)
-    sched.start()
-    sched.emit_round(1, proved=False)
-    sched.emit_round(2, proved=True)
-    assert sched.rounds == 2
-    assert [kind for kind, _ in events] == [PROGRESS_INDUCTION_ROUND] * 2
+    return events, progress
+
+
+def test_depths_iterates_start_to_max():
+    events, progress = _recorder()
+    spec, impl = onehot_chain_pair(8)
+    engine = KInductionEngine(max_depth=5, strengthen=False, progress=progress)
+    result = engine.verify(spec, impl, match_outputs="order")
+    assert result.equivalent is None
+    assert result.details["bound_reached"] == 5
+    assert [data["depth"] for _, data in events] == [1, 2, 3, 4, 5]
+
+
+def test_emit_round_counts_and_forwards():
+    events, progress = _recorder()
+    spec, impl = onehot_ring_pair()
+    engine = KInductionEngine(progress=progress)
+    result = engine.verify(spec, impl, match_outputs="order")
+    assert result.proved
+    assert engine.rounds == len(events) == result.details["rounds"]
+    assert [kind for kind, _ in events] == [PROGRESS_INDUCTION_ROUND] * len(events)
     assert events[0][1]["depth"] == 1 and events[0][1]["round"] == 1
-    assert events[1][1]["proved"] is True
-
-
-def test_progress_event_name_matches_service_registry():
-    from repro.service.events import PROGRESS_INDUCTION_ROUND as service_name
-
-    assert PROGRESS_INDUCTION_ROUND == service_name == "induction_round"
+    assert [data["round"] for _, data in events] == list(range(1, len(events) + 1))
+    assert all(data["proved"] is False for _, data in events[:-1])
+    assert events[-1][1]["proved"] is True

@@ -115,6 +115,7 @@ def test_run_job_cancelled_before_start():
 
 
 def test_engine_cancel_check_aborts_mid_run():
+    from repro.budget import Budget
     from repro.core import VanEijkVerifier
 
     spec, impl = tiny_pair()
@@ -124,7 +125,7 @@ def test_engine_cancel_check_aborts_mid_run():
         polled.append(1)
         return True
 
-    result = VanEijkVerifier(cancel_check=cancel).verify(
+    result = VanEijkVerifier(budget=Budget(cancel_check=cancel)).verify(
         spec, impl, match_outputs="order")
     assert polls  # the engine reached its first cancellation point
     assert result.inconclusive

@@ -129,8 +129,8 @@ def test_budget_seeding():
         assert pool._budgeted(make_job()).options["time_limit"] == 7.5
         explicit = make_job(time_limit=1.0)
         assert pool._budgeted(explicit).options["time_limit"] == 1.0
-        untimed = make_job(method="explicit")
-        assert "time_limit" not in pool._budgeted(untimed).options
+        oracle = make_job(method="explicit")
+        assert pool._budgeted(oracle).options["time_limit"] == 7.5
     finally:
         pool.shutdown()
 
