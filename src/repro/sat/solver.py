@@ -44,6 +44,8 @@ Internal literal encoding: variable ``v`` (0-based) has literals ``2v``
 (positive) and ``2v + 1`` (negative); the public API speaks DIMACS integers.
 """
 
+from heapq import heapify, heappop, heappush
+
 from ..errors import ResourceBudgetExceeded, SatError
 
 TRUE = 1
@@ -51,8 +53,13 @@ FALSE = 0
 UNASSIGNED = -1
 
 #: ``solve`` polls its budget once every this many conflicts, and again
-#: every this many decisions (each decision scans every variable).
+#: every this many decisions (a run of propagations without conflicts
+#: reaches a poll only through its decisions).
 _POLL_EVERY = 256
+
+#: The decision heap is rebuilt once it holds this many entries per
+#: variable; stale entries are otherwise dropped only when they surface.
+_HEAP_SLACK = 4
 
 
 def _to_internal(dimacs_lit):
@@ -91,6 +98,14 @@ class Solver:
         self.cla_inc = 1.0
         self.cla_decay = 0.999
         self.saved_phase = []
+        # Decision order: a binary heap of ``(-activity, var)`` entries, so
+        # popping gives the highest activity, the lowest index on ties.  An
+        # entry is live while its key equals the variable's activity;
+        # ``_queued[var]`` is true only if ``var`` has a live entry, and
+        # every unassigned variable has one (see ``_pick_branch``).
+        self._heap = []
+        self._queued = []
+        self._qhead = 0
         self.ok = True
         self.conflicts = 0
         self.decisions = 0
@@ -110,6 +125,8 @@ class Solver:
         self.saved_phase.append(False)
         self.watches.append([])
         self.watches.append([])
+        self._queued.append(True)
+        heappush(self._heap, (-0.0, self.num_vars - 1))
         return self.num_vars
 
     def ensure_vars(self, count):
@@ -361,7 +378,7 @@ class Solver:
         return len(self.trail_lim)
 
     def _propagate(self):
-        head = getattr(self, "_qhead", 0)
+        head = self._qhead
         # Reset stale queue head after backtracking.
         if head > len(self.trail):
             head = len(self.trail)
@@ -477,31 +494,63 @@ class Solver:
         if self._decision_level() <= target_level:
             return
         boundary = self.trail_lim[target_level]
+        assign, reason = self.assign, self.reason
+        heap, queued, activity = self._heap, self._queued, self.activity
         for lit in reversed(self.trail[boundary:]):
             var = lit >> 1
-            self.assign[var] = UNASSIGNED
-            self.reason[var] = None
+            assign[var] = UNASSIGNED
+            reason[var] = None
+            if not queued[var]:
+                queued[var] = True
+                heappush(heap, (-activity[var], var))
         del self.trail[boundary:]
         del self.trail_lim[target_level:]
         self._qhead = len(self.trail)
+        if len(heap) > _HEAP_SLACK * self.num_vars:
+            self._rebuild_heap()
+
+    def _rebuild_heap(self):
+        """One live entry per unassigned variable and nothing else."""
+        assign, activity = self.assign, self.activity
+        self._queued = [value == UNASSIGNED for value in assign]
+        self._heap = [(-activity[var], var)
+                      for var in range(self.num_vars)
+                      if assign[var] == UNASSIGNED]
+        heapify(self._heap)
 
     def _pick_branch(self):
-        best = None
-        best_act = -1.0
-        for var in range(self.num_vars):
-            if self.assign[var] == UNASSIGNED and self.activity[var] > best_act:
-                best = var
-                best_act = self.activity[var]
-        if best is None:
-            return None
-        return 2 * best + (0 if self.saved_phase[best] else 1)
+        """The unassigned variable of highest activity (lowest index on
+        ties), as a literal in its saved phase; None if all are assigned.
+
+        Entries above it that are stale or name an assigned variable are
+        discarded.  Its own entry stays: once the decision assigns it, the
+        next call discards it, so a budget poll raising between this call
+        and the assignment cannot lose the variable.
+        """
+        heap, assign, activity = self._heap, self.assign, self.activity
+        while heap:
+            key, var = heap[0]
+            if -key == activity[var]:
+                if assign[var] == UNASSIGNED:
+                    return 2 * var + (0 if self.saved_phase[var] else 1)
+                self._queued[var] = False
+            heappop(heap)
+        return None
 
     def _bump_var(self, var):
-        self.activity[var] += self.var_inc
-        if self.activity[var] > 1e100:
+        activity = self.activity
+        activity[var] += self.var_inc
+        if activity[var] > 1e100:
             for v in range(self.num_vars):
-                self.activity[v] *= 1e-100
+                activity[v] *= 1e-100
             self.var_inc *= 1e-100
+            self._rebuild_heap()
+        elif self.assign[var] == UNASSIGNED:
+            heappush(self._heap, (-activity[var], var))
+            self._queued[var] = True
+        else:
+            # The key went stale; backtracking past ``var`` re-queues it.
+            self._queued[var] = False
 
     def _decay_activities(self):
         self.var_inc /= self.var_decay
