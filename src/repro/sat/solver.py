@@ -378,45 +378,58 @@ class Solver:
         return len(self.trail_lim)
 
     def _propagate(self):
-        head = self._qhead
-        # Reset stale queue head after backtracking.
-        if head > len(self.trail):
-            head = len(self.trail)
-        while head < len(self.trail):
-            lit = self.trail[head]
+        """Propagate the trail from the queue head to fixpoint; returns a
+        falsified clause on conflict, else None.
+
+        ``_lit_value`` and ``_enqueue`` are inlined: literal ``l`` is false
+        iff ``assign[l >> 1] == l & 1`` and true iff it equals
+        ``(l & 1) ^ 1`` (``UNASSIGNED`` matches neither).
+        """
+        trail = self.trail
+        assign, watches = self.assign, self.watches
+        level, reason, saved_phase = self.level, self.reason, self.saved_phase
+        current_level = len(self.trail_lim)
+        start = head = self._qhead
+        while head < len(trail):
+            lit = trail[head]
             head += 1
-            self.propagations += 1
             false_lit = lit ^ 1
-            watching = self.watches[lit]
-            self.watches[lit] = []
+            watching = watches[lit]
+            kept = watches[lit] = []
             i = 0
-            while i < len(watching):
+            end = len(watching)
+            while i < end:
                 clause = watching[i]
                 i += 1
                 # Make sure the false literal is at position 1.
                 if clause[0] == false_lit:
                     clause[0], clause[1] = clause[1], clause[0]
                 first = clause[0]
-                if self._lit_value(first) == TRUE:
-                    self.watches[lit].append(clause)
+                if assign[first >> 1] == (first & 1) ^ 1:
+                    kept.append(clause)
                     continue
-                moved = False
                 for k in range(2, len(clause)):
-                    if self._lit_value(clause[k]) != FALSE:
-                        clause[1], clause[k] = clause[k], clause[1]
-                        self.watches[clause[1] ^ 1].append(clause)
-                        moved = True
+                    other = clause[k]
+                    if assign[other >> 1] != other & 1:
+                        clause[1], clause[k] = other, clause[1]
+                        watches[other ^ 1].append(clause)
                         break
-                if moved:
-                    continue
-                self.watches[lit].append(clause)
-                if not self._enqueue(first, clause):
-                    # Conflict: restore remaining watchers and report.
-                    self.watches[lit].extend(watching[i:])
-                    self._qhead = len(self.trail)
-                    return clause
-            self._qhead = head
+                else:
+                    kept.append(clause)
+                    var = first >> 1
+                    if assign[var] != UNASSIGNED:
+                        # Conflict: restore remaining watchers and report.
+                        kept.extend(watching[i:])
+                        self._qhead = len(trail)
+                        self.propagations += head - start
+                        return clause
+                    assign[var] = (first & 1) ^ 1
+                    level[var] = current_level
+                    reason[var] = clause
+                    saved_phase[var] = not first & 1
+                    trail.append(first)
         self._qhead = head
+        self.propagations += head - start
         return None
 
     def _analyze(self, conflict):
