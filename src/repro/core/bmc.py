@@ -17,6 +17,10 @@ from ..reach.result import CexTrace, SecResult
 from ..sat.solver import Solver
 from ..sat.tseitin import TseitinEncoder
 
+#: The solver's counters and database sizes reported in ``solver_stats``.
+_SOLVER_STATS = ("conflicts", "decisions", "propagations", "restarts",
+                 "learned", "clauses")
+
 
 def bmc_refute(product, max_depth=32, conflict_budget=None,
                fraig_frames=False, fraig_seed=2024, progress=None,
@@ -35,6 +39,10 @@ def bmc_refute(product, max_depth=32, conflict_budget=None,
     ``progress(kind, **data)`` fires once per unrolled depth; ``budget``
     (a :class:`~repro.budget.Budget`) is checked at the same cadence and
     polled by the solver; a spent one ends the search inconclusive.
+
+    Every result of the naive unrolling carries ``details["solver_stats"]``:
+    one solver construction, one SAT query per solved depth, and the
+    solver's counters and database sizes (``Solver.stats``).
     """
     budget = budget or Budget()
     if fraig_frames:
@@ -44,8 +52,14 @@ def bmc_refute(product, max_depth=32, conflict_budget=None,
             product, max_depth=max_depth, conflict_budget=conflict_budget,
             seed=fraig_seed, progress=progress, budget=budget)
     start = time.monotonic()
+    solver = Solver(budget)
+    queries = 0
 
     def finish(equivalent, depth, counterexample=None, **details):
+        effort = solver.stats()
+        details["solver_stats"] = dict(
+            solver_constructions=1, sat_queries=queries,
+            **{key: effort[key] for key in _SOLVER_STATS})
         return SecResult(
             equivalent=equivalent, method="bmc", iterations=depth,
             seconds=time.monotonic() - start,
@@ -56,7 +70,6 @@ def bmc_refute(product, max_depth=32, conflict_budget=None,
     circuit.validate()
     enc = TseitinEncoder()
     frame_vars = []
-    solver = Solver(budget)
     leaves = None
     try:
         for depth in range(1, max_depth + 1):
@@ -88,6 +101,7 @@ def bmc_refute(product, max_depth=32, conflict_budget=None,
                 if not solver.add_clause(clause):
                     return finish(None, depth,
                                   note="unrolling became unsatisfiable")
+            queries += 1
             verdict = solver.solve(assumptions=[any_diff],
                                    conflict_budget=conflict_budget)
             if verdict is None:

@@ -141,3 +141,39 @@ def test_bmc_time_budget():
                                      budget=Budget(0.0))
     assert result.inconclusive
     assert "aborted" in result.details
+
+
+def test_bmc_reports_solver_stats_on_every_exit():
+    """Refuted, bound reached, conflict budget and run budget alike carry
+    the one solver's effort, one SAT query per solved depth."""
+    spec = counter_circuit(3)
+    impl = synthesize(spec, retime_moves=2, optimize_level=2, seed=6)
+    bad, _ = inject_distinguishable_fault(spec, seed=4)
+    product = build_product(spec, impl, match_outputs="order")
+    polls = []
+    results = {
+        "refuted": bmc_refute(
+            build_product(spec, bad, match_outputs="order"), max_depth=40),
+        "bound": bmc_refute(product, max_depth=10),
+        "conflicts": bmc_refute(product, max_depth=10, conflict_budget=0),
+        "cancelled": bmc_refute(product, max_depth=10, budget=Budget(
+            cancel_check=lambda: polls.append(1) or len(polls) > 3)),
+    }
+    stats = {kind: result.details["solver_stats"]
+             for kind, result in results.items()}
+    for kind in results:
+        assert set(stats[kind]) == {
+            "solver_constructions", "sat_queries", "conflicts", "decisions",
+            "propagations", "restarts", "learned", "clauses"}, kind
+        assert stats[kind]["solver_constructions"] == 1
+        assert stats[kind]["propagations"] > 0
+    assert stats["refuted"]["sat_queries"] == results["refuted"].details[
+        "cex_depth"]
+    assert stats["bound"]["sat_queries"] == 10
+    assert stats["bound"]["conflicts"] > 0
+    assert results["conflicts"].details["aborted"] == (
+        "conflict budget exhausted")
+    assert stats["conflicts"]["sat_queries"] == results["conflicts"].iterations
+    assert stats["conflicts"]["conflicts"] == 1
+    assert results["cancelled"].details["aborted"] == "cancelled"
+    assert stats["cancelled"]["sat_queries"] == 3
