@@ -308,10 +308,14 @@ class JobFrontEnd:
 
     async def stop(self):
         """Graceful shutdown: stop intake and the pump, wind the role down,
-        end every SSE stream and connection."""
+        end every SSE stream and connection, then wait for the listener.
+
+        ``asyncio.Server.wait_closed()`` waits for every open connection
+        since Python 3.12.1, so it comes last: awaited right after
+        ``close()``, an idle client or an SSE watcher would hold it open.
+        """
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         await _cancel_task(self._pump_task)
         await self._wind_down()
         self.bus.emit(SERVER_STOPPED, role=self.role, host=self.host,
@@ -322,6 +326,8 @@ class JobFrontEnd:
             task.cancel()
         if self._connections:
             await asyncio.wait(list(self._connections))
+        if self._server is not None:
+            await self._server.wait_closed()
 
     async def _wind_down(self):
         """Role teardown between the pump stopping and ``server_stopped``."""

@@ -4,7 +4,10 @@ The server runs on a background thread (:class:`helpers.ServerThread`)
 while the test drives it synchronously through :class:`ServerClient`.
 """
 
+import asyncio
+import concurrent.futures
 import os
+import socket
 
 import pytest
 
@@ -380,3 +383,20 @@ def test_restart_resumes_persisted_queue(tmp_path):
         record = client.wait(later_id, poll=0.05, timeout=60)
         assert record["state"] == "done"
         assert record["result"]["result"]["equivalent"] is True
+
+
+def test_stop_returns_while_a_client_holds_an_idle_connection(tmp_path):
+    """Since Python 3.12.1 ``asyncio.Server.wait_closed()`` waits for every
+    open connection, so ``stop()`` must end the connections before it
+    waits on the listener."""
+    thread = ServerThread(store_dir=tmp_path, workers=1)
+    with thread as server, socket.create_connection(
+            ("127.0.0.1", server.port), timeout=10):
+        wait_until(lambda: server._connections, timeout=10,
+                   message="the idle connection to be accepted")
+        stopping = asyncio.run_coroutine_threadsafe(server.stop(),
+                                                    thread.loop)
+        try:
+            stopping.result(timeout=2)
+        except concurrent.futures.TimeoutError:
+            pytest.fail("stop() still waiting 2 s after it was called")
