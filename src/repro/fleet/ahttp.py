@@ -91,8 +91,11 @@ async def _read_head(reader, timeout):
 async def _connect(url, connect_timeout):
     host, port, target = _split(url)
     try:
+        # An SSE ``done`` frame carries the whole job record on one line;
+        # a long counterexample trace outgrows asyncio's 64 KiB default.
         reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(host, port), connect_timeout)
+            asyncio.open_connection(host, port, limit=_MAX_RESPONSE),
+            connect_timeout)
     except (OSError, asyncio.TimeoutError) as exc:
         raise AsyncHttpError("cannot connect to {}: {}".format(url, exc))
     return reader, writer, host, target

@@ -213,3 +213,33 @@ def test_refused_dispatch_finishes_with_an_error_event(coordinator):
     assert len(finished) == 1
     assert finished[0]["data"]["error"] == record["error"]
     assert events[-1]["type"] == "done"
+
+
+def test_sse_reader_takes_an_event_longer_than_64_kib():
+    """A ``done`` frame carries the whole job record, long traces and all,
+    on one ``data:`` line: the relay must read it, not die on it."""
+    import asyncio
+
+    from repro.fleet.ahttp import sse_events
+
+    record = {"trace": ["x" * 100] * 2000}  # about 200 KiB of JSON
+
+    async def serve(reader, writer):
+        await reader.readuntil(b"\r\n\r\n")
+        writer.write(b"HTTP/1.1 200 OK\r\nContent-Type: text/event-stream"
+                     b"\r\n\r\nevent: done\ndata: "
+                     + json.dumps(record).encode() + b"\n\n")
+        await writer.drain()
+        writer.close()
+
+    async def read_all():
+        server = await asyncio.start_server(serve, "127.0.0.1", 0)
+        port = server.sockets[0].getsockname()[1]
+        try:
+            return [event async for event in sse_events(
+                "http://127.0.0.1:{}/".format(port), read_timeout=10)]
+        finally:
+            server.close()
+            await server.wait_closed()
+
+    assert asyncio.run(read_all()) == [("done", record)]
