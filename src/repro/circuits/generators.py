@@ -529,9 +529,9 @@ def delay_line_pair(delay, width=8):
     reaches the output after exactly ``delay - 1`` cycles, so the pair is
     inequivalent with its first counterexample at a known depth.  A
     ``width``-input XOR mixing layer feeds parasitic registers to give
-    every unrolled frame real solver work: at width 8, ``delay=500`` is
-    roughly 1.5 s of BMC and ``delay=1000`` roughly 6 s on one 2025-era
-    core.  The fleet tests use it as a *finite* long-running job — long
+    every unrolled frame real solver work: at width 8, ``delay=1500`` is
+    roughly 1.5 s of BMC and ``delay=2000`` roughly 2.2 s on one 2025-era
+    core, about linear in the delay.  The fleet tests use it as a *finite* long-running job — long
     enough to SIGKILL a worker mid-solve, deterministic enough that the
     survivor's verdict must match a single daemon's.  Use matched-order
     outputs (the output names differ deliberately).

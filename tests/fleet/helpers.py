@@ -31,13 +31,14 @@ SRC_DIR = os.path.join(REPO_ROOT, "src")
 VOLATILE_RESULT_FIELDS = ("seconds",)
 
 
-def delay_payload(name="delayed", delay=500, width=8, extra_depth=50):
+def delay_payload(name="delayed", delay=1500, width=8, extra_depth=50):
     """A finite, deterministically long-running BMC job.
 
     ``delay_line_pair`` refutes at a known depth, so the job always
     terminates with verdict *inequivalent* — but only after grinding
-    through ``delay`` BMC frames (delay=500 is roughly 1.5 s), leaving a
-    wide window to SIGKILL the node that is running it.
+    through ``delay`` BMC frames (delay=1500 is roughly 1.5 s; the time
+    grows about linearly with the delay), leaving a wide window to SIGKILL
+    the node that is running it.
     """
     from repro.circuits import delay_line_pair
     from repro.client import job_payload

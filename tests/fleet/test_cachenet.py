@@ -131,7 +131,12 @@ def test_cross_node_cache_hit(tmp_path):
             wait_until(lambda: client.healthz()["nodes"]["alive"] == 2,
                        message="both workers to join")
 
+            # FRAIG-BMC keeps the solve long (about 2.5 s) on a pair small
+            # enough that the cache-served path, which fingerprints the
+            # pair and ships its trace, stays short: the 10x check below
+            # compares the two.
             payload = delay_payload(name="cross-cache", delay=400)
+            payload["options"]["fraig_frames"] = True
 
             solve = dict(payload, pin_node="wa")
             started = time.monotonic()

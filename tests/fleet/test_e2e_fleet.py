@@ -48,7 +48,7 @@ def batch_payloads():
     each has its own cache fingerprint and routing key.
     """
     return [
-        delay_payload(name="victim", delay=800),
+        delay_payload(name="victim", delay=2000),
         delay_payload(name="quick-a", delay=20),
         delay_payload(name="quick-b", delay=30),
     ]
