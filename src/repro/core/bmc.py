@@ -17,10 +17,6 @@ from ..reach.result import CexTrace, SecResult
 from ..sat.solver import Solver
 from ..sat.tseitin import TseitinEncoder
 
-#: The solver's counters and database sizes reported in ``solver_stats``.
-_SOLVER_STATS = ("conflicts", "decisions", "propagations", "restarts",
-                 "learned", "clauses")
-
 
 def bmc_refute(product, max_depth=32, conflict_budget=None,
                fraig_frames=False, fraig_seed=2024, progress=None,
@@ -57,9 +53,9 @@ def bmc_refute(product, max_depth=32, conflict_budget=None,
 
     def finish(equivalent, depth, counterexample=None, **details):
         effort = solver.stats()
+        del effort["num_vars"]
         details["solver_stats"] = dict(
-            solver_constructions=1, sat_queries=queries,
-            **{key: effort[key] for key in _SOLVER_STATS})
+            solver_constructions=1, sat_queries=queries, **effort)
         return SecResult(
             equivalent=equivalent, method="bmc", iterations=depth,
             seconds=time.monotonic() - start,
