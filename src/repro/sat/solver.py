@@ -40,6 +40,20 @@ accumulated clause set:
 ``tests/sat/test_incremental.py`` property-checks this invariant against
 fresh re-solves of the accumulated CNF.
 
+Decisions and propagation
+-------------------------
+
+A decision takes the unassigned variable of highest VSIDS activity, the
+lowest index among equals, from a binary heap of ``(-activity, var)``
+entries in O(log n).  Entries are invalidated lazily rather than updated
+in place: a bump leaves the old entry stale, and an entry whose key is
+stale or whose variable is assigned is discarded when it surfaces.
+``_propagate`` tests and assigns literals on the solver's arrays directly,
+with no call per literal.  Neither changes the search: decisions,
+propagation order, conflicts, learned clauses and models are those of a
+linear decision scan and a method-call propagation loop, which
+``tests/sat/test_kernel.py`` keeps as its reference.
+
 Internal literal encoding: variable ``v`` (0-based) has literals ``2v``
 (positive) and ``2v + 1`` (negative); the public API speaks DIMACS integers.
 """

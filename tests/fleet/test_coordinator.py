@@ -6,6 +6,7 @@ heartbeat reaping, requeue-to-survivor — without subprocess daemons;
 the real-SIGKILL end-to-end version lives in ``test_e2e_fleet.py``.
 """
 
+import asyncio
 import json
 import time
 import urllib.error
@@ -15,6 +16,7 @@ import pytest
 
 from repro.client import ServerClient, ServerError
 from repro.fleet import CoordinatorServer
+from repro.fleet.ahttp import sse_events
 from repro.server import VerifyServer
 
 from ..server.helpers import spinner_payload
@@ -218,10 +220,6 @@ def test_refused_dispatch_finishes_with_an_error_event(coordinator):
 def test_sse_reader_takes_an_event_longer_than_64_kib():
     """A ``done`` frame carries the whole job record, long traces and all,
     on one ``data:`` line: the relay must read it, not die on it."""
-    import asyncio
-
-    from repro.fleet.ahttp import sse_events
-
     record = {"trace": ["x" * 100] * 2000}  # about 200 KiB of JSON
 
     async def serve(reader, writer):
