@@ -31,19 +31,29 @@ call:
 * the initial-state constraint of the base case is guarded by an
   *activation literal* and only assumed by base-case queries, so base and
   inductive queries share the single encoding;
-* each round's correspondence condition Q is added as equivalence clauses
-  guarded by a fresh per-round activation literal; queries assume the
-  literal, and retiring the round adds the unit ``-act`` so the refuted
-  constraints retract without rebuilding anything;
+* the correspondence condition Q is added as equivalence clauses, each
+  class's group guarded by its own activation literal; queries assume
+  every live literal, in creation order, then the pair's two literals.
+  A class whose member set survives a round keeps its literal, its
+  clauses and the learned clauses that mention it.  A class that splits
+  has its literal retired by the unit ``-act`` and its clauses dropped by
+  ``simplify()``; each piece of two or more members gets a fresh literal;
+* **proof reuse**: an UNSAT pair records the class literals named by the
+  assumption cores (:meth:`~repro.sat.solver.Solver.failed_assumptions`)
+  of its two polarity queries.  While all of them are live, the proof
+  used only Q clauses that are still present verbatim, so the pair is
+  verified again without a query.  The maximum correspondence is unique,
+  so the final partition does not change, only the work to reach it;
 * **counterexample-guided splitting**: every satisfying model is a concrete
   unrolled-trace witness; it is replayed through bit-parallel simulation
   (:mod:`repro.core.cexsplit`) and used to split *all* current classes at
   once, so one SAT query can refine many classes before the next query.
 
 ``SatCorrespondence.stats`` counts solver constructions, frame encodings,
-queries and counterexample splits; ``solver_stats()`` folds in the live
-solver's conflict/propagation counters.  Both are threaded through the
-``progress`` callback as ``refinement_round`` events for the service layer.
+queries, reused proofs (``proofs_reused``) and counterexample splits;
+``solver_stats()`` folds in the live solver's conflict/propagation
+counters.  Both are threaded through the ``progress`` callback as
+``refinement_round`` events for the service layer.
 """
 
 import time
@@ -109,6 +119,7 @@ class SatCorrespondence:
             "sat_queries": 0,
             "cex_patterns": 0,
             "cex_class_splits": 0,
+            "proofs_reused": 0,
         }
         for key in _SOLVER_COUNTERS:
             self.stats[key] = 0
@@ -116,6 +127,12 @@ class SatCorrespondence:
         self._frames = None
         self._true_var = None
         self._init_act = None
+        # Refinement rounds: class member set (a frozenset of nets) -> the
+        # activation literal guarding its Q clauses, in creation order; and
+        # (leader net, member net) -> the guards the pair's last UNSAT
+        # proof rested on.
+        self._guards = {}
+        self._proofs = {}
         # One sim kernel per compute(): partition seeding and every
         # counterexample replay share it (and its single topo sort).
         self._csim = make_sim(self.circuit)
@@ -346,23 +363,53 @@ class SatCorrespondence:
         self._solver.simplify()
         return done
 
-    def _refine_round(self, classes, budget):
-        """One Eq. 3 round: Q guarded by a fresh activation literal, models
-        replayed into mass splits, refuted constraints retired by unit."""
+    def _guard_classes(self, classes):
+        """Guard each class's Q clauses by its own activation literal;
+        returns the live literals in creation order.
+
+        A class whose member set survived the last round keeps its literal,
+        its clauses and the learned clauses that mention it.  A class that
+        split has its literal retired by unit, and simplify() drops its
+        clauses, learned ones included, so propagation cost tracks the live
+        formula.  Each new class gets a fresh literal and fresh clauses.
+        """
         solver = self._solver
-        act = solver.new_var()
-        for frame_vars in self._frames[:-1]:
-            for cls in classes:
-                if len(cls) < 2:
-                    continue
+        keyed = [(frozenset(sig.net for sig in cls), cls)
+                 for cls in classes if len(cls) > 1]
+        current = {key for key, _ in keyed}
+        guards = {}
+        retired = False
+        for key, act in self._guards.items():
+            if key in current:
+                guards[key] = act
+            else:
+                solver.add_clause([-act])
+                retired = True
+        if retired:
+            solver.simplify()
+        for key, cls in keyed:
+            if key in guards:
+                continue
+            act = guards[key] = solver.new_var()
+            for frame_vars in self._frames[:-1]:
                 rep = self._lit(cls[0], frame_vars)
                 for member in cls[1:]:
                     m = self._lit(member, frame_vars)
                     # Guard literal last: the solver watches the first two
-                    # literals, so assuming ``act`` does not walk the whole
-                    # round's clause group on every single query.
+                    # literals, so assuming ``act`` does not walk the
+                    # class's clause group on every single query.
                     solver.add_clause([-rep, m, -act])
                     solver.add_clause([rep, -m, -act])
+        self._guards = guards
+        return list(guards.values())
+
+    def _refine_round(self, classes, budget):
+        """One Eq. 3 round: Q guarded per class, proofs whose guards all
+        survived reused, models replayed into mass splits."""
+        solver = self._solver
+        live = self._guard_classes(classes)
+        live_set = set(live)
+        proofs = self._proofs
         check_frame = self._frames[-1]
         done = [cls for cls in classes if len(cls) == 1]
         items = [([cls[0]], list(cls[1:])) for cls in classes if len(cls) > 1]
@@ -372,14 +419,26 @@ class SatCorrespondence:
                 done.append(verified)
                 continue
             member = rest.pop(0)
+            pair = (verified[0].net, member.net)
+            core = proofs.get(pair)
+            if core is not None and core <= live_set:
+                # The last proof used only Q clauses that are still present
+                # verbatim, so it still holds.
+                self.stats["proofs_reused"] += 1
+                verified.append(member)
+                items.append((verified, rest))
+                continue
             la = self._lit(verified[0], check_frame)
             lb = self._lit(member, check_frame)
+            core = set()
             distinguished = False
-            for assumptions in ([act, la, -lb], [act, -la, lb]):
-                if self._query(assumptions, budget):
+            for polarity in ([la, -lb], [-la, lb]):
+                if self._query(live + polarity, budget):
                     distinguished = True
                     break
+                core |= solver.failed_assumptions()
             if not distinguished:
+                proofs[pair] = frozenset(core & live_set)
                 verified.append(member)
                 items.append((verified, rest))
                 continue
@@ -389,12 +448,6 @@ class SatCorrespondence:
             check_values = self._replay_model(self.k + 1)[-1]
             items.append((verified, [member] + rest))
             items = self._split_items(items, self._value_key([check_values]))
-        # Retire this round's Q: the unit permanently satisfies the guarded
-        # clauses, and simplify() physically drops them (plus any learned
-        # clauses mentioning the guard) so propagation cost tracks the live
-        # formula instead of growing with every retired round.
-        solver.add_clause([-act])
-        solver.simplify()
         return done, len(done) > len(classes)
 
 
