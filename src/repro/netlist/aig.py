@@ -42,6 +42,7 @@ class Aig:
         self.names = {}             # var -> name (optional)
         self.output_names = {}      # output position -> name (optional)
         self.comments = []          # AIGER trailing comment lines
+        self._latch_pos = {}        # latch var -> index in self.latches
 
     # -- construction -------------------------------------------------------
 
@@ -66,11 +67,17 @@ class Aig:
 
     def set_latch_next(self, latch_lit, next_lit):
         var = lit_var(latch_lit)
-        for entry in self.latches:
-            if entry[0] == var:
-                entry[1] = next_lit
-                return
-        raise NetlistError("literal {} is not a latch".format(latch_lit))
+        latches = self.latches
+        pos = self._latch_pos.get(var)
+        if pos is None or pos >= len(latches) or latches[pos][0] != var:
+            # The index is a cache: latches appended to ``self.latches``
+            # directly (the AIGER readers do) are indexed on first lookup.
+            self._latch_pos = {entry[0]: i for i, entry in enumerate(latches)}
+            pos = self._latch_pos.get(var)
+            if pos is None:
+                raise NetlistError(
+                    "literal {} is not a latch".format(latch_lit))
+        latches[pos][1] = next_lit
 
     def add_output(self, lit, name=None):
         if name:

@@ -1,5 +1,8 @@
 """Format-independent AIG fingerprint and the job cache key built on it."""
 
+import pytest
+
+from repro.circuits import delay_line_pair, row_by_name
 from repro.interop import load_circuit, save_circuit
 from repro.interop.fingerprint import aig_fingerprint
 from repro.netlist import bench
@@ -40,6 +43,26 @@ def test_fingerprint_distinguishes_different_functions():
     other = bench.loads(BENCH_TEXT.replace("OR(nx, b)", "AND(nx, b)"),
                         name="fp")
     assert aig_fingerprint(other) != aig_fingerprint(_circuit())
+
+
+#: Digests are job cache keys: a change to any of them empties every cache.
+PINNED_DIGESTS = {
+    "s838-spec": "89896c665fe99920e0d1b695189610d12fb957a3cc30988a8aa96e0a3ddf7bbb",
+    "s838-impl": "cbef927cea6017426d8560977eb54e48bc6da3c87e4ca5c9b99efc413ac69809",
+    "delay64-impl":
+        "9b9256730265ba465bbf8e79cc1adcda0c7fcb69b0d8031ba6a0e802dde073f9",
+}
+
+PINNED_CIRCUITS = {
+    "s838-spec": lambda: row_by_name("s838").pair()[0],
+    "s838-impl": lambda: row_by_name("s838").pair()[1],
+    "delay64-impl": lambda: delay_line_pair(64)[1],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+def test_fingerprint_digests_are_pinned(name):
+    assert aig_fingerprint(PINNED_CIRCUITS[name]()) == PINNED_DIGESTS[name]
 
 
 def test_cache_key_is_format_independent(tmp_path):

@@ -89,6 +89,22 @@ def test_latch_api():
         aig.set_latch_next(x, q)
 
 
+def test_set_latch_next_finds_latches_appended_directly():
+    """The AIGER readers append to ``latches`` without ``add_latch``."""
+    aig = Aig()
+    x = aig.add_input("x")
+    q = aig.add_latch(name="q")
+    aig.set_latch_next(q, x)
+    var = aig._new_var()
+    aig.latches.append([var, FALSE, False])
+    aig.set_latch_next(2 * var, lit_neg(q))
+    aig.set_latch_next(q, lit_neg(x))
+    assert aig.latches == [[q >> 1, lit_neg(x), False],
+                           [var, lit_neg(q), False]]
+    with pytest.raises(NetlistError):
+        aig.set_latch_next(x, q)
+
+
 def test_cleanup_drops_dangling():
     aig = Aig()
     a = aig.add_input("a")
