@@ -20,6 +20,24 @@ manager separately maintains a permutation ``level_of_var``/``var_at_level``.
 Recursive operations branch on the variable of least level.  The sifting
 reorderer in :mod:`repro.bdd.reorder` swaps adjacent levels in place, so all
 outstanding edges remain valid across reordering.
+
+Prepared forms
+--------------
+:meth:`BddManager.composer` and :meth:`BddManager.restrictor` validate, sort
+and bound one substitution or assignment once and return ``f -> result``;
+:meth:`~BddManager.vector_compose` and :meth:`~BddManager.restrict` are
+one-shot wrappers over them.  A caller that applies one map to many
+functions (the frame shift of every ν, the cofactor by s0 of every T0 key)
+holds one prepared form, so each application pays only for its BDD work.
+A prepared form may outlive a reordering or a garbage collection: both
+reach :meth:`~BddManager.clear_caches`, which bumps the manager's epoch, and
+a prepared form that sees a new epoch re-derives its level bound and
+re-fetches its memo table before it recurses.
+
+The recursions of ``ite``, composition, restriction and the ``f ∧ g``
+walks read the constants as the literals ``0`` (ONE) and ``1`` (ZERO) and
+inline the top-level and cofactor steps; only ``_mk`` and the recursion
+itself are calls.
 """
 
 import sys
@@ -30,6 +48,13 @@ _TERMINAL_LEVEL = 1 << 60
 
 #: ``_mk`` polls the manager's budget once every this many created nodes.
 _POLL_EVERY = 4096
+
+_FREED_NODE = ("edge references a freed node (unregistered root held "
+               "across garbage collection?)")
+
+
+def _identity(f):
+    return f
 
 
 class BddManager:
@@ -64,8 +89,11 @@ class BddManager:
         # Operation caches.
         self._ite_cache = {}
         self._quant_cache = {}
-        self._compose_cache = {}
+        self._compose_cache = {}  # substitution token -> {node: edge}
+        self._restrict_cache = {}  # assignment token -> {edge: edge}
         self._misc_cache = {}
+        # Bumped by clear_caches(); prepared forms re-derive on a new epoch.
+        self._epoch = 0
         # Statistics.
         self.live_nodes = 1
         self.peak_live_nodes = 1
@@ -205,10 +233,7 @@ class BddManager:
             return _TERMINAL_LEVEL
         var = self._var[node]
         if var < 0:
-            raise BddError(
-                "edge references a freed node (unregistered root held "
-                "across garbage collection?)"
-            )
+            raise BddError(_FREED_NODE)
         return self._level_of_var[var]
 
     def cofactors(self, edge, var):
@@ -233,65 +258,113 @@ class BddManager:
 
     def ite(self, f, g, h):
         """``ITE(f, g, h) = f·g + ¬f·h`` — the universal binary operation."""
-        # Terminal cases.
-        if f == self.true:
+        # Terminal cases (ONE is edge 0, ZERO is edge 1).
+        if f == 0:
             return g
-        if f == self.false:
+        if f == 1:
             return h
         if g == h:
             return g
-        if g == self.true and h == self.false:
+        if g == 0 and h == 1:
             return f
-        if g == self.false and h == self.true:
+        if g == 1 and h == 0:
             return f ^ 1
         # Reductions using f itself.
         if g == f:
-            g = self.true
-        elif g == (f ^ 1):
-            g = self.false
+            g = 0
+        elif g == f ^ 1:
+            g = 1
         if h == f:
-            h = self.false
-        elif h == (f ^ 1):
-            h = self.true
-        if g == self.true and h == self.false:
+            h = 1
+        elif h == f ^ 1:
+            h = 0
+        if g == 0 and h == 1:
             return f
-        if g == self.false and h == self.true:
+        if g == 1 and h == 0:
             return f ^ 1
         if g == h:
             return g
         # Normalize: first argument regular.
         if f & 1:
             f, g, h = f ^ 1, h, g
+        # Top levels; f is not constant here, g and h may be.
+        var_of = self._var
+        level_of = self._level_of_var
+        var = var_of[f >> 1]
+        if var < 0:
+            raise BddError(_FREED_NODE)
+        lf = level_of[var]
+        node = g >> 1
+        if node:
+            var = var_of[node]
+            if var < 0:
+                raise BddError(_FREED_NODE)
+            lg = level_of[var]
+        else:
+            lg = _TERMINAL_LEVEL
+        node = h >> 1
+        if node:
+            var = var_of[node]
+            if var < 0:
+                raise BddError(_FREED_NODE)
+            lh = level_of[var]
+        else:
+            lh = _TERMINAL_LEVEL
         # Normalize: choose a canonical representative among equivalent
         # triples so the cache hits more often (standard-triple rules).
-        if g == self.true and self._top_level(h) < self._top_level(f):
-            f, h = h, f  # f+h is commutative
-        elif h == self.false and self._top_level(g) < self._top_level(f):
-            f, g = g, f  # f·g is commutative
-        elif g == (h ^ 1) and self._top_level(g) < self._top_level(f):
-            f, g = g, f  # f xnor g is commutative
-            h = g ^ 1
+        # The swapped-in f may be complemented.
+        if g == 0:
+            if lh < lf:
+                f, h, lf, lh = h, f, lh, lf  # f+h is commutative
+        elif h == 1:
+            if lg < lf:
+                f, g, lf, lg = g, f, lg, lf  # f·g is commutative
+        elif g == h ^ 1 and lg < lf:
+            # f xnor g is commutative
+            f, g, h, lf, lg, lh = g, f, f ^ 1, lg, lf, lf
         # Normalize: result sign out (then-branch regular).
-        negate = False
-        if g & 1:
-            g, h = g ^ 1, h ^ 1
-            negate = True
+        negate = g & 1
+        if negate:
+            g ^= 1
+            h ^= 1
         key = (f, g, h)
+        cache = self._ite_cache
         self.cache_lookups += 1
-        cached = self._ite_cache.get(key)
+        cached = cache.get(key)
         if cached is not None:
             self.cache_hits += 1
-            return cached ^ 1 if negate else cached
-        top = min(self._top_level(f), self._top_level(g), self._top_level(h))
+            return cached ^ negate
+        top = lf if lf < lg else lg
+        if lh < top:
+            top = lh
+        hi = self._hi
+        lo = self._lo
+        if lf == top:
+            node = f >> 1
+            sign = f & 1
+            f1 = hi[node] ^ sign
+            f0 = lo[node] ^ sign
+        else:
+            f1 = f0 = f
+        if lg == top:
+            node = g >> 1  # g is regular
+            g1 = hi[node]
+            g0 = lo[node]
+        else:
+            g1 = g0 = g
+        if lh == top:
+            node = h >> 1
+            sign = h & 1
+            h1 = hi[node] ^ sign
+            h0 = lo[node] ^ sign
+        else:
+            h1 = h0 = h
         var = self._var_at_level[top]
-        f1, f0 = self._fast_cofactors(f, var)
-        g1, g0 = self._fast_cofactors(g, var)
-        h1, h0 = self._fast_cofactors(h, var)
         t = self.ite(f1, g1, h1)
         e = self.ite(f0, g0, h0)
         result = self._mk(var, t, e)
-        self._ite_cache[key] = result
-        return result ^ 1 if negate else result
+        cache[key] = result
+        return result ^ negate
 
     def _fast_cofactors(self, edge, var):
         node = edge >> 1
@@ -333,15 +406,17 @@ class BddManager:
         materializing conjunction nodes that are discarded immediately.
         """
         cache = self._misc_cache
+        var_of = self._var
+        hi = self._hi
+        lo = self._lo
+        level_of = self._level_of_var
 
         def rec(a, b):
-            if a == self.false or b == self.false:
+            if a == 1 or b == 1:
                 return True
-            if a == self.true and b == self.true:
-                return False
-            if a == (b ^ 1):
+            if a == b ^ 1:
                 return True
-            if a == self.true or b == self.true or a == b:
+            if a == 0 or b == 0 or a == b:
                 return False
             if a > b:
                 a, b = b, a
@@ -349,10 +424,27 @@ class BddManager:
             cached = cache.get(key)
             if cached is not None:
                 return cached
-            level = min(self._top_level(a), self._top_level(b))
-            var = self._var_at_level[level]
-            a1, a0 = self._fast_cofactors(a, var)
-            b1, b0 = self._fast_cofactors(b, var)
+            # Both sides are non-constant: cofactor the top one(s).
+            node_a = a >> 1
+            node_b = b >> 1
+            var_a = var_of[node_a]
+            var_b = var_of[node_b]
+            if var_a < 0 or var_b < 0:
+                raise BddError(_FREED_NODE)
+            level_a = level_of[var_a]
+            level_b = level_of[var_b]
+            if level_a <= level_b:
+                sign = a & 1
+                a1 = hi[node_a] ^ sign
+                a0 = lo[node_a] ^ sign
+            else:
+                a1 = a0 = a
+            if level_b <= level_a:
+                sign = b & 1
+                b1 = hi[node_b] ^ sign
+                b0 = lo[node_b] ^ sign
+            else:
+                b1 = b0 = b
             result = rec(a1, b1) and rec(a0, b0)
             cache[key] = result
             return result
@@ -477,34 +569,45 @@ class BddManager:
 
     def restrict(self, f, assignment):
         """Cofactor ``f`` by a partial assignment ``{var: bool}``."""
+        return self.restrictor(assignment)(f)
+
+    def restrictor(self, assignment):
+        """Prepared :meth:`restrict`: returns ``f -> f|assignment``, with
+        the assignment validated and sorted once for every ``f``."""
         if not assignment:
-            return f
+            return _identity
         fixed = {}
         for var, value in assignment.items():
             self._check_var(var)
             fixed[var] = bool(value)
-        max_level = max(self._level_of_var[v] for v in fixed)
-        token = tuple(sorted(fixed.items()))
-        return self._restrict_rec(f, fixed, max_level, token)
+        return self._prepared(fixed, self._restrict_cache, self._restrict_rec)
 
-    def _restrict_rec(self, f, fixed, max_level, token):
-        if self.is_constant(f) or self._top_level(f) > max_level:
+    def _restrict_rec(self, f, fixed, max_level, cache):
+        node = f >> 1
+        if not node:
             return f
-        key = (f, token)
+        var = self._var[node]
+        if var < 0:
+            raise BddError(_FREED_NODE)
+        if self._level_of_var[var] > max_level:
+            return f
         self.cache_lookups += 1
-        cached = self._misc_cache.get(key)
+        cached = cache.get(f)
         if cached is not None:
             self.cache_hits += 1
             return cached
-        var = self._var_at_level[self._top_level(f)]
-        hi, lo = self._fast_cofactors(f, var)
-        if var in fixed:
-            result = self._restrict_rec(hi if fixed[var] else lo, fixed, max_level, token)
-        else:
-            t = self._restrict_rec(hi, fixed, max_level, token)
-            e = self._restrict_rec(lo, fixed, max_level, token)
+        sign = f & 1
+        hi = self._hi[node] ^ sign
+        lo = self._lo[node] ^ sign
+        value = fixed.get(var)
+        if value is None:
+            t = self._restrict_rec(hi, fixed, max_level, cache)
+            e = self._restrict_rec(lo, fixed, max_level, cache)
             result = self._mk(var, t, e)
-        self._misc_cache[key] = result
+        else:
+            result = self._restrict_rec(hi if value else lo, fixed, max_level,
+                                        cache)
+        cache[f] = result
         return result
 
     def compose(self, f, var, g):
@@ -519,37 +622,66 @@ class BddManager:
         frame-shift operation the paper's ν functions need:
         ``ν_v = f_v[s := δ(s, x), x := x']``.
         """
+        return self.composer(substitution)(f)
+
+    def composer(self, substitution):
+        """Prepared :meth:`vector_compose`: ``f -> f[substitution]``,
+        validated and sorted once for every ``f``.
+
+        The edges of ``substitution`` must stay valid while the composer is
+        used (register them as roots across garbage collection).
+        """
         if not substitution:
-            return f
+            return _identity
         subst = {}
         for var, edge in substitution.items():
             self._check_var(var)
             subst[var] = edge
-        token = tuple(sorted(subst.items()))
-        cache = self._compose_cache.setdefault(token, {})
-        max_level = max(self._level_of_var[v] for v in subst)
-        return self._compose_rec(f, subst, max_level, cache)
+        return self._prepared(subst, self._compose_cache, self._compose_rec)
+
+    def _prepared(self, mapping, tables, rec):
+        """``f -> rec(f, mapping, max_level, table)`` for a validated
+        ``{var: value}`` map.
+
+        Equal maps share one memo table in ``tables``.  The table and the
+        deepest level of the map are fetched again whenever the manager's
+        epoch has moved on (reordering changes levels; garbage collection
+        frees the nodes the table is keyed by).
+        """
+        token = tuple(sorted(mapping.items()))
+        level_of = self._level_of_var
+        epoch = table = max_level = None
+
+        def apply(f):
+            nonlocal epoch, table, max_level
+            if epoch != self._epoch:
+                epoch = self._epoch
+                table = tables.setdefault(token, {})
+                max_level = max(level_of[var] for var in mapping)
+            return rec(f, mapping, max_level, table)
+
+        return apply
 
     def _compose_rec(self, f, subst, max_level, cache):
-        if self.is_constant(f) or self._top_level(f) > max_level:
-            return f
-        sign = f & 1
         node = f >> 1
-        key = node
-        cached = cache.get(key)
-        if cached is not None:
-            return cached ^ sign
+        if not node:
+            return f
         var = self._var[node]
-        hi = self._hi[node]
-        lo = self._lo[node]
-        t = self._compose_rec(hi, subst, max_level, cache)
-        e = self._compose_rec(lo, subst, max_level, cache)
+        if var < 0:
+            raise BddError(_FREED_NODE)
+        if self._level_of_var[var] > max_level:
+            return f
+        cached = cache.get(node)
+        if cached is not None:
+            return cached ^ (f & 1)
+        t = self._compose_rec(self._hi[node], subst, max_level, cache)
+        e = self._compose_rec(self._lo[node], subst, max_level, cache)
         replacement = subst.get(var)
         if replacement is None:
-            replacement = self._mk(var, self.true, self.false)
+            replacement = self._mk(var, 0, 1)
         result = self.ite(replacement, t, e)
-        cache[key] = result
-        return result ^ sign
+        cache[node] = result
+        return result ^ (f & 1)
 
     def constrain(self, f, care):
         """Coudert-Madre generalized cofactor ``f ↓ care``.
@@ -704,17 +836,17 @@ class BddManager:
 
         Unmentioned variables are don't-cares for the returned assignment.
         """
-        if f == self.false:
+        if f == 1:
             return None
         assignment = {}
         edge = f
-        while not self.is_constant(edge):
+        while edge >> 1:
             node = edge >> 1
             sign = edge & 1
             var = self._var[node]
             hi = self._hi[node] ^ sign
             lo = self._lo[node] ^ sign
-            if hi != self.false:
+            if hi != 1:
                 assignment[var] = True
                 edge = hi
             else:
@@ -732,30 +864,51 @@ class BddManager:
         Unmentioned variables are don't-cares, as in :meth:`pick_one`.
         """
         cache = self._misc_cache
+        var_of = self._var
+        hi = self._hi
+        lo = self._lo
+        level_of = self._level_of_var
         assignment = {}
 
         def rec(a, b):
-            if a == self.false or b == self.false:
+            if a == 1 or b == 1:
                 return False
-            if a == self.true and b == self.true:
+            if a == 0 and b == 0:
                 return True
-            if a == (b ^ 1):
+            if a == b ^ 1:
                 return False
-            if a == b or a == self.true or b == self.true:
+            if a == b or a == 0 or b == 0:
                 # Nonempty, one-sided: any witness of the non-constant side
                 # works.  Its support is disjoint from the variables decided
                 # so far (they were cofactored away above this level).
-                witness = self.pick_one(b if a == self.true else a)
+                witness = self.pick_one(b if a == 0 else a)
                 assignment.update(witness)
                 return True
-            aa, bb = (a, b) if a <= b else (b, a)
-            key = ("AIF", aa, bb)
+            key = ("AIF", a, b) if a <= b else ("AIF", b, a)
             if cache.get(key) is True:
                 return False
-            level = min(self._top_level(a), self._top_level(b))
-            var = self._var_at_level[level]
-            a1, a0 = self._fast_cofactors(a, var)
-            b1, b0 = self._fast_cofactors(b, var)
+            node_a = a >> 1
+            node_b = b >> 1
+            var_a = var_of[node_a]
+            var_b = var_of[node_b]
+            if var_a < 0 or var_b < 0:
+                raise BddError(_FREED_NODE)
+            level_a = level_of[var_a]
+            level_b = level_of[var_b]
+            if level_a <= level_b:
+                var = var_a
+                sign = a & 1
+                a1 = hi[node_a] ^ sign
+                a0 = lo[node_a] ^ sign
+            else:
+                a1 = a0 = a
+            if level_b <= level_a:
+                var = var_b
+                sign = b & 1
+                b1 = hi[node_b] ^ sign
+                b0 = lo[node_b] ^ sign
+            else:
+                b1 = b0 = b
             assignment[var] = True
             if rec(a1, b1):
                 return True
@@ -803,10 +956,14 @@ class BddManager:
         return list(self._roots.values())
 
     def clear_caches(self):
+        """Drop every memo table and start a new epoch (see the module
+        docstring, "Prepared forms")."""
         self._ite_cache.clear()
         self._quant_cache.clear()
         self._compose_cache.clear()
+        self._restrict_cache.clear()
         self._misc_cache.clear()
+        self._epoch += 1
 
     def garbage_collect(self, extra_roots=()):
         """Sweep nodes unreachable from registered roots + ``extra_roots``.

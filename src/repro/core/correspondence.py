@@ -159,11 +159,12 @@ def _find_replacement(mgr, cls, owner_fn, var, var_complemented, substituted):
 def _correspondence_condition(frame, partition, substitution):
     """Q of Definition 1, with substituted register variables (§4)."""
     mgr = frame.manager
+    substitute = mgr.composer(substitution)
     conjuncts = []
     for cls in partition.nontrivial_classes():
-        rep = mgr.vector_compose(cls[0].edge, substitution)
+        rep = substitute(cls[0].edge)
         for fn in cls[1:]:
-            member = mgr.vector_compose(fn.edge, substitution)
+            member = substitute(fn.edge)
             if member != rep:
                 conjuncts.append(mgr.apply_xnor(member, rep))
     return mgr.and_many(conjuncts)
@@ -177,18 +178,19 @@ def _refine_once(frame, partition, q_edge, substitution,
     # substitution σ only mentions state variables, so composing it into the
     # input targets (the x' literals) is the identity.
     if substitution:
-        shift = {
-            var: mgr.vector_compose(target, substitution)
+        substitute = mgr.composer(substitution)
+        shift = mgr.composer({
+            var: substitute(target)
             for var, target in frame.shift_map.items()
-        }
+        })
     else:
-        shift = frame.shift_map
+        shift = frame.shift
     nu_cache = {}
 
     def nu(edge):
         cached = nu_cache.get(edge)
         if cached is None:
-            cached = mgr.vector_compose(edge, shift)
+            cached = shift(edge)
             nu_cache[edge] = cached
         return cached
 

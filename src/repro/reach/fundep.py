@@ -45,12 +45,13 @@ def register_correspondence(circuit, manager=None):
                 if init[member] != init[rep]:
                     edge = mgr.apply_not(rep_edge)
                 substitution[ts.cur_id[member]] = edge
+        substitute = mgr.composer(substitution)
         new_classes = []
         changed = False
         for cls in classes:
             buckets = []
             for member in cls:
-                delta = mgr.vector_compose(ts.delta[member], substitution)
+                delta = substitute(ts.delta[member])
                 if not init[member]:
                     # Compare polarity-normalized next-state functions.
                     delta = mgr.apply_not(delta)
