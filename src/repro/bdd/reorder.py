@@ -103,8 +103,13 @@ class _Sifter:
     # -- the adjacent-level swap ---------------------------------------
 
     def swap(self, level):
-        """Swap the variables at ``level`` and ``level + 1`` in place."""
+        """Swap the variables at ``level`` and ``level + 1`` in place.
+
+        Polls the manager's budget first.
+        """
         m = self.m
+        if m.budget is not None:
+            m.budget.check()
         up = m._var_at_level[level]
         down = m._var_at_level[level + 1]
         table_up = m._unique[up]
@@ -170,8 +175,9 @@ def sift(manager, max_growth=1.2, max_vars=None):
     order by adjacent swaps and parked at the position that minimized the
     total number of live nodes.  Movement in one direction is abandoned early
     when the size exceeds ``max_growth`` times the best size seen.  The
-    manager's budget is polled before each variable; a spent one stops the
-    pass there with every edge still valid.
+    manager's budget is polled before each swap, because one variable's walk
+    through every level can take seconds; a spent one stops the pass there.
+    Every swap preserves every function, so all edges stay valid.
     """
     sifter = _Sifter(manager)
     m = manager
@@ -179,45 +185,45 @@ def sift(manager, max_growth=1.2, max_vars=None):
     order = sorted(range(m.num_vars), key=lambda v: -len(m._unique[v]))
     if max_vars is not None:
         order = order[:max_vars]
-    for var in order:
-        if m.budget is not None:
-            m.budget.check()
-        if len(m._unique[var]) <= 1:
-            continue
-        best_size = m.live_nodes
-        best_pos = m._level_of_var[var]
-        start = best_pos
-        bottom = m.num_vars - 1
-        # Phase 1: sift towards the nearer end first.
-        go_down_first = (bottom - start) <= start
-        if go_down_first:
-            phases = [(+1, bottom), (-1, 0)]
-        else:
-            phases = [(-1, 0), (+1, bottom)]
-        for direction, limit in phases:
+    try:
+        for var in order:
+            if len(m._unique[var]) <= 1:
+                continue
+            best_size = m.live_nodes
+            best_pos = m._level_of_var[var]
+            start = best_pos
+            bottom = m.num_vars - 1
+            # Phase 1: sift towards the nearer end first.
+            go_down_first = (bottom - start) <= start
+            if go_down_first:
+                phases = [(+1, bottom), (-1, 0)]
+            else:
+                phases = [(-1, 0), (+1, bottom)]
+            for direction, limit in phases:
+                pos = m._level_of_var[var]
+                while pos != limit:
+                    if direction > 0:
+                        sifter.swap(pos)
+                        pos += 1
+                    else:
+                        sifter.swap(pos - 1)
+                        pos -= 1
+                    size = m.live_nodes
+                    if size < best_size:
+                        best_size = size
+                        best_pos = pos
+                    elif size > best_size * max_growth:
+                        break
+            # Phase 2: park at the best position seen.
             pos = m._level_of_var[var]
-            while pos != limit:
-                if direction > 0:
-                    sifter.swap(pos)
-                    pos += 1
-                else:
-                    sifter.swap(pos - 1)
-                    pos -= 1
-                size = m.live_nodes
-                if size < best_size:
-                    best_size = size
-                    best_pos = pos
-                elif size > best_size * max_growth:
-                    break
-        # Phase 2: park at the best position seen.
-        pos = m._level_of_var[var]
-        while pos < best_pos:
-            sifter.swap(pos)
-            pos += 1
-        while pos > best_pos:
-            sifter.swap(pos - 1)
-            pos -= 1
-    sifter.finish()
+            while pos < best_pos:
+                sifter.swap(pos)
+                pos += 1
+            while pos > best_pos:
+                sifter.swap(pos - 1)
+                pos -= 1
+    finally:
+        sifter.finish()
     return before, m.live_nodes
 
 

@@ -11,11 +11,12 @@ import itertools
 import multiprocessing
 import signal
 import time
+from unittest import mock
 
 import pytest
 
 import repro
-from repro.bdd import BddManager
+from repro.bdd import BddManager, reorder, sift
 from repro.budget import Budget
 from repro.circuits import row_by_name
 from repro.errors import ResourceBudgetExceeded, VerificationError
@@ -106,6 +107,46 @@ def test_bdd_manager_raises_inside_one_operation():
     stop[0] = False  # the manager stays usable and finishes the job
     assert mgr.apply_or(low, high) == mgr.or_many(terms)
     assert mgr.created_nodes - before > 4096
+
+
+def test_sift_polls_before_every_swap():
+    """One variable's walk through every level can take seconds, so a
+    cancel between two swaps must stop ``sift`` at the next one.  The
+    interleaved worst case ``x0 y0 + ... + x3 y3`` (every x above every y)
+    makes sifting move variables."""
+    swaps = []
+    cancel_after = [1]
+    mgr = BddManager(budget=Budget(
+        cancel_check=lambda: len(swaps) >= cancel_after[0]))
+    xs = mgr.add_vars(["x{}".format(i) for i in range(4)])
+    ys = mgr.add_vars(["y{}".format(i) for i in range(4)])
+    f = mgr.or_many(mgr.apply_and(x, y) for x, y in zip(xs, ys))
+    roots = [f] + xs + ys
+    for edge in roots:
+        mgr.register_root(edge)
+    envs = [{var: bool(bits >> var & 1) for var in range(8)}
+            for bits in range(256)]
+    before = [[mgr.evaluate(edge, env) for env in envs] for edge in roots]
+    swap = reorder._Sifter.swap
+
+    def counted(sifter, level):
+        swap(sifter, level)
+        swaps.append(level)
+
+    with mock.patch.object(reorder._Sifter, "swap", counted):
+        with pytest.raises(ResourceBudgetExceeded, match="cancelled"):
+            sift(mgr)
+        assert len(swaps) <= 2  # the cancel plus at most one more swap
+        mgr.check_invariants()
+        assert [[mgr.evaluate(edge, env) for env in envs]
+                for edge in roots] == before
+        cancel_after[0] = float("inf")
+        size, after = sift(mgr)
+    assert after < size
+    assert len(swaps) > 2
+    mgr.check_invariants()
+    assert [[mgr.evaluate(edge, env) for env in envs]
+            for edge in roots] == before
 
 
 # ------------------------------------------------------ every method, end to end
