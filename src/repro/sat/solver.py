@@ -229,6 +229,12 @@ class Solver:
         to false when it is re-placed, at which point the query is UNSAT
         under the assumptions (the base formula stays intact and reusable).
         """
+        # _to_internal, inlined: DIMACS v > 0 is 2v - 2 and -v is 2v - 1.
+        # Only the literal 0 maps below zero.
+        assumption_lits = [2 * lit - 2 if lit > 0 else -2 * lit - 1
+                           for lit in assumptions]
+        if assumption_lits and min(assumption_lits) < 0:
+            raise SatError("bad assumption literal: 0")
         if not self.ok:
             return False
         self._failed = None
@@ -236,9 +242,6 @@ class Solver:
         conflicts_at_restart = self.conflicts
         restart_idx = 1
         limit = luby(restart_idx) * 64
-        # _to_internal, inlined: DIMACS v > 0 is 2v - 2 and -v is 2v - 1.
-        assumption_lits = [2 * lit - 2 if lit > 0 else -2 * lit - 1
-                           for lit in assumptions]
         if assumption_lits:
             self.ensure_vars((max(assumption_lits) >> 1) + 1)
         # Trail reuse: level i of the trail, for i below both the decision

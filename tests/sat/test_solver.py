@@ -265,3 +265,18 @@ def test_cnf_errors():
         Cnf.from_dimacs("1 2 0\n")
     with pytest.raises(SatError):
         Cnf.from_dimacs("p qbf 1 1\n1 0\n")
+
+
+def test_solve_rejects_a_zero_assumption_and_stays_usable():
+    """``0`` is no literal: as ``add_clause`` does, ``solve`` raises
+    instead of assuming some variable false."""
+    s = Solver()
+    s.add_clause([1, 2])
+    s.add_clause([-2])
+    for assumptions in ([0], [1, 0], [0, -1]):
+        with pytest.raises(SatError):
+            s.solve(assumptions=assumptions)
+    assert s.solve(assumptions=[-1]) is False
+    assert s.failed_assumptions() == {-1}
+    assert s.solve() is True
+    assert s.model() == {1: True, 2: False}
