@@ -76,56 +76,34 @@ def verify(spec, impl, method="van_eijk", match_inputs="name",
       depth bound (shortest counterexamples); it never proves.
     * ``"explicit"`` — explicit-state oracle (tiny circuits only).
 
-    Every method additionally accepts ``preprocess="fraig"``: the pair is
-    shrunk by the sequential-safe FRAIG sweep before the engine runs;
-    verdicts and counterexample traces are unaffected (the reduction
-    preserves the per-frame functions and the circuit interface), and the
-    reduction telemetry lands in ``details["preprocess"]``.
-
     ``time_limit`` (seconds) and ``cancel_check()`` form the call's one
-    :class:`~repro.budget.Budget`, which covers preprocessing and the
-    engine alike; a spent budget returns an inconclusive result whose
-    ``details["aborted"]`` is "time budget exhausted" or "cancelled".
+    :class:`~repro.budget.Budget`, handed to the engine; a spent budget
+    returns an inconclusive result whose ``details["aborted"]`` is "time
+    budget exhausted" or "cancelled".
 
     Returns a :class:`~repro.reach.SecResult`.
     """
     if method not in METHODS:
         raise ValueError(
             "unknown method {!r}; choose one of {}".format(method, METHODS))
-    budget = Budget(time_limit, cancel_check)
-    info = None
-    if options.get("preprocess"):
-        from .sweep import preprocess_pair, split_preprocess_options
-
-        passes, pre_kwargs, options = split_preprocess_options(options)
-        try:
-            spec, impl, info = preprocess_pair(spec, impl, passes=passes,
-                                               budget=budget, **pre_kwargs)
-        except ResourceBudgetExceeded as exc:
-            return SecResult(None, method=method,
-                             details={"aborted": str(exc)})
-    kwargs = dict(options, budget=budget)
+    kwargs = dict(options, budget=Budget(time_limit, cancel_check))
     pair = dict(spec=spec, impl=impl, match_inputs=match_inputs,
                 match_outputs=match_outputs)
     if method == "van_eijk":
-        result = VanEijkVerifier(**kwargs).verify(**pair)
-    elif method == "sat_sweep":
-        result = check_equivalence_sat_sweep(**pair, **kwargs)
-    elif method == "fraig_sweep":
+        return VanEijkVerifier(**kwargs).verify(**pair)
+    if method == "sat_sweep":
+        return check_equivalence_sat_sweep(**pair, **kwargs)
+    if method == "fraig_sweep":
         from .sweep import check_equivalence_fraig_sweep
 
-        result = check_equivalence_fraig_sweep(**pair, **kwargs)
-    elif method == "k_induction":
-        result = check_equivalence_k_induction(**pair, **kwargs)
-    elif method == "sweep_induct":
-        result = check_equivalence_sweep_induction(**pair, **kwargs)
-    else:
-        entry = {"bmc": bmc_refute, "traversal": check_equivalence_traversal,
-                 "explicit": explicit_check_equivalence}[method]
-        result = entry(build_product(**pair), **kwargs)
-    if info is not None:
-        result.details["preprocess"] = info
-    return result
+        return check_equivalence_fraig_sweep(**pair, **kwargs)
+    if method == "k_induction":
+        return check_equivalence_k_induction(**pair, **kwargs)
+    if method == "sweep_induct":
+        return check_equivalence_sweep_induction(**pair, **kwargs)
+    entry = {"bmc": bmc_refute, "traversal": check_equivalence_traversal,
+             "explicit": explicit_check_equivalence}[method]
+    return entry(build_product(**pair), **kwargs)
 
 
 __all__ = [

@@ -1,12 +1,12 @@
 """One run's time limit and cancellation hook.
 
 :func:`repro.verify` builds one :class:`Budget` per call and hands it to
-the preprocessor, the engine, and every
-:class:`~repro.sat.solver.Solver` and :class:`~repro.bdd.BddManager` the
-run creates.  They all poll :meth:`Budget.check`: engines at their natural
-boundaries (queries, fixed-point iterations, BMC depths, BFS rings), the
-solver every few hundred conflicts and decisions, the BDD manager every
-few thousand created nodes.  Nested runs — retiming rounds, both FRAIG
+the engine, and every :class:`~repro.sat.solver.Solver` and
+:class:`~repro.bdd.BddManager` the run creates.  They all poll
+:meth:`Budget.check`: engines at their natural boundaries (queries,
+fixed-point iterations, BMC depths, BFS rings), the solver every few
+hundred conflicts and decisions, the BDD manager every few thousand
+created nodes.  Nested runs — retiming rounds, both FRAIG
 reductions, a k-induction fallback — share the one object, so the limit
 covers the whole call.  Every engine ends a spent budget the same way: an
 inconclusive result whose ``details["aborted"]`` is the exception message.

@@ -7,7 +7,7 @@ from .result import CecResult
 
 
 def check_comb_equivalence_sat(spec, impl, match_inputs="name",
-                               match_outputs="order", conflict_budget=None):
+                               match_outputs="order"):
     """Check two combinational circuits for equivalence with the SAT solver.
 
     Each output pair becomes one incremental query under a selector
@@ -46,12 +46,7 @@ def check_comb_equivalence_sat(spec, impl, match_inputs="name",
             (spec_vars[s_out], impl_vars[i_out]),
             (impl_vars[i_out], spec_vars[s_out]),
         ):
-            verdict = solver.solve(
-                assumptions=[pos, -neg], conflict_budget=conflict_budget
-            )
-            if verdict is None:
-                raise VerificationError("SAT conflict budget exhausted")
-            if verdict:
+            if solver.solve(assumptions=[pos, -neg]):
                 model = solver.model()
                 cex = {
                     net: model.get(spec_vars[net], False)

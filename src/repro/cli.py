@@ -125,12 +125,6 @@ def _cmd_verify(args):
         if args.portfolio:
             from .service import run_portfolio
 
-            preprocess_info = None
-            if args.preprocess:
-                from .sweep import preprocess_pair
-
-                spec, impl, preprocess_info = preprocess_pair(
-                    spec, impl, passes=args.preprocess)
             result = run_portfolio(
                 spec, impl,
                 time_limit=args.time_limit,
@@ -138,10 +132,6 @@ def _cmd_verify(args):
                 match_outputs=args.match_outputs,
                 bus=bus,
             )
-            if preprocess_info is not None:
-                from .sweep import attach_preprocess_details
-
-                attach_preprocess_details(result, preprocess_info)
         else:
             options = {"time_limit": args.time_limit or None}
             if args.node_limit and args.method in ("van_eijk", "traversal"):
@@ -156,8 +146,6 @@ def _cmd_verify(args):
                     options["reach_bound"] = args.reach_bound
             elif args.method == "bmc":
                 options["max_depth"] = args.max_depth
-                if args.fraig_frames:
-                    options["fraig_frames"] = True
             elif args.method in ("k_induction", "sweep_induct"):
                 options["max_depth"] = args.max_depth
                 options["strengthen"] = not args.no_strengthen
@@ -171,8 +159,6 @@ def _cmd_verify(args):
                     bus.emit(JOB_PROGRESS, job=job_name, **data)
 
                 options["progress"] = progress
-            if args.preprocess:
-                options["preprocess"] = args.preprocess
             result = verify(spec, impl, method=args.method,
                             match_inputs=args.match_inputs,
                             match_outputs=args.match_outputs, **options)
@@ -240,22 +226,11 @@ def _cmd_batch(args):
             return 1
     else:
         rows = table1_suite(scales=tuple(args.scales))
-    options = {}
-    if args.preprocess:
-        options["preprocess"] = args.preprocess
     jobs = []
     for row in rows:
         spec, impl = row.pair(optimize_level=args.optimize_level)
         jobs.append(JobSpec(row.name, spec, impl, method=args.method,
-                            options=dict(options),
                             tags={"scale": row.scale}))
-    if args.preprocess and not args.server:
-        # Reduce before the scheduler computes cache keys (the daemon does
-        # the same server-side); a --preprocess run and a direct run on the
-        # identical reduced pair share one cache entry.
-        from .sweep import preprocess_jobspec
-
-        jobs = [preprocess_jobspec(job)[0] for job in jobs]
     bus = EventBus()
     if not args.json:
         bus.subscribe(LiveRenderer(verbose=args.verbose))
@@ -572,8 +547,6 @@ def _remote_verify(args):
         options["time_limit"] = args.time_limit
     if args.max_depth is not None:
         options["max_depth"] = args.max_depth
-    if args.preprocess:
-        options["preprocess"] = args.preprocess
     if args.suite:
         job_id = client.submit_suite(
             args.suite, method=args.method, options=options,
@@ -720,14 +693,6 @@ def build_parser():
     p_verify.add_argument("--max-depth", type=int, default=32,
                           help="BMC unrolling bound / maximum induction "
                                "depth")
-    p_verify.add_argument("--preprocess", choices=["fraig"],
-                          help="shrink both circuits with the sequential-"
-                               "safe FRAIG sweep before the engine (or "
-                               "portfolio) runs; verdict-preserving")
-    p_verify.add_argument("--fraig-frames", action="store_true",
-                          help="bmc only: functionally reduce the unrolled "
-                               "frames (FRAIG-BMC); identical verdicts and "
-                               "shortest counterexamples")
     p_verify.add_argument("--cross-check", action="store_true",
                           help="also run ABC (dsec/cec) and yosys "
                                "(equiv_induct) on the pair and compare "
@@ -771,10 +736,6 @@ def build_parser():
     p_batch.add_argument("--server", metavar="URL",
                          help="route jobs through a repro-sec serve daemon "
                               "instead of a local scheduler")
-    p_batch.add_argument("--preprocess", choices=["fraig"],
-                         help="FRAIG-reduce every pair before its engine "
-                              "runs (applied before cache keys, locally "
-                              "and server-side)")
     p_batch.set_defaults(func=_cmd_batch)
 
     p_fuzz = sub.add_parser(
@@ -792,7 +753,7 @@ def build_parser():
                         help="scheduler worker processes (0 = inline)")
     p_fuzz.add_argument("--engines", nargs="+", choices=METHODS,
                         help="engine battery (default: van_eijk sat_sweep "
-                             "bmc k_induction traversal)")
+                             "fraig_sweep bmc k_induction traversal)")
     p_fuzz.add_argument("--time-limit", type=float,
                         help="per-engine-job time budget (seconds)")
     p_fuzz.add_argument("--cache-dir",
@@ -926,10 +887,6 @@ def build_parser():
     pr_verify.add_argument("--time-limit", type=float)
     pr_verify.add_argument("--max-depth", type=int,
                            help="BMC unrolling bound")
-    pr_verify.add_argument("--preprocess", choices=["fraig"],
-                           help="FRAIG-reduce the pair server-side before "
-                                "the engine runs (applied before the "
-                                "cache key)")
     pr_verify.add_argument("--no-watch", action="store_true",
                            help="poll for the verdict instead of streaming "
                                 "the SSE progress events")

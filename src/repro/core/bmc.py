@@ -18,35 +18,21 @@ from ..sat.solver import Solver
 from ..sat.tseitin import TseitinEncoder
 
 
-def bmc_refute(product, max_depth=32, conflict_budget=None,
-               fraig_frames=False, fraig_seed=2024, progress=None,
-               budget=None):
+def bmc_refute(product, max_depth=32, progress=None, budget=None):
     """Search for a counterexample of length 1..max_depth.
 
     Returns a :class:`SecResult`: refuted (with a shortest-length trace),
     or inconclusive — BMC can never *prove* equivalence.
 
-    ``fraig_frames=True`` switches to the functionally reduced unrolling
-    (FRAIG-BMC, :mod:`repro.sweep.frames`): frames are built in one
-    structurally hashed AIG and swept as they are added, so shared and
-    equivalent cones are encoded once instead of once per frame.  Verdicts
-    and shortest counterexamples are identical to the naive unrolling.
-
     ``progress(kind, **data)`` fires once per unrolled depth; ``budget``
     (a :class:`~repro.budget.Budget`) is checked at the same cadence and
     polled by the solver; a spent one ends the search inconclusive.
 
-    Every result of the naive unrolling carries ``details["solver_stats"]``:
-    one solver construction, one SAT query per solved depth, and the
-    solver's counters and database sizes (``Solver.stats``).
+    Every result carries ``details["solver_stats"]``: one solver
+    construction, one SAT query per solved depth, and the solver's
+    counters and database sizes (``Solver.stats``).
     """
     budget = budget or Budget()
-    if fraig_frames:
-        from ..sweep.frames import fraig_bmc_refute
-
-        return fraig_bmc_refute(
-            product, max_depth=max_depth, conflict_budget=conflict_budget,
-            seed=fraig_seed, progress=progress, budget=budget)
     start = time.monotonic()
     solver = Solver(budget)
     queries = 0
@@ -98,12 +84,7 @@ def bmc_refute(product, max_depth=32, conflict_budget=None,
                     return finish(None, depth,
                                   note="unrolling became unsatisfiable")
             queries += 1
-            verdict = solver.solve(assumptions=[any_diff],
-                                   conflict_budget=conflict_budget)
-            if verdict is None:
-                return finish(None, depth,
-                              aborted="conflict budget exhausted")
-            if verdict:
+            if solver.solve(assumptions=[any_diff]):
                 model = solver.model()
                 inputs = [
                     {

@@ -44,8 +44,8 @@ def initial_partition(frame, functions, use_simulation=True):
 
 def compute_fixpoint(frame, functions, use_simulation=True, use_fundeps=True,
                      reach_bound=None, max_iterations=None,
-                     reorder_threshold=None, refinement="implication",
-                     on_iteration=None, budget=None):
+                     reorder_threshold=None, on_iteration=None,
+                     budget=None):
     """Run the fixed point; returns a :class:`CorrespondenceResult`.
 
     ``reach_bound`` is an optional BDD over the frame's state variables — an
@@ -55,17 +55,6 @@ def compute_fixpoint(frame, functions, use_simulation=True, use_fundeps=True,
     iteration boundaries once the manager grows past that many live nodes —
     the paper's "dynamic variable ordering is used to control the BDD
     variable ordering".
-
-    ``refinement`` selects how Eq. 3's equality-under-Q is decided:
-
-    * ``"implication"`` — per candidate pair, check ``Q ∧ (ν_m ⊕ ν_n) = 0``
-      (no conjunction nodes are built);
-    * ``"constrain"`` — compute the generalized cofactor ``ν_m ↓ Q`` per
-      member and split classes by hashing that canonical form (the paper's
-      "complement of the correspondence condition is basically used as a
-      don't care set", made literal).
-
-    Both compute the same relation; their costs differ.
 
     ``on_iteration(iteration, partition)`` is called at the top of every
     refinement round (progress reporting); ``budget`` (a
@@ -101,7 +90,7 @@ def compute_fixpoint(frame, functions, use_simulation=True, use_fundeps=True,
         q_token = mgr.register_root(q_edge)
         try:
             partition, changed = _refine_once(
-                frame, partition, q_edge, substitution, refinement
+                frame, partition, q_edge, substitution
             )
         finally:
             mgr.release_root(q_token)
@@ -170,9 +159,12 @@ def _correspondence_condition(frame, partition, substitution):
     return mgr.and_many(conjuncts)
 
 
-def _refine_once(frame, partition, q_edge, substitution,
-                 refinement="implication"):
-    """One application of Eq. 3: split classes by next-state behaviour."""
+def _refine_once(frame, partition, q_edge, substitution):
+    """One application of Eq. 3: split classes by next-state behaviour.
+
+    Two members stay together while ``Q ∧ (ν_m ⊕ ν_n)`` has no satisfying
+    assignment; the search builds no conjunction nodes.
+    """
     mgr = frame.manager
     # Substituted frame shift: ν'_v = f_v[s := δ(σ(s), x), x := x'].  The
     # substitution σ only mentions state variables, so composing it into the
@@ -194,52 +186,33 @@ def _refine_once(frame, partition, q_edge, substitution,
             nu_cache[edge] = cached
         return cached
 
-    def implication_splitter(cls):
+    def split(members):
         # Counterexample-guided: when a member is distinguishable from the
         # class leader, the witness Q-state is evaluated against *every*
         # member and the whole class splits by value at once (the same
         # mass-refinement rule the SAT backend applies to its models); the
         # value groups are then refined recursively.
-        def split(members):
-            if len(members) <= 1:
-                return [members]
-            leader_nu = nu(members[0].edge)
-            for fn in members[1:]:
-                fn_nu = nu(fn.edge)
-                if fn_nu == leader_nu:
-                    continue
-                witness = mgr.pick_one_and(
-                    q_edge, mgr.apply_xor(fn_nu, leader_nu))
-                if witness is None:
-                    continue
-                assignment = {
-                    var: witness.get(var, False)
-                    for var in range(mgr.num_vars)
-                }
-                groups = partition_by_value(
-                    members,
-                    lambda member: mgr.evaluate(nu(member.edge), assignment),
-                )
-                return [sub for group in groups for sub in split(group)]
+        if len(members) <= 1:
             return [members]
+        leader_nu = nu(members[0].edge)
+        for fn in members[1:]:
+            fn_nu = nu(fn.edge)
+            if fn_nu == leader_nu:
+                continue
+            witness = mgr.pick_one_and(
+                q_edge, mgr.apply_xor(fn_nu, leader_nu))
+            if witness is None:
+                continue
+            assignment = {
+                var: witness.get(var, False)
+                for var in range(mgr.num_vars)
+            }
+            # Build the missing ν in member order, which fixes the node
+            # numbering, and evaluate them before the split groups values.
+            value = {member: mgr.evaluate(nu(member.edge), assignment)
+                     for member in members}
+            groups = partition_by_value(members, value.__getitem__)
+            return [sub for group in groups for sub in split(group)]
+        return [members]
 
-        return split(list(cls))
-
-    def constrain_splitter(cls):
-        # Two ν functions agree on every Q-state iff their generalized
-        # cofactors by Q coincide: split by hashing that canonical form.
-        buckets = {}
-        for fn in cls:
-            key = mgr.constrain(nu(fn.edge), q_edge)
-            buckets.setdefault(key, []).append(fn)
-        return list(buckets.values())
-
-    if refinement == "constrain":
-        return partition.refine(constrain_splitter)
-    if refinement == "implication":
-        return partition.refine(implication_splitter)
-    raise ValueError(
-        "refinement must be 'implication' or 'constrain', got {!r}".format(
-            refinement
-        )
-    )
+    return partition.refine(lambda cls: split(list(cls)))

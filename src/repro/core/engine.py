@@ -45,7 +45,7 @@ class VanEijkVerifier:
                  reach_bound=None, node_limit=None,
                  sim_frames=24, sim_width=32, seed=2024,
                  max_iterations=None, reorder_threshold=200000,
-                 refinement="implication", progress=None, budget=None):
+                 progress=None, budget=None):
         self.use_simulation = use_simulation
         self.use_fundeps = use_fundeps
         self.use_retiming = use_retiming
@@ -57,7 +57,6 @@ class VanEijkVerifier:
         self.seed = seed
         self.max_iterations = max_iterations
         self.reorder_threshold = reorder_threshold
-        self.refinement = refinement
         # Service-layer hooks: ``progress(kind, **data)`` is called at
         # iteration and retiming-round boundaries; ``budget`` is checked at
         # the same points and polled by the BDD manager — a spent one ends
@@ -138,7 +137,6 @@ class VanEijkVerifier:
                 reach_bound=reach_edge,
                 max_iterations=self.max_iterations,
                 reorder_threshold=self.reorder_threshold,
-                refinement=self.refinement,
                 on_iteration=on_iteration if self.progress else None,
                 budget=self.budget,
             )

@@ -5,9 +5,9 @@ For every signal v the model provides
 * ``f_v : S × X → B`` — the current-state function, a BDD over the state
   variables and the current-frame input variables, and
 * ``ν_v : S × X × X → B`` — the next-state function over state, current
-  inputs and *next-frame* input variables, obtained by the simultaneous
-  substitution ``ν_v = f_v[s := δ(s, x), x := x']`` (Fig. 1's identity
-  ``ν_v(s, x_t, x_{t+1}) = f_v(δ(s, x_t), x_{t+1})``).
+  inputs and *next-frame* input variables, obtained with ``shift``, the
+  simultaneous substitution ``ν_v = f_v[s := δ(s, x), x := x']``
+  (Fig. 1's identity ``ν_v(s, x_t, x_{t+1}) = f_v(δ(s, x_t), x_{t+1})``).
 
 The model also owns the reference point (s0, x0) used for polarity
 normalization and the sequential random simulation that seeds the partition.
@@ -95,7 +95,6 @@ class TimeFrame:
             for net in circuit.registers
         }
         self._to_initial = mgr.restrictor(self._s0_assignment)
-        self._nu_cache = {}
         self._sim_frames_data = None
         self.resimulate()
 
@@ -147,15 +146,6 @@ class TimeFrame:
     def f(self, net):
         """Current-state function of a net."""
         return self.values[net]
-
-    def nu(self, edge):
-        """Next-state function of a (possibly normalized) function edge."""
-        cached = self._nu_cache.get(edge)
-        if cached is None:
-            cached = self.shift(edge)
-            self.manager.register_root(cached)
-            self._nu_cache[edge] = cached
-        return cached
 
     def ref_value(self, net):
         """Value of the net at the reference point (s0, x0)."""

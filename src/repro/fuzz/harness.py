@@ -58,13 +58,11 @@ from .shrink import recipe_size, shrink_recipe
 DEFAULT_FUZZ_ENGINES = (
     ("van_eijk", "van_eijk", {}),
     ("sat_sweep", "sat_sweep", {"sim_frames": 16, "sim_width": 16}),
-    # The same engine behind the FRAIG preprocessor: every fuzz case
+    # The same sweep on the FRAIG-reduced pair: every fuzz case
     # cross-checks the reducer's verdict-preservation against the plain
     # sat_sweep lane above.
-    ("sat_sweep_fraig", "sat_sweep",
-     {"sim_frames": 16, "sim_width": 16, "preprocess": "fraig"}),
+    ("fraig_sweep", "fraig_sweep", {"sim_frames": 16, "sim_width": 16}),
     ("bmc", "bmc", {"max_depth": 12}),
-    ("bmc_fraig", "bmc", {"max_depth": 12, "fraig_frames": True}),
     ("k_induction", "k_induction",
      {"max_depth": 10, "sim_frames": 16, "sim_width": 16}),
     ("traversal", "traversal", {"max_iterations": 256}),
@@ -147,11 +145,10 @@ def _normalize_engines(engines):
     """Normalize to ``(label, method, options)`` lanes.
 
     Accepts a dict (``{method: options}``), a list of method names (each
-    selecting *every* default lane of that method — ``"sat_sweep"`` brings
-    the plain and the FRAIG-preprocessed lane), ``(method, options)``
-    pairs (label = method, the historical form) or full ``(label, method,
-    options)`` triples.  Duplicate labels are rejected: the results dict is
-    keyed by label.
+    selecting every default lane of that method, with its budgets),
+    ``(method, options)`` pairs (label = method, the historical form) or
+    full ``(label, method, options)`` triples.  Duplicate labels are
+    rejected: the results dict is keyed by label.
     """
     if engines is None:
         normalized = [(lbl, m, dict(o)) for lbl, m, o in DEFAULT_FUZZ_ENGINES]

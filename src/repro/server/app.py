@@ -80,13 +80,6 @@ def validate_payload(payload):
         check_options(method, options)
     except ValueError as exc:
         raise HttpError(400, str(exc))
-    if options.get("preprocess"):
-        from ..sweep import PREPROCESS_PASSES
-
-        if options["preprocess"] not in PREPROCESS_PASSES:
-            raise HttpError(400, "unknown preprocess pass {!r}; choose one "
-                                 "of {}".format(options["preprocess"],
-                                                list(PREPROCESS_PASSES)))
     has_suite = bool(payload.get("suite"))
     has_pair = "spec_bench" in payload and "impl_bench" in payload
     if has_suite == has_pair:
@@ -143,20 +136,12 @@ def build_jobspec(record):
                            name=payload.get("name", "spec"))
         impl = bench.loads(payload["impl_bench"],
                            name=payload.get("name", "impl") + "_impl")
-    job = JobSpec(record.id, spec, impl,
-                  method=payload.get("method", "van_eijk"),
-                  options=payload.get("options") or {},
-                  match_inputs=payload.get("match_inputs", "name"),
-                  match_outputs=payload.get("match_outputs", "order"),
-                  tags=payload.get("tags") or {})
-    if job.options.get("preprocess"):
-        # Reduce *before* the cache key is first computed: a preprocessed
-        # submission and a direct submission of the identical reduced pair
-        # share one cache entry, and the worker never re-reduces.
-        from ..sweep import preprocess_jobspec
-
-        job, _ = preprocess_jobspec(job)
-    return job
+    return JobSpec(record.id, spec, impl,
+                   method=payload.get("method", "van_eijk"),
+                   options=payload.get("options") or {},
+                   match_inputs=payload.get("match_inputs", "name"),
+                   match_outputs=payload.get("match_outputs", "order"),
+                   tags=payload.get("tags") or {})
 
 
 async def _cancel_task(task):

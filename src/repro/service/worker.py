@@ -75,17 +75,15 @@ def accepted_options(method):
     """The option keys a job of ``method`` may carry, or ``None``.
 
     A key is accepted when it is :func:`repro.verify`'s ``time_limit``, a
-    keyword of the method's entry point, a preprocessor key, or (for
-    ``fraig_sweep``, which forwards the rest) a ``sat_sweep`` keyword.
+    keyword of the method's entry point, or (for ``fraig_sweep``, which
+    forwards the rest) a ``sat_sweep`` keyword.
     ``None`` means unchecked: methods added by :func:`register_method` and
     unknown methods.
     """
     if method in _EXTRA_METHODS or method not in _ENTRY_POINTS:
         return None
-    from ..sweep.preprocess import PREPROCESS_OPTION_KEYS
-
     names = (method, "sat_sweep") if method == "fraig_sweep" else (method,)
-    allowed = {"time_limit", *PREPROCESS_OPTION_KEYS}
+    allowed = {"time_limit"}
     for name in names:
         module, attr = _ENTRY_POINTS[name]
         entry = getattr(importlib.import_module(module, __package__), attr)
@@ -113,8 +111,7 @@ def run_job(job, emit=None, cancel_check=None):
 
     ``emit(event)`` receives :class:`Event` objects for engine progress;
     ``cancel_check()`` joins the job's ``time_limit`` in the run's
-    :class:`~repro.budget.Budget`, which :func:`repro.verify` builds before
-    any preprocessing.
+    :class:`~repro.budget.Budget`, which :func:`repro.verify` builds.
     """
 
     def progress(kind, **data):
@@ -131,16 +128,7 @@ def run_job(job, emit=None, cancel_check=None):
                       match_inputs=job.match_inputs,
                       match_outputs=job.match_outputs, progress=progress,
                       cancel_check=cancel_check, **job.options)
-    if not job.options.get("preprocess"):
-        return runner(job, progress, cancel_check)
-    # A registered runner gets the FRAIG-reduced pair (scheduler/daemon
-    # submission sites that want the reduction inside the cache key call
-    # preprocess_jobspec before the key is first computed).
-    from ..sweep import attach_preprocess_details, preprocess_jobspec
-
-    job, info = preprocess_jobspec(job)
-    return attach_preprocess_details(runner(job, progress, cancel_check),
-                                     info)
+    return runner(job, progress, cancel_check)
 
 
 def worker_entry(job, token, event_queue, result_queue):

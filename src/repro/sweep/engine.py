@@ -6,8 +6,8 @@ sweep removes exactly the redundancy the correspondence fixed point would
 otherwise spend refinement rounds re-proving frame by frame, so the lane
 behaves like ``sat_sweep`` with a head start on netlists with functional
 (not just structural) duplication.  Verdicts transfer unchanged — see
-:mod:`repro.sweep.preprocess` for the soundness argument — and a
-refutation's input trace is already valid on the originals.
+:mod:`repro.sweep.reduce` for the soundness argument — and a refutation's
+input trace is already valid on the originals.
 """
 
 import time
@@ -20,10 +20,9 @@ from .reduce import fraig_reduce
 
 def check_equivalence_fraig_sweep(spec, impl, match_inputs="name",
                                   match_outputs="order", seed=2024,
-                                  conflict_budget=None,
                                   progress=None, budget=None,
                                   **sat_options):
-    """SEC by FRAIG preprocessing + SAT signal correspondence.
+    """SEC by FRAIG reduction + SAT signal correspondence.
 
     ``sat_options`` are forwarded to
     :func:`~repro.core.satbackend.check_equivalence_sat_sweep`
@@ -37,10 +36,8 @@ def check_equivalence_fraig_sweep(spec, impl, match_inputs="name",
     started = time.perf_counter()
     budget = budget or Budget()
     try:
-        spec_red = fraig_reduce(spec, seed=seed,
-                                conflict_budget=conflict_budget, budget=budget)
-        impl_red = fraig_reduce(impl, seed=seed,
-                                conflict_budget=conflict_budget, budget=budget)
+        spec_red = fraig_reduce(spec, seed=seed, budget=budget)
+        impl_red = fraig_reduce(impl, seed=seed, budget=budget)
     except ResourceBudgetExceeded as exc:
         return SecResult(equivalent=None, method="fraig_sweep",
                          seconds=time.perf_counter() - started,

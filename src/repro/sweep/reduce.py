@@ -14,21 +14,17 @@ The sweep itself is the paper's signal correspondence collapsed to one
 time frame, and this module holds the only copy of it: :class:`_Prover`
 runs it with the incremental-solver idiom of :mod:`repro.core.satbackend`
 — one solver, one CNF encoding of the AIG, and one activation-literal
-query per candidate pair — for :func:`fraig_reduce` over one circuit,
-for :class:`~repro.sweep.frames.FrameSweeper` once per unrolled frame
-(FRAIG-BMC), and through :func:`fraig_reduce` for the combinational
-checker in :mod:`repro.cec.fraigcec`.  Refuting models feed
-distinguishing patterns back into per-node counterexample signatures, a
-cheap filter that prunes later queries in the same class.
+query per candidate pair.  Refuting models feed distinguishing patterns
+back into per-node counterexample signatures, a cheap filter that prunes
+later queries in the same class.
 
 Determinism: two genuinely equivalent nodes agree on *every* simulation
-pattern, so they land in the same candidate class under any seed, and each
-merges onto its topologically first equivalent node.  With an unbounded
-conflict budget (the default) the merge set — and hence the reduced
-structure and its :func:`~repro.interop.fingerprint.aig_fingerprint` —
-is independent of the simulation seed.  A finite ``conflict_budget`` may
-leave seed-dependent merges unproven; use it only where determinism is not
-required.
+pattern, so they land in the same candidate class under any seed, every
+candidate query runs to a verdict, and each node merges onto its
+topologically first equivalent node.  The merge set — and hence the
+reduced structure and its
+:func:`~repro.interop.fingerprint.aig_fingerprint` — is therefore
+independent of the simulation seed.
 """
 
 import time
@@ -102,14 +98,12 @@ class FraigReduction:
 
 
 def fraig_reduce(circuit, sim_rounds=4, sim_width=64, seed=2024,
-                 conflict_budget=None, budget=None):
+                 budget=None):
     """Sequential-safe FRAIG sweep; returns a :class:`FraigReduction`.
 
-    ``sim_rounds * sim_width`` random patterns seed the candidate classes;
-    ``conflict_budget`` (per SAT query) trades completeness — and, with
-    it, seed-independence of the result — for bounded latency.  The run's
-    ``budget`` (a :class:`~repro.budget.Budget`) is checked before every
-    SAT query and polled inside it.
+    ``sim_rounds * sim_width`` random patterns seed the candidate classes.
+    The run's ``budget`` (a :class:`~repro.budget.Budget`) is checked
+    before every SAT query and polled inside it.
     """
     started = time.perf_counter()
     circuit.validate()
@@ -123,12 +117,10 @@ def fraig_reduce(circuit, sim_rounds=4, sim_width=64, seed=2024,
         "merges": 0,
         "sat_queries": 0,
         "sat_refuted": 0,
-        "sat_budget": 0,
         "cex_patterns": 0,
         "solver_constructions": 0,
     }
-    proven = _sweep(aig, rng, sim_rounds * sim_width, conflict_budget, stats,
-                    budget)
+    proven = _sweep(aig, rng, sim_rounds * sim_width, stats, budget)
     new_aig, lit_map = _rebuild(aig, proven)
     reduced, net_of_var = _to_named_circuit(circuit, new_aig, lit_of, lit_map)
     net_map = _witness_map(circuit, lit_of, lit_map, net_of_var)
@@ -172,7 +164,7 @@ def _embed(circuit):
 # --------------------------------------------------------------------------
 
 
-def _sweep(aig, rng, width, conflict_budget, stats, budget):
+def _sweep(aig, rng, width, stats, budget):
     """Return ``{old var -> equivalent old literal}`` of certified merges."""
     if not aig.ands:
         return {}
@@ -191,15 +183,8 @@ def _sweep(aig, rng, width, conflict_budget, stats, budget):
     if not candidates:
         return {}
 
-    prover = _Prover(aig, conflict_budget, stats, budget)
-    # Inputs take solver vars 1..I ahead of the AND nodes: the solver's
-    # search, and so every refuting model, depends on that numbering.
-    for var in aig.inputs:
-        prover.lit(2 * var)
-    prover.encode(order)
-    input_set = set(aig.inputs)  # free variables are never rewritten
-    proven = dict(prover.sweep(candidates,
-                               lambda var: var not in input_set))
+    prover = _Prover(aig, order, stats, budget)
+    proven = prover.sweep(candidates)
     stats["cex_patterns"] = prover.n_cex
     return proven
 
@@ -222,107 +207,84 @@ def _candidate_classes(variables, signatures, full):
 
 
 class _Prover:
-    """The SAT-sweep prover: one incremental solver over a growing AIG.
+    """The SAT-sweep prover: one incremental solver over one AIG.
 
-    :meth:`encode` adds the clauses of new AND nodes; :meth:`sweep` walks
-    candidate classes and certifies each merge with one activation-literal
-    query — ``act -> (a XOR b)`` solved under ``[act]``, retired with the
-    unit ``[-act]`` — so a solver is built once however many candidates
-    are examined.  Refuting models feed counterexample signatures, one bit
+    The constructor encodes the AIG once; :meth:`sweep` walks candidate
+    classes and certifies each merge with one activation-literal query —
+    ``act -> (a XOR b)`` solved under ``[act]``, retired with the unit
+    ``[-act]`` — so a solver is built once however many candidates are
+    examined.  Refuting models feed counterexample signatures, one bit
     per model on every node: equal functions agree on every pattern, so
     filtering on them never loses a true merge, it only skips doomed
-    queries.  :func:`fraig_reduce` runs it over one circuit's cone,
-    :class:`~repro.sweep.frames.FrameSweeper` once per unrolled frame.
-    The run's ``budget`` is checked before every query and polled by the
-    solver inside it.
+    queries.  The run's ``budget`` is checked before every query and
+    polled by the solver inside it.
     """
 
-    def __init__(self, aig, conflict_budget, stats, budget):
+    def __init__(self, aig, order, stats, budget):
         from ..sat.solver import Solver
 
         self.aig = aig
-        self.conflict_budget = conflict_budget
+        self.order = order  # AND vars, fanins first
         self.stats = stats
         self.budget = budget or Budget()
         stats["solver_constructions"] += 1
-        self.solver = Solver(self.budget)
-        self.sat_var = {0: self.solver.new_var()}
-        self.solver.add_clause([-self.sat_var[0]])
-        self.order = []  # encoded AND vars, fanins first
+        solver = self.solver = Solver(self.budget)
+        # Solver vars: the constant, the inputs, then the AND nodes in
+        # ``order``.  The search, and so every refuting model, depends on
+        # that numbering.
+        sat_var = self.sat_var = {0: solver.new_var()}
+        solver.add_clause([-sat_var[0]])
+        for var in aig.inputs:
+            sat_var[var] = solver.new_var()
+        for var in order:
+            y = sat_var[var] = solver.new_var()
+            rhs0, rhs1 = aig.ands[var]
+            a, b = self.lit(rhs0), self.lit(rhs1)
+            solver.add_clause([-y, a])
+            solver.add_clause([-y, b])
+            solver.add_clause([y, -a, -b])
         self.cex_sig = {}  # var -> counterexample bits (absent: all 0)
         self.n_cex = 0
         self.retired = 0
 
     def lit(self, aig_lit):
-        """Solver literal of an AIG literal; a new free var gets one."""
-        var = lit_var(aig_lit)
-        sat = self.sat_var.get(var)
-        if sat is None:
-            sat = self.sat_var[var] = self.solver.new_var()
+        """Solver literal of an AIG literal."""
+        sat = self.sat_var[lit_var(aig_lit)]
         return -sat if lit_sign(aig_lit) else sat
-
-    def encode(self, and_vars):
-        """Add ``y <-> a & b`` for each AND var, given fanins first."""
-        add = self.solver.add_clause
-        for var in and_vars:
-            y = self.sat_var[var] = self.solver.new_var()
-            rhs0, rhs1 = self.aig.ands[var]
-            a, b = self.lit(rhs0), self.lit(rhs1)
-            add([-y, a])
-            add([-y, b])
-            add([y, -a, -b])
-            self.cex_sig[var] = (self._lit_bits(rhs0)
-                                 & self._lit_bits(rhs1))
-            self.order.append(var)
 
     def _lit_bits(self, lit):
         bits = self.cex_sig.get(lit_var(lit), 0)
         return bits ^ ((1 << self.n_cex) - 1) if lit_sign(lit) else bits
 
-    def query(self, act):
-        """Solve under ``[act]`` and retire ``act``.
-
-        Returns ``(verdict, model)``; on SAT ``model`` maps every AIG
-        input var to 0/1 (0 for vars the solver never saw), read *before*
-        the retirement unit propagates at the root and wipes it.
-        """
+    def prove_equal(self, leader, member):
+        """One activation-literal query: UNSAT under [act] == equivalent."""
         solver = self.solver
+        la, lb = self.lit(leader), self.lit(member)
+        act = solver.new_var()
+        # act -> (la XOR lb): satisfiable only where the two cones differ.
+        solver.add_clause([-act, la, lb])
+        solver.add_clause([-act, -la, -lb])
+        self.stats["sat_queries"] += 1
         self.budget.check()
-        verdict = solver.solve(assumptions=[act],
-                               conflict_budget=self.conflict_budget)
-        model = None
-        if verdict:
-            model = {}
-            for var in self.aig.inputs:
-                sat = self.sat_var.get(var)
-                model[var] = 1 if sat is not None and solver.value(sat) else 0
+        differ = solver.solve(assumptions=[act])
+        if differ:
+            # Read the refuting inputs before the retirement unit below
+            # propagates at the root and wipes the model.
+            values = {var: 1 if solver.value(self.sat_var[var]) else 0
+                      for var in self.aig.inputs}
         solver.add_clause([-act])
         self.retired += 1
         if self.retired % _SIMPLIFY_EVERY == 0:
             solver.simplify()
-        return verdict, model
-
-    def prove_equal(self, leader, member):
-        """One activation-literal query: UNSAT under [act] == equivalent."""
-        la, lb = self.lit(leader), self.lit(member)
-        act = self.solver.new_var()
-        # act -> (la XOR lb): satisfiable only where the two cones differ.
-        self.solver.add_clause([-act, la, lb])
-        self.solver.add_clause([-act, -la, -lb])
-        self.stats["sat_queries"] += 1
-        verdict, model = self.query(act)
-        if verdict is False:
-            # Certified equal: pin the equivalence so later queries in the
-            # same cone propagate instead of re-deriving it.
-            self.solver.add_clause([-la, lb])
-            self.solver.add_clause([la, -lb])
-            return True
-        if verdict is None:
-            self.stats["sat_budget"] += 1
+        if differ:
+            self.stats["sat_refuted"] += 1
+            self._record_cex(values)
             return False
-        self.stats["sat_refuted"] += 1
-        self._record_cex(model)
-        return False
+        # Certified equal: pin the equivalence so later queries in the
+        # same cone propagate instead of re-deriving it.
+        solver.add_clause([-la, lb])
+        solver.add_clause([la, -lb])
+        return True
 
     def _record_cex(self, values):
         """Append one refuting model as one signature bit on every node."""
@@ -338,21 +300,22 @@ class _Prover:
                 self.cex_sig[var] = self.cex_sig.get(var, 0) | bit
         self.n_cex += 1
 
-    def sweep(self, classes, mergeable):
-        """Certify merges inside candidate classes; returns their list.
+    def sweep(self, classes):
+        """Certify merges inside candidate classes.
 
-        Each class is walked in order.  A member whose var is
-        ``mergeable`` is proved against the leaders with its
-        counterexample bits and merges onto the first proved equal, as
-        ``(var, literal of the leader it equals)``; every other member
-        leads.
+        Each class is walked in order.  A member that is not an input (a
+        free variable is never rewritten) is proved against the leaders
+        with its counterexample bits and merges onto the first proved
+        equal; every other member leads.  Returns ``{var -> literal of
+        the leader it equals}``.
         """
-        merges = []
+        inputs = set(self.aig.inputs)
+        merges = {}
         for members in classes:
             leaders = members[:1]
             for member in members[1:]:
                 target = None
-                if mergeable(lit_var(member)):
+                if lit_var(member) not in inputs:
                     bits = self._lit_bits(member)
                     for leader in leaders:
                         if (self._lit_bits(leader) == bits
@@ -362,7 +325,7 @@ class _Prover:
                 if target is None:
                     leaders.append(member)
                 else:
-                    merges.append((lit_var(member), target))
+                    merges[lit_var(member)] = target
                     self.stats["merges"] += 1
         return merges
 

@@ -1,19 +1,20 @@
-"""Edge cases for the FRAIG-based combinational checker.
+"""Edge cases for FRAIG sweeping as a combinational checker.
 
-The sweeping CEC backend shares the AIG substrate with the sequential
-preprocessor, so the corner cases the reducer newly leans on — constant
+Sweeping the product of two combinational circuits with
+:func:`~repro.sweep.fraig_reduce` (``helpers.sweep_verdict``) decides
+their equivalence, so the corner cases the reducer leans on — constant
 outputs, duplicate outputs, trivial one-gate circuits, positional input
-matching — are pinned here directly against the other backends.
+matching — are pinned here directly against the SAT backend.
 """
 
 import pytest
 
 from repro.cec import check_comb_equivalence_sat
-from repro.cec.fraigcec import check_comb_equivalence_fraig
 from repro.errors import VerificationError
 from repro.netlist import Circuit, GateType, single_eval
 
 from ..netlist.helpers import random_sequential_circuit
+from .helpers import sweep_verdict
 
 
 def comb(seed, n_inputs=4, n_gates=12):
@@ -31,7 +32,7 @@ def test_constant_outputs_equivalent():
     d.add_input("a")
     d.add_gate("o", GateType.CONST1, [])
     d.add_output("o")
-    assert check_comb_equivalence_fraig(c.validate(), d.validate()).equivalent
+    assert sweep_verdict(c.validate(), d.validate())[0]
 
 
 def test_constant_outputs_inequivalent_with_cex():
@@ -43,9 +44,8 @@ def test_constant_outputs_inequivalent_with_cex():
     d.add_input("a")
     d.add_gate("o", GateType.BUF, ["a"])
     d.add_output("o")
-    result = check_comb_equivalence_fraig(c.validate(), d.validate())
-    assert not result.equivalent
-    cex = result.counterexample
+    assert not sweep_verdict(c.validate(), d.validate())[0]
+    cex = check_comb_equivalence_sat(c, d).counterexample
     assert single_eval(c, cex, {})["o"] != single_eval(d, cex, {})["o"]
 
 
@@ -63,8 +63,8 @@ def test_duplicate_outputs():
     d.add_gate("h", GateType.AND, ["a", "b"])
     d.add_output("h")
     d.add_output("h")  # literally the same net, twice
-    assert check_comb_equivalence_fraig(
-        c.validate(), d.validate(), match_outputs="order").equivalent
+    assert sweep_verdict(c.validate(), d.validate(),
+                         match_outputs="order")[0]
 
 
 def test_single_gate_circuits():
@@ -75,7 +75,7 @@ def test_single_gate_circuits():
         c.add_gate("o", gtype, ["a", "b"])
         c.add_output("o")
         c.validate()
-        assert check_comb_equivalence_fraig(c, c.copy()).equivalent, gtype
+        assert sweep_verdict(c, c.copy())[0], gtype
 
 
 def test_match_inputs_order_with_renamed_nets():
@@ -93,9 +93,9 @@ def test_match_inputs_order_with_renamed_nets():
     d.validate()
     # By name the interfaces differ — must refuse loudly.
     with pytest.raises(VerificationError):
-        check_comb_equivalence_fraig(c, d, match_inputs="name")
+        sweep_verdict(c, d, match_inputs="name")
     # Positionally they are the same function.
-    assert check_comb_equivalence_fraig(c, d, match_inputs="order").equivalent
+    assert sweep_verdict(c, d, match_inputs="order")[0]
 
 
 def test_match_inputs_order_detects_swapped_asymmetric_inputs():
@@ -113,34 +113,24 @@ def test_match_inputs_order_detects_swapped_asymmetric_inputs():
     d.add_output("o")
     c.validate()
     d.validate()
-    result = check_comb_equivalence_fraig(c, d, match_inputs="order")
-    assert not result.equivalent
+    assert not sweep_verdict(c, d, match_inputs="order")[0]
 
 
 def test_fraig_as_cec():
     """An optimized impl is proved by sweeping alone: every output pair of
-    the product lands on one witness record, so SAT never runs."""
+    the product lands on one witness record."""
     from repro.transform import optimize
 
     spec = comb(5, n_gates=14)
     impl = optimize(spec, level=2, seed=77)
-    result = check_comb_equivalence_fraig(spec, impl)
-    assert result.equivalent
-    assert "merges" in result.stats and "conflicts" not in result.stats
-
-
-def test_sequential_circuit_rejected():
-    seq = random_sequential_circuit(5, n_inputs=2, n_regs=2, n_gates=8)
-    comb_c = comb(5)
-    for spec, impl in ((seq, seq.copy()), (seq, comb_c), (comb_c, seq)):
-        with pytest.raises(VerificationError):
-            check_comb_equivalence_fraig(spec, impl)
+    equivalent, reduction = sweep_verdict(spec, impl)
+    assert equivalent
+    assert reduction.stats["merges"] > 0
 
 
 @pytest.mark.parametrize("seed", [1, 17, 23])
 def test_agrees_with_sat_backend_on_random_circuits(seed):
     c = comb(seed)
     d = comb(seed)  # same recipe -> same circuit
-    fr = check_comb_equivalence_fraig(c, d)
     sat = check_comb_equivalence_sat(c, d)
-    assert fr.equivalent == sat.equivalent is True
+    assert sweep_verdict(c, d)[0] == sat.equivalent is True

@@ -204,22 +204,32 @@ def test_reach_bound_only_adds_equivalences():
 
 
 def test_constrain_refinement_identical_partition():
-    """Both Eq. 3 decision procedures compute the same relation."""
+    """The fixed point is stable under Eq. 3's don't-care reading: two ν
+    functions agree on every Q-state iff their generalized cofactors by Q
+    coincide, so splitting the final classes by ``ν ↓ Q`` splits nothing.
+    Without simulation seeding only refinement splits T0's classes.
+    Substituting functional dependencies reaches the same partition."""
     for seed in (2, 7):
         c = random_sequential_circuit(seed, n_inputs=2, n_regs=4, n_gates=10)
         product = build_product(c, c.copy(), match_outputs="order")
-        results = {}
-        for mode in ("implication", "constrain"):
-            frame = make_frame(product.circuit)
-            fix = compute_fixpoint(frame, frame.build_signal_functions(),
-                                   refinement=mode)
-            results[mode] = class_nets(fix.partition)
-        assert results["implication"] == results["constrain"]
+        frame = make_frame(product.circuit)
+        fix = compute_fixpoint(frame, frame.build_signal_functions(),
+                               use_simulation=False, use_fundeps=False)
+        assert fix.iterations > 1
+        mgr = frame.manager
+        mgr.register_root(fix.q_edge)
 
+        def split_by_constrain(cls):
+            buckets = {}
+            for fn in cls:
+                key = mgr.constrain(frame.shift(fn.edge), fix.q_edge)
+                buckets.setdefault(key, []).append(fn)
+            return list(buckets.values())
 
-def test_bad_refinement_mode_rejected():
-    c = random_sequential_circuit(1, n_inputs=2, n_regs=2, n_gates=4)
-    frame = make_frame(c)
-    with pytest.raises(ValueError):
-        compute_fixpoint(frame, frame.build_signal_functions(),
-                         use_simulation=False, refinement="bogus")
+        refined, changed = fix.partition.refine(split_by_constrain)
+        assert not changed
+        assert class_nets(refined) == class_nets(fix.partition)
+        frame = make_frame(product.circuit)
+        with_fundeps = compute_fixpoint(frame, frame.build_signal_functions(),
+                                        use_simulation=False)
+        assert class_nets(with_fundeps.partition) == class_nets(fix.partition)

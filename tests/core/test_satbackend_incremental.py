@@ -270,7 +270,7 @@ def test_sat_sweep_in_default_fuzz_battery():
     lanes = {label: (method, options)
              for label, method, options in DEFAULT_FUZZ_ENGINES}
     assert lanes["sat_sweep"][0] == "sat_sweep"
-    # The battery also runs the engine behind the FRAIG preprocessor.
-    method, options = lanes["sat_sweep_fraig"]
-    assert method == "sat_sweep"
-    assert options["preprocess"] == "fraig"
+    # The battery also runs the same sweep on the FRAIG-reduced pair.
+    method, options = lanes["fraig_sweep"]
+    assert method == "fraig_sweep"
+    assert options == lanes["sat_sweep"][1]

@@ -44,7 +44,7 @@ def test_fig1_identity(seed):
         }
         values_next = single_eval(circuit, x_next, next_state)
         for net in circuit.signals():
-            nu = frame.nu(frame.f(net))
+            nu = frame.shift(frame.f(net))
             assert mgr.evaluate(nu, env) == values_next[net], net
 
 

@@ -14,13 +14,14 @@ import time
 import pytest
 
 from repro import verify
-from repro.client import ServerClient
+from repro.circuits import delay_line_pair
+from repro.client import ServerClient, job_payload
 from repro.fleet import CacheClient, CoordinatorServer, TieredCache
 from repro.server import VerifyServer
 from repro.service.cache import ResultCache
 
 from ..service.helpers import tiny_pair
-from .helpers import LoopThread, comparable_result, delay_payload, wait_state, wait_until
+from .helpers import LoopThread, comparable_result, wait_state, wait_until
 
 
 def tiny_result():
@@ -131,12 +132,13 @@ def test_cross_node_cache_hit(tmp_path):
             wait_until(lambda: client.healthz()["nodes"]["alive"] == 2,
                        message="both workers to join")
 
-            # FRAIG-BMC keeps the solve long (about 2.5 s) on a pair small
-            # enough that the cache-served path, which fingerprints the
-            # pair and ships its trace, stays short: the 10x check below
-            # compares the two.
-            payload = delay_payload(name="cross-cache", delay=400)
-            payload["options"]["fraig_frames"] = True
+            # Symbolic traversal keeps the solve long (about 2.5 s, one
+            # image per frame of the delay) on a pair small enough that the
+            # cache-served path, which fingerprints the pair and ships its
+            # trace, stays short: the 10x check below compares the two.
+            spec, impl = delay_line_pair(140, width=8)
+            payload = job_payload(spec, impl, name="cross-cache",
+                                  method="traversal", match_outputs="order")
 
             solve = dict(payload, pin_node="wa")
             started = time.monotonic()

@@ -126,18 +126,16 @@ def test_same_seed_reruns_identically():
 
 def test_engine_list_shorthand_uses_default_budgets():
     fuzzer = DifferentialFuzzer(engines=["bmc"])
-    assert ("bmc", "bmc", {"max_depth": 12}) in fuzzer.engines
-    # The "bmc" method shorthand also picks up the FRAIG-frames lane.
-    lanes = {label: options for label, _, options in fuzzer.engines}
-    assert lanes["bmc_fraig"]["fraig_frames"] is True
+    assert fuzzer.engines == [("bmc", "bmc", {"max_depth": 12})]
 
 
 def test_engine_method_shorthand_selects_all_default_lanes():
-    fuzzer = DifferentialFuzzer(engines=["sat_sweep"])
-    labels = [label for label, _, _ in fuzzer.engines]
-    assert "sat_sweep" in labels and "sat_sweep_fraig" in labels
-    lanes = {label: options for label, _, options in fuzzer.engines}
-    assert lanes["sat_sweep_fraig"]["preprocess"] == "fraig"
+    fuzzer = DifferentialFuzzer(engines=["sat_sweep", "fraig_sweep"])
+    lanes = {label: (method, options)
+             for label, method, options in fuzzer.engines}
+    assert sorted(lanes) == ["fraig_sweep", "sat_sweep"]
+    # The FRAIG lane runs the plain lane's sweep on the reduced pair.
+    assert lanes["fraig_sweep"] == ("fraig_sweep", lanes["sat_sweep"][1])
 
 
 def test_duplicate_engine_labels_rejected():

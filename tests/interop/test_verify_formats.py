@@ -2,8 +2,8 @@
 
 The interop layer's whole promise is that the container format never
 changes a verdict: ``repro-sec verify a.aig b.aag`` must decide exactly
-what the same pair decides as ``.bench`` — per engine, with the FRAIG
-preprocessor, and through the daemon (whose wire format is bench text).
+what the same pair decides as ``.bench`` — per engine, with FRAIG
+reduction, and through the daemon (whose wire format is bench text).
 """
 
 import json
@@ -69,11 +69,9 @@ def test_fraig_preprocessing_is_format_blind(saved, capsys):
     for label in ("eq", "neq"):
         baseline = _verdict(saved[("spec", ".bench")],
                             saved[(label, ".bench")],
-                            "--method", "sat_sweep", "--preprocess", "fraig",
-                            capsys=capsys)
+                            "--method", "fraig_sweep", capsys=capsys)
         mixed = _verdict(saved[("spec", ".aag")], saved[(label, ".aig")],
-                         "--method", "sat_sweep", "--preprocess", "fraig",
-                         capsys=capsys)
+                         "--method", "fraig_sweep", capsys=capsys)
         assert mixed == baseline
 
 

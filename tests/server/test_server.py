@@ -55,6 +55,12 @@ def test_validate_rejects_unknown_suite_row():
     ("sat_sweep", "refine_batch"),
     ("sat_sweep", "sim_backend"),
     ("fraig_sweep", "race_workers"),
+    ("sat_sweep", "preprocess"),
+    ("van_eijk", "preprocess_seed"),
+    ("bmc", "fraig_frames"),
+    ("bmc", "fraig_seed"),
+    ("fraig_sweep", "conflict_budget"),
+    ("van_eijk", "refinement"),
 ])
 def test_validate_rejects_removed_option(method, key):
     with pytest.raises(HttpError) as excinfo:
@@ -74,13 +80,10 @@ def test_validate_rejects_misspelled_option():
     assert "'bmc'" in excinfo.value.message
 
 
-def test_validate_accepts_forwarded_and_preprocess_options():
-    """fraig_sweep forwards sat_sweep keywords; every method takes the
-    preprocessor's keys."""
+def test_validate_accepts_forwarded_options():
+    """fraig_sweep forwards sat_sweep keywords."""
     validate_payload({"suite": "s386", "method": "fraig_sweep",
-                      "options": {"conflict_budget": 10, "k": 2,
-                                  "sim_frames": 4, "preprocess": "fraig",
-                                  "preprocess_seed": 3}})
+                      "options": {"k": 2, "sim_frames": 4}})
     validate_payload({"suite": "s386", "method": "k_induction",
                       "options": {"max_depth": 4, "strengthen": False}})
     with pytest.raises(HttpError):

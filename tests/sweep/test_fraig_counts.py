@@ -1,12 +1,12 @@
 """Exact FRAIG reduction counts on eight Table-1 rows.
 
-Two places where the one SAT sweep plugs in, pinned at depth 8:
+Two inputs :func:`fraig_reduce` sweeps, pinned per row:
 
-* the FRAIG-BMC unrolling (:class:`FrameSweeper`) against the plain
-  strash-only unrolling of the same product machine: AND nodes built,
-  merges, and exactly one solver for the whole unrolling;
-* :func:`fraig_reduce` on each side of the pair: AND counts before and
-  after.
+* the product machine unrolled to depth 8 from its initial state: AND
+  nodes of the strash-only unrolling, AND nodes after the sweep, merges,
+  and exactly one solver for the whole unrolling.  Every frame's output
+  pairs of an equivalent row end on one witness record;
+* each side of the pair: AND counts before and after.
 
 Every count is deterministic (fixed sweep seed, fixed suite seeds).
 """
@@ -16,45 +16,23 @@ import pytest
 from repro import verify
 from repro.circuits import row_by_name
 from repro.netlist import build_product
-from repro.netlist.aig import FALSE, TRUE, Aig, _gate_to_aig
-from repro.sweep import FrameSweeper, fraig_reduce
+from repro.netlist.unroll import unroll
+from repro.sweep import fraig_reduce
 
 DEPTH = 8
 
-#: row -> (plain unrolled ANDs, swept ANDs, merges,
+#: row -> (unrolled ANDs, swept ANDs, merges,
 #:         spec ANDs before/after, impl ANDs before/after)
 COUNTS = {
-    "s208": (365, 209, 50, (43, 43), (77, 77)),
-    "s298": (602, 364, 130, (72, 72), (113, 108)),
-    "s344": (173, 163, 57, (34, 33), (38, 38)),
-    "s349": (773, 641, 119, (83, 79), (111, 109)),
-    "s382": (284, 193, 72, (56, 56), (63, 63)),
-    "s386": (57, 57, 4, (40, 40), (40, 40)),
-    "s420": (142, 84, 12, (73, 70), (75, 74)),
-    "s444": (602, 448, 112, (95, 83), (122, 112)),
+    "s208": (365, 79, 206, (43, 43), (77, 77)),
+    "s298": (602, 70, 368, (72, 72), (113, 108)),
+    "s344": (173, 63, 67, (34, 33), (38, 38)),
+    "s349": (773, 306, 251, (83, 79), (111, 109)),
+    "s382": (284, 20, 163, (56, 56), (63, 63)),
+    "s386": (57, 40, 4, (40, 40), (40, 40)),
+    "s420": (142, 16, 70, (73, 70), (75, 74)),
+    "s444": (602, 219, 266, (95, 83), (122, 112)),
 }
-
-
-def naive_unroll_ands(circuit, depth):
-    """AND count of the plain (strash-only) unrolling: the baseline."""
-    aig = Aig()
-    state = {net: (TRUE if reg.init else FALSE)
-             for net, reg in circuit.registers.items()}
-    roots = []
-    for t in range(depth):
-        lit_of = dict(state)
-        for net in circuit.inputs:
-            lit_of[net] = aig.add_input(name="{}@{}".format(net, t))
-        for name in circuit.topo_order():
-            gate = circuit.gates[name]
-            lit_of[name] = _gate_to_aig(
-                aig, gate.gtype, [lit_of[f] for f in gate.fanins])
-        roots.extend(lit_of[net] for net in circuit.outputs)
-        state = {net: lit_of[reg.data_in]
-                 for net, reg in circuit.registers.items()}
-    for lit in roots:
-        aig.add_output(lit)
-    return aig.num_ands
 
 
 def reduce_counts(circuit):
@@ -64,17 +42,20 @@ def reduce_counts(circuit):
 
 @pytest.mark.parametrize("name", sorted(COUNTS))
 def test_frame_sweep_counts(name):
-    naive, swept, merges, _, _ = COUNTS[name]
+    plain, swept, merges, _, _ = COUNTS[name]
     spec, impl = row_by_name(name).pair()
     product = build_product(spec, impl, match_outputs="order")
-    assert naive_unroll_ands(product.circuit, DEPTH) == naive
-    sweeper = FrameSweeper(product.circuit)
-    for _ in range(DEPTH):
-        lit_of = sweeper.add_frame()
-        assert sweeper.outputs_differ(product.output_pairs, lit_of) is None
-    assert sweeper.stats["ands_built"] == swept
-    assert sweeper.stats["merges"] == merges
-    assert sweeper.stats["solver_constructions"] == 1
+    unrolled, net_at = unroll(product.circuit, DEPTH)
+    reduction = fraig_reduce(unrolled)
+    stats = reduction.stats
+    assert stats["ands_before"] == plain
+    assert stats["ands_after"] == swept
+    assert stats["merges"] == merges
+    assert stats["solver_constructions"] == 1
+    witness = reduction.net_map
+    for t in range(DEPTH):
+        for s_out, i_out in product.output_pairs:
+            assert witness[net_at(s_out, t)] == witness[net_at(i_out, t)]
 
 
 @pytest.mark.parametrize("name", sorted(COUNTS))
@@ -83,6 +64,6 @@ def test_fraig_reduce_counts(name):
     spec, impl = row_by_name(name).pair()
     assert reduce_counts(spec) == spec_ands
     assert reduce_counts(impl) == impl_ands
-    # Preprocessing keeps the verdict: every row stays proved.
+    # The reduced pair keeps the verdict: every row stays proved.
     assert verify(spec, impl, match_outputs="order",
-                  preprocess="fraig").equivalent is True
+                  method="fraig_sweep").equivalent is True

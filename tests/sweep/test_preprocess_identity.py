@@ -1,14 +1,16 @@
-"""Differential layer: ``--preprocess fraig`` must never change a verdict.
+"""Differential layer: FRAIG reduction must never change a verdict.
 
 Every engine is run twice on the same pair — once directly, once on the
 FRAIG-reduced pair — and the verdicts must agree exactly (proved stays
 proved, refuted stays refuted, inconclusive stays inconclusive).  For
-refutations the counterexample is additionally replayed on the ORIGINAL
-circuits: the reduction preserves the interface, so a trace found in the
-reduced space must demonstrate a real output mismatch in the unreduced
-one.  FRAIG-BMC (frame reduction inside the unrolling) is pinned the same
-way against plain BMC: identical verdict, identical refutation depth,
-replay-valid trace.
+``sat_sweep`` the reduced run is the ``fraig_sweep`` method, which is
+that sweep on the pair :func:`fraig_reduce` returns.  For refutations the
+counterexample is additionally replayed on the ORIGINAL circuits: the
+reduction keeps the interface and every per-frame function, so a trace
+found in the reduced space, mapped back by
+:meth:`~repro.sweep.FraigReduction.translate_trace`, must demonstrate a
+real output mismatch in the unreduced one, and BMC's shortest
+counterexample keeps its length.
 """
 
 import os
@@ -22,7 +24,7 @@ from repro.fuzz.corpus import discover
 from repro.fuzz.generate import build_pair, expected_label, make_recipe
 from repro.fuzz.replay import replay_counterexample
 from repro.netlist import build_product
-from repro.sweep import fraig_bmc_refute
+from repro.sweep import fraig_reduce
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "..", "corpus")
 
@@ -37,13 +39,26 @@ ENGINES = [
 ROWS = ["s386", "s510"]
 
 
+def reduce_pair(spec, impl):
+    """Both FRAIG reductions; returns ``(spec_reduction, impl_reduction)``."""
+    return fraig_reduce(spec), fraig_reduce(impl)
+
+
 def both_verdicts(spec, impl, method, options, match_outputs="order"):
     direct = verify(spec, impl, method=method, match_outputs=match_outputs,
                     **options)
-    pre = verify(spec, impl, method=method, match_outputs=match_outputs,
-                 preprocess="fraig", **options)
-    assert "preprocess" in pre.details
-    return direct, pre
+    if method == "sat_sweep":
+        reduced = verify(spec, impl, method="fraig_sweep",
+                         match_outputs=match_outputs, **options)
+        assert "fraig" in reduced.details
+        return direct, reduced
+    spec_red, impl_red = reduce_pair(spec, impl)
+    reduced = verify(spec_red.reduced, impl_red.reduced, method=method,
+                     match_outputs=match_outputs, **options)
+    if reduced.counterexample is not None:
+        reduced.counterexample = spec_red.translate_trace(
+            reduced.counterexample)
+    return direct, reduced
 
 
 @pytest.mark.parametrize("row_name", ROWS)
@@ -51,15 +66,15 @@ def both_verdicts(spec, impl, method, options, match_outputs="order"):
                          ids=[m for m, _ in ENGINES])
 def test_table1_rows_verdict_identical(row_name, method, options):
     spec, impl = row_by_name(row_name).pair(optimize_level=1)
-    direct, pre = both_verdicts(spec, impl, method, options)
-    assert direct.equivalent == pre.equivalent
+    direct, reduced = both_verdicts(spec, impl, method, options)
+    assert direct.equivalent == reduced.equivalent
 
 
 def test_traversal_verdict_identical_on_small_row():
     spec, impl = row_by_name("s386").pair(optimize_level=1)
-    direct, pre = both_verdicts(spec, impl, "traversal", {})
+    direct, reduced = both_verdicts(spec, impl, "traversal", {})
     assert direct.equivalent is True
-    assert pre.equivalent is True
+    assert reduced.equivalent is True
 
 
 def corpus_entries():
@@ -69,9 +84,10 @@ def corpus_entries():
 @pytest.mark.parametrize("entry", corpus_entries(), ids=lambda e: e.id)
 def test_corpus_entries_verdict_identical(entry):
     spec, impl = build_pair(entry.recipe)
-    for method, options in (("van_eijk", {}), ("bmc", {"max_depth": 10})):
-        direct, pre = both_verdicts(spec, impl, method, options)
-        assert direct.equivalent == pre.equivalent, method
+    for method, options in (("van_eijk", {}), ENGINES[1],
+                            ("bmc", {"max_depth": 10})):
+        direct, reduced = both_verdicts(spec, impl, method, options)
+        assert direct.equivalent == reduced.equivalent, method
 
 
 def inequivalent_recipes(count=3):
@@ -96,12 +112,12 @@ def _recipe_id(recipe):
                          ids=_recipe_id)
 def test_refutations_replay_on_original_circuits(recipe):
     spec, impl = build_pair(recipe)
-    direct, pre = both_verdicts(spec, impl, "bmc", {"max_depth": 16})
+    direct, reduced = both_verdicts(spec, impl, "bmc", {"max_depth": 16})
     assert direct.equivalent is False
-    assert pre.equivalent is False
+    assert reduced.equivalent is False
     # Both traces must demonstrate a real mismatch on the ORIGINAL pair —
-    # the preprocessed trace in particular was found in the reduced space.
-    for result in (direct, pre):
+    # the reduced one in particular was found in the reduced space.
+    for result in (direct, reduced):
         report = replay_counterexample(spec, impl, result.counterexample,
                                        match_inputs="name",
                                        match_outputs="order")
@@ -110,26 +126,19 @@ def test_refutations_replay_on_original_circuits(recipe):
 
 @pytest.mark.parametrize("seed", [2, 5, 14])
 def test_fraig_bmc_matches_plain_bmc(seed):
-    recipe = make_recipe(seed)
-    spec, impl = build_pair(recipe)
-    product = build_product(spec, impl, match_inputs="name",
-                            match_outputs="order")
-    plain = bmc_refute(product, max_depth=12)
-    fraig = fraig_bmc_refute(product, max_depth=12)
+    """BMC on the FRAIG-reduced product: same verdict, same refutation
+    depth, and a trace that replays on the original pair."""
+    spec, impl = build_pair(make_recipe(seed))
+    spec_red, impl_red = reduce_pair(spec, impl)
+    plain = bmc_refute(build_product(spec, impl, match_inputs="name",
+                                     match_outputs="order"), max_depth=12)
+    fraig = bmc_refute(build_product(spec_red.reduced, impl_red.reduced,
+                                     match_inputs="name",
+                                     match_outputs="order"), max_depth=12)
     assert plain.equivalent == fraig.equivalent
     if plain.equivalent is False:
         assert plain.iterations == fraig.iterations  # same refutation depth
-        report = replay_counterexample(spec, impl, fraig.counterexample,
-                                       match_inputs="name",
-                                       match_outputs="order")
+        report = replay_counterexample(
+            spec, impl, spec_red.translate_trace(fraig.counterexample),
+            match_inputs="name", match_outputs="order")
         assert report.valid, report.reason
-
-
-def test_fraig_bmc_via_verify_option():
-    recipe = make_recipe(14)
-    spec, impl = build_pair(recipe)
-    direct = verify(spec, impl, method="bmc", max_depth=12)
-    framed = verify(spec, impl, method="bmc", max_depth=12,
-                    fraig_frames=True)
-    assert direct.equivalent == framed.equivalent
-    assert "fraig_frames" in framed.details

@@ -1,11 +1,11 @@
 """FRAIG reduction is sound under every knob setting a caller may pick.
 
 :func:`fraig_reduce` has knobs with no universally right setting: wide
-simulation (few rounds, many patterns), deep simulation (many rounds) and
-a per-query conflict budget.  Which setting "wins" on a given netlist —
-finishes first, or merges most — varies, so each must hand downstream
-engines a reduced circuit that is bit-identical to the original on every
-output, frame by frame.
+simulation (few rounds, many patterns) and deep simulation (many
+rounds).  Which setting "wins" on a given netlist — finishes first, or
+merges most — varies, so each must hand downstream engines a reduced
+circuit that is bit-identical to the original on every output, frame by
+frame.
 """
 
 import random
@@ -16,12 +16,10 @@ from repro.sweep import FraigReduction, fraig_reduce
 from ..netlist.helpers import random_sequential_circuit
 
 #: (label, fraig_reduce keyword overrides): "wide" spends its simulation
-#: budget on patterns per round, "deep" on rounds, "budgeted" caps each SAT
-#: query so one hard candidate cannot stall the reduction.
+#: budget on patterns per round, "deep" on rounds.
 STRATEGIES = (
     ("wide", {"sim_rounds": 2, "sim_width": 128}),
     ("deep", {"sim_rounds": 8, "sim_width": 32}),
-    ("budgeted", {"sim_rounds": 4, "sim_width": 64, "conflict_budget": 20}),
 )
 
 

@@ -1,6 +1,6 @@
 """The FRAIG reducer must be invisible to every observer.
 
-Three properties pin the preprocessor's soundness contract:
+Three properties pin the reducer's soundness contract:
 
 * **Bit-identity** — the reduced circuit, started from the same initial
   state and fed the same input frames, produces bit-identical output

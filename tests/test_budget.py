@@ -195,15 +195,6 @@ def test_time_limit_stops_every_method(pairs, method, row):
     assert multiprocessing.active_children() == []
 
 
-def test_time_limit_covers_preprocessing(pairs):
-    spec, impl = pairs["s6669"]
-    result = verify_within(BOUND, spec, impl, method="sat_sweep",
-                           preprocess="fraig", time_limit=2)
-    assert result.inconclusive
-    assert result.details["aborted"] == "time budget exhausted"
-    assert multiprocessing.active_children() == []
-
-
 @pytest.mark.parametrize(
     "method", [m for m in repro.METHODS if m != "explicit"])
 def test_cancel_stops_every_method(pairs, method):

@@ -83,6 +83,26 @@ def test_removed_refinement_flags_are_rejected(command, flag, capsys):
     assert flag[0] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag", [
+    (["verify", "spec.bench", "impl.bench", "--method", "sat_sweep"],
+     ["--preprocess", "fraig"]),
+    (["batch", "--rows", "s386", "--method", "sat_sweep"],
+     ["--preprocess", "fraig"]),
+    (["remote", "verify", "--server", "http://127.0.0.1:1", "--suite",
+      "s386", "--method", "sat_sweep"], ["--preprocess", "fraig"]),
+    (["verify", "spec.bench", "impl.bench", "--method", "bmc"],
+     ["--fraig-frames"]),
+], ids=["preprocess-verify", "preprocess-batch", "preprocess-remote-verify",
+        "fraig-frames-verify"])
+def test_removed_fraig_flags_are_rejected(command, flag, capsys):
+    """FRAIG runs only as the fraig_sweep method; the flags that put it in
+    front of other engines are usage errors, not silently ignored."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(command + flag)
+    assert excinfo.value.code == 2
+    assert flag[0] in capsys.readouterr().err
+
+
 def test_serve_rejects_removed_refine_workers_flag(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["serve", "--refine-workers", "2"])
