@@ -57,6 +57,12 @@ def _identity(f):
     return f
 
 
+# The recursions descend one frame per BDD level; deep orders need more
+# than the interpreter's default of 1000.
+if sys.getrecursionlimit() < 100000:
+    sys.setrecursionlimit(100000)
+
+
 class BddManager:
     """A manager owning a shared multi-rooted BDD forest.
 
@@ -103,8 +109,6 @@ class BddManager:
         # Registered roots (protected across garbage collection/reordering).
         self._roots = {}
         self._next_root_token = 0
-        if sys.getrecursionlimit() < 100000:
-            sys.setrecursionlimit(100000)
 
     # ------------------------------------------------------------------
     # Constants and variables

@@ -250,7 +250,6 @@ def _cmd_batch(args):
             bus=bus,
             retries=args.retries,
             fallback_method=args.fallback,
-            no_fallback=args.no_fallback,
             job_time_limit=args.time_limit,
             total_time_limit=args.total_time_limit,
             node_limit=args.node_limit,
@@ -722,9 +721,6 @@ def build_parser():
     p_batch.add_argument("--fallback", choices=METHODS,
                          help="method to rerun inconclusive jobs with "
                               "(e.g. k_induction or bmc)")
-    p_batch.add_argument("--no-fallback", action="store_true",
-                         help="fail fast: keep inconclusive verdicts "
-                              "instead of rerunning on --fallback")
     p_batch.add_argument("--cache-dir", default=".repro-cache")
     p_batch.add_argument("--no-cache", action="store_true")
     p_batch.add_argument("--events", metavar="FILE",

@@ -499,7 +499,7 @@ def check_equivalence_sat_sweep(spec, impl, match_inputs="name",
             details = {"aborted": str(exc)}
             details["solver_stats"] = _merge_stats(
                 totals, engine.solver_stats())
-            return SecResult(equivalent=None, method="van_eijk_sat",
+            return SecResult(equivalent=None, method="sat_sweep",
                              seconds=time.monotonic() - start,
                              details=details)
         total_iterations += iterations
@@ -507,7 +507,7 @@ def check_equivalence_sat_sweep(spec, impl, match_inputs="name",
         if _outputs_proved_sat(product, classes):
             return SecResult(
                 equivalent=True,
-                method="van_eijk_sat",
+                method="sat_sweep",
                 iterations=total_iterations,
                 seconds=time.monotonic() - start,
                 details=_sat_details(classes, engine.k, retime_rounds, totals),
@@ -521,7 +521,7 @@ def check_equivalence_sat_sweep(spec, impl, match_inputs="name",
             progress("retiming_round", round=retime_rounds)
     return SecResult(
         equivalent=None,
-        method="van_eijk_sat",
+        method="sat_sweep",
         iterations=total_iterations,
         seconds=time.monotonic() - start,
         details=_sat_details(classes, k, retime_rounds, totals),

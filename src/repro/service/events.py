@@ -8,8 +8,8 @@ machine-readable run log) and :class:`repro.service.render.LiveRenderer`
 (the human-readable progress view).
 
 Events cross process boundaries as plain dicts (see
-:meth:`Event.as_dict` / :meth:`Event.from_dict`), so worker processes can
-forward them to the parent over a ``multiprocessing.Queue``.
+:meth:`Event.as_dict` / :meth:`Event.from_dict`): a worker process sends
+them to the parent over its own pipe, in the order it emitted them.
 """
 
 import json
@@ -26,11 +26,9 @@ JOB_PROGRESS = "job_progress"
 JOB_FINISHED = "job_finished"
 JOB_CACHED = "job_cached"
 JOB_RETRY = "job_retry"
+# An inconclusive primary verdict handing the job to its fallback engine:
+# ``method`` (the fallback), ``primary_method`` and the ``reason``.
 JOB_FALLBACK = "job_fallback"
-# An inconclusive primary verdict handing the job to its fallback engine,
-# with the losing engine and the reason spelled out (JOB_FALLBACK only
-# carries the methods; this one says *why*).
-ENGINE_FALLBACK = "engine_fallback"
 # The combined sat_sweep+induction mode handing an inconclusive fixed
 # point's partition to the k-induction engine instead of traversal.
 INDUCTION_FALLBACK = "induction_fallback"

@@ -1,7 +1,8 @@
 """The one worker supervisor, and bounded-parallel batch verification.
 
 :class:`WorkerPool` is the only code that forks, relays, reaps and kills
-worker processes.  :class:`BatchScheduler`, the engine race
+worker processes; each worker reports over its own one-way pipe (see
+:func:`worker_entry`).  :class:`BatchScheduler`, the engine race
 (:func:`~repro.service.portfolio.run_portfolio`) and the
 :mod:`repro.server` daemon are loops over its ``submit``/``poll``/
 ``shutdown``.  A worker is stopped one way, whatever the cause — a
@@ -13,9 +14,11 @@ cancel, a ``job_time_limit`` overrun or a shutdown:
 
 The time-budget kill starts at ``job_time_limit + grace`` (the engine got
 the limit as its own budget), so a stuck engine is dead by
-``job_time_limit + 2·grace``.  Each worker ends in one
-:class:`PoolOutcome`, and one retry rule reads it: only an engine error or
-a crashed worker is retried; a time-budget kill or a cancel never is.
+``job_time_limit + 2·grace``.  A worker still alive ``grace`` seconds
+after it reported (a lingering thread, say) gets SIGKILL alone.  Each
+worker ends in one :class:`PoolOutcome`, and one retry rule reads it: only
+an engine error or a crashed worker is retried; a time-budget kill or a
+cancel never is.
 
 :class:`BatchScheduler` runs many :class:`~repro.service.job.JobSpec`\\ s:
 
@@ -37,15 +40,17 @@ Results come back in submission order, one :class:`JobResult` per job.
 """
 
 import itertools
+import multiprocessing
+import os
 import signal
 import threading
 import time
+import traceback
 
 from .cache import ResultCache  # noqa: F401  (re-exported convenience)
 from .events import (
     BATCH_FINISHED,
     BATCH_STARTED,
-    ENGINE_FALLBACK,
     Event,
     EventBus,
     JOB_CACHED,
@@ -56,10 +61,13 @@ from .events import (
     JOB_STARTED,
 )
 from .job import JobResult, JobSpec, aborted_result
-from .procs import drain_queue, get_context, start_worker
 from .worker import accepted_options, run_job
 
 _POLL_INTERVAL = 0.05
+
+#: Messages :meth:`WorkerPool.poll` reads from one worker per call, so a
+#: worker that emits faster than the bus publishes cannot hold it up.
+_READ_BATCH = 1000
 
 
 def _seed_budgets(job, time_limit=None, node_limit=None):
@@ -88,17 +96,14 @@ class BatchScheduler:
 
     def __init__(self, workers=2, cache=None, bus=None, retries=1,
                  fallback_method=None, fallback_options=None,
-                 no_fallback=False, job_time_limit=None,
-                 total_time_limit=None, node_limit=None, grace=2.0):
+                 job_time_limit=None, total_time_limit=None,
+                 node_limit=None, grace=2.0):
         self.workers = workers
         self.cache = cache
         self.bus = bus or EventBus()
         self.retries = retries
         self.fallback_method = fallback_method
         self.fallback_options = dict(fallback_options or {})
-        #: Fail fast: finalize inconclusive verdicts as-is instead of
-        #: resubmitting on the fallback engine (overrides fallback_method).
-        self.no_fallback = no_fallback
         self.job_time_limit = job_time_limit
         self.total_time_limit = total_time_limit
         self.node_limit = node_limit
@@ -229,7 +234,6 @@ class BatchScheduler:
         """Record a finished engine run; may queue a fallback attempt."""
         job = attempt.job
         if (result.inconclusive and not attempt.is_fallback
-                and not self.no_fallback
                 and self.fallback_method is not None
                 and job.method != self.fallback_method):
             fallback_job = JobSpec(
@@ -240,9 +244,7 @@ class BatchScheduler:
             )
             self.bus.emit(JOB_FALLBACK, job=job.name, index=attempt.index,
                           method=self.fallback_method,
-                          primary_method=job.method)
-            self.bus.emit(ENGINE_FALLBACK, job=job.name, index=attempt.index,
-                          engine=job.method, fallback=self.fallback_method,
+                          primary_method=job.method,
                           reason=result.details.get("aborted",
                                                     "inconclusive"))
             pending.append(_Attempt(attempt.index, self._budgeted(fallback_job),
@@ -388,7 +390,7 @@ class PoolOutcome:
     (the engine raised), ``"crashed"`` (the process died without
     reporting), ``"timed_out"`` (stopped for ``job_time_limit``) or
     ``"cancelled"`` (stopped by :meth:`WorkerPool.cancel` or
-    :meth:`WorkerPool.shutdown`); ``killed`` is True when the stop needed
+    :meth:`WorkerPool.shutdown`); ``killed`` is True when the worker needed
     SIGKILL.  ``result`` is the :class:`JobResult` the worker posted — kept
     even if the worker was stopped afterwards — or, when it posted none,
     an aborted placeholder whose ``error`` says why.  ``error`` describes
@@ -416,6 +418,66 @@ class PoolOutcome:
         return self.ended in ("error", "crashed")
 
 
+def worker_entry(job, conn):
+    """Process target: run ``job`` and report over ``conn``.
+
+    ``conn`` is the send end of the worker's own one-way pipe, which
+    :class:`WorkerPool` reads.  It carries ``("event", Event-dict)`` for
+    each engine event, then exactly one final message: ``("result",
+    JobResult-dict)``, or ``("error", traceback-string)`` when the engine
+    raised.  A crash (hard kill, segfault, ``os._exit``) ends the pipe
+    without a final message; the pool reports the exit code.
+
+    ``SIGTERM`` becomes *cooperative* cancellation: the engine notices at
+    its next poll of the run's :class:`~repro.budget.Budget` (built-in
+    engines poll it down to single SAT and BDD operations) and returns an
+    inconclusive ("cancelled") result, so the worker exits cleanly instead
+    of dying mid-operation.
+    """
+    cancelled = threading.Event()
+
+    # An asyncio parent (the verification daemon) has a signal wakeup fd
+    # installed, and fork shares it with us.  If we kept it, our own
+    # SIGTERM delivery would write the signum byte into the parent's
+    # event loop self-pipe — the parent would dispatch its *own* SIGTERM
+    # handler and shut down the whole daemon whenever one job is
+    # cancelled.  Detach before installing any handler of our own.
+    signal.set_wakeup_fd(-1)
+
+    def on_sigterm(signum, frame):
+        cancelled.set()
+
+    signal.signal(signal.SIGTERM, on_sigterm)
+
+    # Orphan guard: if the parent dies without tearing us down (SIGKILL'd
+    # scheduler/daemon — its atexit cleanup never runs), we are reparented
+    # and ``getppid`` changes.  Treat that as a cancellation so the engine
+    # unwinds at its next budget poll instead of running forever.
+    parent_pid = os.getppid()
+
+    def cancel_check():
+        return cancelled.is_set() or os.getppid() != parent_pid
+
+    def emit(event):
+        try:
+            conn.send(("event", event.as_dict()))
+        except Exception:
+            pass  # never let telemetry take the engine down
+
+    started = time.monotonic()
+    try:
+        result = run_job(job, emit=emit, cancel_check=cancel_check)
+        message = ("result", JobResult(
+            job.name, result,
+            wall_seconds=time.monotonic() - started,
+            method=job.method,
+        ).as_dict())
+    except Exception:
+        message = ("error", traceback.format_exc())
+    conn.send(message)
+    conn.close()
+
+
 class WorkerPool:
     """Non-blocking submit/poll/cancel surface over the worker processes.
 
@@ -427,11 +489,15 @@ class WorkerPool:
     * :meth:`submit` forks a worker for one job (caller checks
       :meth:`has_capacity` first, queueing policy lives with the caller);
     * :meth:`poll` relays worker events onto the bus, applies the
-      ``job_time_limit`` kill, escalates overdue SIGTERMs to SIGKILL and
+      ``job_time_limit`` kill, escalates overdue SIGTERMs to SIGKILL,
+      SIGKILLs a worker that lingers ``grace`` seconds after reporting and
       returns the :class:`PoolOutcome` list of workers reaped since the
       last call;
     * :meth:`cancel` starts the SIGTERM → SIGKILL path for one job without
       blocking on it.
+
+    Each worker writes to its own pipe (see :func:`worker_entry`), so a
+    worker killed mid-message or flooding events holds up no other.
 
     It is not thread-safe — drive it from one thread/task only.
     """
@@ -441,9 +507,9 @@ class WorkerPool:
         self.bus = bus or EventBus()
         self.job_time_limit = job_time_limit
         self.grace = grace
-        self._ctx = get_context()
-        self._event_queue = self._ctx.Queue()
-        self._result_queue = self._ctx.Queue()
+        # ``fork`` is cheap on Linux, and workers inherit the engines
+        # registered in the parent with register_method (tests rely on it).
+        self._ctx = multiprocessing.get_context("fork")
         self._running = {}  # token -> _PoolRun
 
     # -- capacity -----------------------------------------------------------
@@ -471,9 +537,16 @@ class WorkerPool:
         if token in self._running:
             raise RuntimeError("token {!r} already running".format(token))
         job = self._budgeted(job)
-        proc = start_worker(self._ctx, job, token,
-                            self._event_queue, self._result_queue)
-        self._running[token] = _PoolRun(job, proc)
+        conn, send_end = self._ctx.Pipe(duplex=False)
+        # Closing our copy of the send end leaves the worker's as the only
+        # one, so the pipe ends when the worker does; later forks never
+        # inherit it.
+        with send_end:
+            proc = self._ctx.Process(
+                target=worker_entry, args=(job, send_end),
+                name="repro-worker-{}".format(token), daemon=True)
+            proc.start()
+        self._running[token] = _PoolRun(job, proc, conn)
         self.bus.emit(event, job=job.name, method=job.method, pid=proc.pid,
                       **fields)
         return proc.pid
@@ -508,43 +581,53 @@ class WorkerPool:
     def poll(self):
         """Relay events, apply the kills, reap; returns :class:`PoolOutcome`\\ s.
 
-        Never blocks.
+        Never blocks: it reads only what a worker's pipe holds, and joins
+        only a worker whose pipe has ended and whose process has exited.
         """
-        for payload in drain_queue(self._event_queue):
-            self.bus.publish(Event.from_dict(payload))
-        for kind, token, payload in drain_queue(self._result_queue):
-            run = self._running.get(token)
-            if run is not None:
-                run.message = (kind, payload)
         now = time.monotonic()
-        for run in self._running.values():
-            if run.message is not None or not run.proc.is_alive():
-                continue
-            if run.kill_at is None:
-                if (self.job_time_limit is not None and now - run.started
-                        > self.job_time_limit + self.grace):
-                    self._stop(run, "timed_out")
-            elif now >= run.kill_at and not run.killed:
-                run.killed = True
-                run.proc.kill()
-        return self._reap()
-
-    def _reap(self):
         finished = []
         for token, run in list(self._running.items()):
-            if run.message is None:
-                if run.proc.is_alive():
-                    continue
+            if run.conn is not None:
+                self._read(run)
+            if run.proc.is_alive():
+                self._escalate(run, now)
+            elif run.conn is None:
+                # End of file after exit: every message sent has been read.
+                del self._running[token]
                 run.proc.join()
-                if run.grace_polls < 3:
-                    # Exited without reporting: give the queue a beat to
-                    # deliver a result raced with process death.
-                    run.grace_polls += 1
-                    continue
-            del self._running[token]
-            run.proc.join()
-            finished.append(self._outcome(token, run))
+                finished.append(self._outcome(token, run))
         return finished
+
+    def _read(self, run):
+        """Publish the events ``run``'s pipe holds, in order, and keep its
+        final message; close the pipe at its end."""
+        try:
+            for _ in range(_READ_BATCH):
+                if not run.conn.poll():
+                    return
+                kind, payload = run.conn.recv()
+                if kind == "event":
+                    self.bus.publish(Event.from_dict(payload))
+                else:
+                    run.message = (kind, payload)
+        except (EOFError, OSError):  # OSError: a message torn by SIGKILL
+            run.conn.close()
+            run.conn = None
+
+    def _escalate(self, run, now):
+        """Set a live worker's SIGKILL deadline once it has reported or
+        overrun its time budget, and SIGKILL it past that deadline."""
+        if run.kill_at is None:
+            if run.message is not None:
+                # Reported, yet still alive (say, a lingering thread):
+                # SIGKILL after ``grace``; the outcome keeps the result.
+                run.kill_at = now + self.grace
+            elif (self.job_time_limit is not None and now - run.started
+                    > self.job_time_limit + self.grace):
+                self._stop(run, "timed_out")
+        elif now >= run.kill_at and not run.killed:
+            run.killed = True
+            run.proc.kill()
 
     def _outcome(self, token, run):
         job = run.job
@@ -578,7 +661,7 @@ class WorkerPool:
 
         The one blocking pool method: it waits out the cancel path (up to
         ``grace`` before SIGKILL).  Worker events are relayed to the bus
-        before the queues close.
+        before each worker is reaped.
         """
         for token in list(self._running):
             self.cancel(token)
@@ -587,23 +670,21 @@ class WorkerPool:
             outcomes.extend(self.poll())
             if self._running:
                 time.sleep(_POLL_INTERVAL / 5)
-        self._event_queue.close()
-        self._result_queue.close()
         return outcomes
 
 
 class _PoolRun:
     """Bookkeeping for one live :class:`WorkerPool` worker."""
 
-    __slots__ = ("job", "proc", "started", "message", "stop", "kill_at",
-                 "killed", "grace_polls")
+    __slots__ = ("job", "proc", "conn", "started", "message", "stop",
+                 "kill_at", "killed")
 
-    def __init__(self, job, proc):
+    def __init__(self, job, proc, conn):
         self.job = job
         self.proc = proc
+        self.conn = conn  # the pipe's receive end; None once it has ended
         self.started = time.monotonic()
         self.message = None  # ("result" | "error", payload) once posted
         self.stop = None  # "timed_out" | "cancelled" once SIGTERM'd
         self.kill_at = None
         self.killed = False
-        self.grace_polls = 0

@@ -1,42 +1,30 @@
-"""Worker-side job execution.
+"""Job execution, and the registry of engines a job can name.
 
 :func:`run_job` runs a :class:`~repro.service.job.JobSpec` through
-:func:`repro.verify` with progress/cancellation hooks injected;
-:func:`worker_entry` is the ``multiprocessing.Process`` target wrapping it
-with the cross-process plumbing:
+:func:`repro.verify`, or through a runner added with
+:func:`register_method`, with progress/cancellation hooks injected.  The
+batch runs it in its own process for ``workers=0``; otherwise it runs in a
+forked worker, whose :func:`~repro.service.scheduler.worker_entry` sends
+each progress event and then the one result over the worker's own pipe,
+and turns ``SIGTERM`` into cooperative cancellation.  A registered
+runner calls ``progress`` from the thread that called it, and should poll
+``cancel_check``; the pool SIGKILLs a worker ``grace`` seconds after a
+SIGTERM it ignored.
 
-* engine progress callbacks become ``job_progress`` event dicts on the
-  parent's event queue;
-* ``SIGTERM`` is caught and translated into *cooperative* cancellation —
-  the engine notices at its next poll of the run's
-  :class:`~repro.budget.Budget` (built-in engines poll it down to single
-  SAT and BDD operations) and returns an inconclusive ("cancelled")
-  result, so the worker exits cleanly instead of dying mid-operation.  The
-  one supervisor, :class:`~repro.service.scheduler.WorkerPool`, sends
-  SIGKILL ``grace`` seconds after the SIGTERM if the worker is still alive
-  (a registered runner that never polls the hook); it retries a job only
-  when its engine raised or its worker crashed, never after such a stop.
-
-Additional engines can be registered with :func:`register_method`; under
-the default ``fork`` start method a registration made in the parent (e.g.
-by a test) is visible to workers.  :func:`check_options` lets submission
-sites reject a job whose options its engine would not accept, before the
-job is forked; the schedulers ask :func:`accepted_options` which budgets
-a method takes (``time_limit``: every built-in method; ``node_limit``: the
+Workers are forked, so a registration made in the parent (e.g. by a
+test) is visible to them.  :func:`check_options` lets submission sites
+reject a job whose options its engine would not accept, before the job
+is forked; the schedulers ask :func:`accepted_options` which budgets a
+method takes (``time_limit``: every built-in method; ``node_limit``: the
 BDD engines).
 """
 
 import importlib
 import inspect
-import os
-import signal
-import threading
-import time
-import traceback
 
 from .. import verify
 from .events import JOB_PROGRESS, Event
-from .job import JobResult, aborted_result
+from .job import aborted_result
 
 #: name -> runner(job, progress, cancel_check) for engines beyond the
 #: built-ins (used by tests and downstream extensions).
@@ -130,61 +118,3 @@ def run_job(job, emit=None, cancel_check=None):
                       cancel_check=cancel_check, **job.options)
     return runner(job, progress, cancel_check)
 
-
-def worker_entry(job, token, event_queue, result_queue):
-    """Process target: run ``job`` and report on ``result_queue``.
-
-    ``token`` is the opaque identifier the pool routes the result by (an
-    attempt number for the batch, the method for the portfolio, the job
-    id for the daemon).  The result message is ``("result", token,
-    JobResult-dict)`` on success or ``("error", token, traceback-string)``
-    on an engine exception; a crash (hard kill, segfault, ``os._exit``)
-    sends nothing — the pool detects it from the exit code.
-    """
-    cancelled = threading.Event()
-
-    # An asyncio parent (the verification daemon) has a signal wakeup fd
-    # installed, and fork shares it with us.  If we kept it, our own
-    # SIGTERM delivery would write the signum byte into the parent's
-    # event loop self-pipe — the parent would dispatch its *own* SIGTERM
-    # handler and shut down the whole daemon whenever one job is
-    # cancelled.  Detach before installing any handler of our own.
-    signal.set_wakeup_fd(-1)
-
-    def on_sigterm(signum, frame):
-        cancelled.set()
-
-    signal.signal(signal.SIGTERM, on_sigterm)
-
-
-    # Orphan guard: if the parent dies without tearing us down (SIGKILL'd
-    # scheduler/daemon — its atexit cleanup never runs), we are reparented
-    # and ``getppid`` changes.  Treat that as a cancellation so the engine
-    # unwinds at its next budget poll instead of running forever.
-    parent_pid = os.getppid()
-
-    def cancel_check():
-        return cancelled.is_set() or os.getppid() != parent_pid
-
-    def emit(event):
-        try:
-            event_queue.put(event.as_dict())
-        except Exception:
-            pass  # never let telemetry take the engine down
-
-    started = time.monotonic()
-    try:
-        result = run_job(job, emit=emit, cancel_check=cancel_check)
-        payload = JobResult(
-            job.name, result,
-            wall_seconds=time.monotonic() - started,
-            method=job.method,
-        ).as_dict()
-        result_queue.put(("result", token, payload))
-    except Exception:
-        result_queue.put(("error", token, traceback.format_exc()))
-    finally:
-        result_queue.close()
-        result_queue.join_thread()
-        event_queue.close()
-        event_queue.join_thread()

@@ -6,8 +6,7 @@ sweep removes exactly the redundancy the correspondence fixed point would
 otherwise spend refinement rounds re-proving frame by frame, so the lane
 behaves like ``sat_sweep`` with a head start on netlists with functional
 (not just structural) duplication.  Verdicts transfer unchanged — see
-:mod:`repro.sweep.reduce` for the soundness argument — and a refutation's
-input trace is already valid on the originals.
+:mod:`repro.sweep.reduce` for the soundness argument.
 """
 
 import time
@@ -58,10 +57,4 @@ def check_equivalence_fraig_sweep(spec, impl, match_inputs="name",
         "spec": dict(spec_red.stats),
         "impl": dict(impl_red.stats),
     }
-    # The reduction preserves the input interface; the checked-identity
-    # translation turns any contract drift into a loud error here rather
-    # than a bogus replay downstream.
-    if result.counterexample is not None:
-        result.counterexample = spec_red.translate_trace(
-            result.counterexample)
     return result

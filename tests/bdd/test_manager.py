@@ -1,6 +1,7 @@
 """Unit tests for the BDD manager core."""
 
 import itertools
+import sys
 
 import pytest
 
@@ -19,6 +20,17 @@ def test_constants(mgr):
     assert mgr.apply_not(mgr.false) == mgr.true
     assert mgr.is_constant(mgr.true)
     assert mgr.is_constant(mgr.false)
+
+
+def test_construction_leaves_the_recursion_limit_alone():
+    """The import raised the limit once; a manager never touches it."""
+    before = sys.getrecursionlimit()
+    sys.setrecursionlimit(5000)
+    try:
+        BddManager()
+        assert sys.getrecursionlimit() == 5000
+    finally:
+        sys.setrecursionlimit(before)
 
 
 def test_variable_creation_and_lookup(mgr):

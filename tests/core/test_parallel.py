@@ -68,8 +68,7 @@ def partition_runner(job, progress, cancel_check):
 
 def run_in_workers(jobs, bus=None):
     """Run ``jobs`` two at a time in forked workers; results in order."""
-    scheduler = BatchScheduler(workers=2, bus=bus, retries=0,
-                               no_fallback=True)
+    scheduler = BatchScheduler(workers=2, bus=bus, retries=0)
     results = scheduler.run(jobs)
     for result in results:
         assert result.error is None, result.error

@@ -126,7 +126,7 @@ def test_result_metadata():
     spec = toggle_circuit()
     result = check_equivalence_sat_sweep(spec, spec.copy())
     assert result.proved
-    assert result.method == "van_eijk_sat"
+    assert result.method == "sat_sweep"
     assert result.iterations >= 1
     assert result.details["functions"] > 0
 

@@ -172,54 +172,44 @@ def test_run_job_cancels_the_explicit_oracle_between_rings():
     assert result.details["aborted"] == "cancelled"
 
 
-def test_inconclusive_fallback_to_bmc():
+def run_magic(**batch_options):
+    """Run the pair van_eijk cannot decide; returns (result, events)."""
     spec, impl = magic_pair()
     bus = EventBus()
     seen = []
     bus.subscribe(seen.append)
-    # van_eijk cannot decide this pair; the scheduler resubmits it to the
-    # falsifier, which finds the counterexample.
     job = JobSpec("magic", spec, impl,
                   options={"time_limit": 60, "max_retiming_rounds": 1})
-    results = BatchScheduler(workers=0, bus=bus, fallback_method="bmc",
-                             fallback_options={"max_depth": 8}).run([job])
-    result = results[0]
+    [result] = BatchScheduler(workers=0, bus=bus, **batch_options).run([job])
+    return result, seen
+
+
+def test_inconclusive_fallback_to_bmc():
+    # van_eijk cannot decide this pair; the scheduler resubmits it to the
+    # falsifier, which finds the counterexample.
+    result, _ = run_magic(fallback_method="bmc",
+                          fallback_options={"max_depth": 8})
     assert result.verdict is False
     assert result.result.method == "bmc"
     assert result.result.counterexample is not None
-    assert any(e.type == ev.JOB_FALLBACK for e in seen)
 
 
-def test_fallback_emits_engine_fallback_event():
-    spec, impl = magic_pair()
-    bus = EventBus()
-    seen = []
-    bus.subscribe(seen.append)
-    job = JobSpec("magic", spec, impl,
-                  options={"time_limit": 60, "max_retiming_rounds": 1})
-    BatchScheduler(workers=0, bus=bus, fallback_method="bmc",
-                   fallback_options={"max_depth": 8}).run([job])
-    events = [e for e in seen if e.type == ev.ENGINE_FALLBACK]
-    assert len(events) == 1
-    payload = events[0].data
-    assert payload["engine"] == "van_eijk"
-    assert payload["fallback"] == "bmc"
+def test_fallback_emits_one_event_with_methods_and_reason():
+    _, seen = run_magic(fallback_method="bmc",
+                        fallback_options={"max_depth": 8})
+    fallbacks = [e for e in seen if "fallback" in e.type]
+    assert [e.type for e in fallbacks] == [ev.JOB_FALLBACK]
+    payload = fallbacks[0].data
+    assert payload["method"] == "bmc"
+    assert payload["primary_method"] == "van_eijk"
     assert payload["reason"]
 
 
-def test_no_fallback_fails_fast():
-    spec, impl = magic_pair()
-    bus = EventBus()
-    seen = []
-    bus.subscribe(seen.append)
-    job = JobSpec("magic", spec, impl,
-                  options={"time_limit": 60, "max_retiming_rounds": 1})
-    results = BatchScheduler(workers=0, bus=bus, fallback_method="bmc",
-                             no_fallback=True).run([job])
-    assert results[0].verdict is None
-    assert results[0].result.method == "van_eijk"
+def test_without_fallback_method_fails_fast():
+    result, seen = run_magic()
+    assert result.verdict is None
+    assert result.result.method == "van_eijk"
     assert not any(e.type == ev.JOB_FALLBACK for e in seen)
-    assert not any(e.type == ev.ENGINE_FALLBACK for e in seen)
 
 
 def test_inconclusive_sweep_falls_back_to_k_induction():
@@ -296,19 +286,6 @@ TIME_LIMITED = {"van_eijk", "sat_sweep", "fraig_sweep", "k_induction",
 NODE_LIMITED = {"van_eijk", "traversal"}
 
 
-class ExitedWorker:
-    """Stands in for a forked worker process that has already exited."""
-
-    pid = 0
-    exitcode = 0
-
-    def is_alive(self):
-        return False
-
-    def join(self, timeout=None):
-        pass
-
-
 @pytest.mark.parametrize("method", sorted(_ENTRY_POINTS))
 def test_budgets_reach_every_engine_that_takes_them(method, monkeypatch):
     """``job_time_limit`` and ``node_limit`` are seeded into exactly the
@@ -320,19 +297,15 @@ def test_budgets_reach_every_engine_that_takes_them(method, monkeypatch):
         seen.append(job)
         return SecResult(True, method=job.method)
 
-    def start_worker(ctx, job, token, event_queue, result_queue):
-        seen.append(job)
-        return ExitedWorker()
-
     monkeypatch.setattr(scheduler, "run_job", run_job)
-    monkeypatch.setattr(scheduler, "start_worker", start_worker)
     spec, impl = tiny_pair()
     job = JobSpec("budget", spec, impl, method=method)
     BatchScheduler(workers=0, job_time_limit=5.0, node_limit=1000).run([job])
     pool = WorkerPool(workers=1, job_time_limit=5.0)
     pool.submit("budget", job)
-    pool.shutdown()
-    batch, pooled = seen
+    [outcome] = pool.shutdown()
+    [batch] = seen
+    pooled = outcome.job
     assert ("time_limit" in batch.options) == (method in TIME_LIMITED)
     assert ("node_limit" in batch.options) == (method in NODE_LIMITED)
     assert pooled.options == {key: value for key, value

@@ -110,6 +110,14 @@ def test_serve_rejects_removed_refine_workers_flag(capsys):
     assert "--refine-workers" in capsys.readouterr().err
 
 
+def test_batch_rejects_removed_no_fallback_flag(capsys):
+    """Leaving out ``--fallback`` already keeps inconclusive verdicts."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["batch", "--rows", "s386", "--no-fallback"])
+    assert excinfo.value.code == 2
+    assert "--no-fallback" in capsys.readouterr().err
+
+
 def test_verify_profile_flag_writes_stats(circuit_files, tmp_path, capsys):
     profile = tmp_path / "verify.prof"
     code = main(["verify", str(circuit_files["spec"]),
