@@ -107,7 +107,8 @@ class CoordinatorServer(JobFrontEnd):
             host, port, store_dir or ".repro-coordinator", cache_dir,
             cache_max_entries, cache_max_bytes, queue_limit, rate, burst,
             request_timeout, sse_heartbeat, sse_write_timeout,
-            poll_interval, history_limit, bus, ready_file)
+            history_limit, bus, ready_file)
+        self.poll_interval = poll_interval
         self.dead_after = dead_after
         self.heartbeat_interval = heartbeat_interval
         self.dispatch_timeout = dispatch_timeout
@@ -191,6 +192,11 @@ class CoordinatorServer(JobFrontEnd):
         self._reap()
         await self._dispatch_queued()
         self._ensure_tails()
+
+    async def _idle(self):
+        """A periodic tick (heartbeat checks, 429 retries, tail
+        re-attachment); a submission ends it early."""
+        await self._sleep(self.poll_interval)
 
     def _reap(self):
         now = time.monotonic()

@@ -162,9 +162,10 @@ class JobFrontEnd:
     handling, rate limiting, submission with queue backpressure, the
     per-job SSE event history, queued-job cancellation and ``/v1/stats``.
     A role subclass sets :attr:`role` and supplies :meth:`_pump_once` (one
-    step of moving queued jobs forward), :meth:`_cancel_running` and
-    :meth:`_wind_down`; it may extend :meth:`_about`, :meth:`_prepare`,
-    :meth:`_route` and :meth:`stats`.
+    step of moving queued jobs forward), :meth:`_idle` (the wait between
+    steps, which :meth:`_wake_pump` ends; every submission calls it),
+    :meth:`_cancel_running` and :meth:`_wind_down`; it may extend
+    :meth:`_about`, :meth:`_prepare`, :meth:`_route` and :meth:`stats`.
 
     Every terminal transition emits exactly one of ``job_finished``,
     ``job_cancelled`` or ``job_cached`` on the bus before the job's SSE
@@ -176,15 +177,14 @@ class JobFrontEnd:
 
     def __init__(self, host, port, store_dir, cache_dir, cache_max_entries,
                  cache_max_bytes, queue_limit, rate, burst, request_timeout,
-                 sse_heartbeat, sse_write_timeout, poll_interval,
-                 history_limit, bus, ready_file, trusted_proxies=()):
+                 sse_heartbeat, sse_write_timeout, history_limit, bus,
+                 ready_file, trusted_proxies=()):
         self.host = host
         self.port = port
         self.queue_limit = queue_limit
         self.request_timeout = request_timeout
         self.sse_heartbeat = sse_heartbeat
         self.sse_write_timeout = sse_write_timeout
-        self.poll_interval = poll_interval
         self.history_limit = history_limit
         self.ready_file = ready_file
         # The proxies whose X-Forwarded-For header identifies the real
@@ -202,6 +202,7 @@ class JobFrontEnd:
         self._watchers = {}   # job id -> set of asyncio.Queue
         self._server = None
         self._pump_task = None
+        self._wake = None
         self._connections = set()
         self._stop_event = None
         self._started_at = None
@@ -240,6 +241,7 @@ class JobFrontEnd:
         """Bind the listener, start the pump, write the ready file."""
         self._started_at = time.monotonic()
         self._stop_event = asyncio.Event()
+        self._wake = asyncio.Event()
         self._server = await asyncio.start_server(
             self._handle_connection, host=self.host, port=self.port)
         self.port = self._server.sockets[0].getsockname()[1]
@@ -334,10 +336,35 @@ class JobFrontEnd:
                 # The pump must survive one bad record or node; the record
                 # itself is marked errored where possible.
                 pass
-            await asyncio.sleep(self.poll_interval)
+            await self._idle()
 
     async def _pump_once(self):
         raise NotImplementedError
+
+    async def _idle(self):
+        raise NotImplementedError
+
+    def _wake_pump(self):
+        """Have the pump take its next step now."""
+        if self._wake is not None:
+            self._wake.set()
+
+    async def _sleep(self, timeout):
+        """Wait for :meth:`_wake_pump`, or ``timeout`` seconds unless it is
+        ``None``."""
+        # A timer rather than asyncio.wait_for: up to Python 3.11,
+        # wait_for can return normally when stop() cancels it in the loop
+        # iteration that woke it, and the pump would never stop.
+        timer = None
+        if timeout is not None:
+            timer = asyncio.get_event_loop().call_later(timeout,
+                                                        self._wake.set)
+        try:
+            await self._wake.wait()
+        finally:
+            if timer is not None:
+                timer.cancel()
+        self._wake.clear()
 
     def _mark_error(self, record, message):
         record.state = store_mod.ERROR
@@ -495,6 +522,7 @@ class JobFrontEnd:
             ids.append(record.id)
             self.bus.emit(JOB_SUBMITTED, job=record.id, name=record.name,
                           method=payload["method"], client=client)
+        self._wake_pump()
         response = {"ids": ids} if many else {"id": ids[0]}
         response["state"] = store_mod.QUEUED
         return json_response(202, response)
@@ -600,17 +628,18 @@ class VerifyServer(JobFrontEnd):
                  queue_limit=64, job_time_limit=None, retries=1, grace=2.0,
                  rate=20.0, burst=40, request_timeout=10.0,
                  sse_heartbeat=10.0, sse_write_timeout=10.0,
-                 poll_interval=0.02, history_limit=2000, bus=None,
-                 ready_file=None, node_id=None,
+                 history_limit=2000, bus=None, ready_file=None, node_id=None,
                  join_url=None, advertise_host=None, heartbeat_interval=2.0,
                  trusted_proxies=(), remote_cache_url=None):
         super().__init__(
             host, port, store_dir or ".repro-server", cache_dir,
             cache_max_entries, cache_max_bytes, queue_limit, rate, burst,
             request_timeout, sse_heartbeat, sse_write_timeout,
-            poll_interval, history_limit, bus, ready_file,
-            trusted_proxies=trusted_proxies)
+            history_limit, bus, ready_file, trusted_proxies=trusted_proxies)
         self.retries = retries
+        # Set when a job may have become startable: the queue scan sorts
+        # every kept record, so a step that only relayed events skips it.
+        self._queue_changed = True
         # Fleet membership (repro.fleet): a node id for healthz/debugging
         # and the coordinator to join (None = standalone daemon).
         self.node_id = node_id or "node-{}-{}".format(
@@ -685,9 +714,33 @@ class VerifyServer(JobFrontEnd):
     # -- the job pump -------------------------------------------------------
 
     async def _pump_once(self):
-        self._start_queued()
+        # Reap first: a freed slot or a requeued job is started in this
+        # same step, with nothing left to wake the pump for it.
         for outcome in self.pool.poll():
             self._finish(outcome)
+            self._queue_changed = True
+        if self._queue_changed:
+            self._queue_changed = False
+            self._start_queued()
+
+    async def _idle(self):
+        """Sleep until a submission, a running job's cancel, a readable
+        worker pipe, a worker's exit or the pool's next kill deadline."""
+        loop = asyncio.get_event_loop()
+        fds = self.pool.waitables()
+        for fd in fds:
+            loop.add_reader(fd, self._wake.set)
+        try:
+            await self._sleep(self.pool.time_left())
+        finally:
+            # Before poll() can close a pipe or an exit descriptor.
+            for fd in fds:
+                loop.remove_reader(fd)
+
+    def _submit(self, request):
+        response = super()._submit(request)
+        self._queue_changed = True
+        return response
 
     def _start_queued(self):
         while self.pool.has_capacity():
@@ -766,6 +819,7 @@ class VerifyServer(JobFrontEnd):
 
     async def _cancel_running(self, record):
         self.pool.cancel(record.id)
+        self._wake_pump()  # the sleep must now end by its SIGKILL deadline
         return json_response(202, {"id": record.id, "state": "cancelling"})
 
     def stats(self):

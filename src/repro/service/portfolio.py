@@ -47,8 +47,6 @@ from .scheduler import WorkerPool
 DEFAULT_PORTFOLIO_METHODS = ("van_eijk", "fraig_sweep", "k_induction",
                              "bmc", "traversal")
 
-_POLL_INTERVAL = 0.05
-
 
 def run_portfolio(spec, impl, methods=DEFAULT_PORTFOLIO_METHODS,
                   per_method_options=None, time_limit=None,
@@ -112,7 +110,8 @@ def run_portfolio(spec, impl, methods=DEFAULT_PORTFOLIO_METHODS,
                 break
             if deadline is not None and time.monotonic() > deadline:
                 break
-            time.sleep(_POLL_INTERVAL)
+            pool.wait(None if deadline is None
+                      else deadline - time.monotonic())
     finally:
         # The losing lanes are cancelled; a result one posted before its
         # SIGTERM is kept (and audited below).

@@ -41,6 +41,7 @@ Results come back in submission order, one :class:`JobResult` per job.
 
 import itertools
 import multiprocessing
+import multiprocessing.connection
 import os
 import signal
 import threading
@@ -62,8 +63,6 @@ from .events import (
 )
 from .job import JobResult, JobSpec, aborted_result
 from .worker import accepted_options, run_job
-
-_POLL_INTERVAL = 0.05
 
 #: Messages :meth:`WorkerPool.poll` reads from one worker per call, so a
 #: worker that emits faster than the bus publishes cannot hold it up.
@@ -111,6 +110,7 @@ class BatchScheduler:
         #: Set to the signal name ("SIGINT"/"SIGTERM") when a batch was
         #: stopped by :meth:`run`'s graceful signal handlers.
         self.interrupted = None
+        self._wakeup = None  # write end of the pool loop's wake pipe
 
     # -- public API ---------------------------------------------------------
 
@@ -187,6 +187,8 @@ class BatchScheduler:
                 # still be stopped forcibly.
                 if self.interrupted is None:
                     self.interrupted = name
+                    if self._wakeup is not None:
+                        os.write(self._wakeup, b"\0")
                 elif received == signal.SIGINT:
                     raise KeyboardInterrupt
             try:
@@ -302,17 +304,14 @@ class BatchScheduler:
         running = {}  # token -> _Attempt
         tokens = itertools.count(1)
         reason = None
+        # The signal handlers write a byte here, so a stop request ends the
+        # wait below instead of waiting for a worker to report.
+        wake, self._wakeup = os.pipe()
         try:
             while pending or running:
                 reason = self._stop_reason(deadline)
                 if reason is not None:
                     break
-                while pending and pool.has_capacity():
-                    attempt = pending.pop(0)
-                    token = next(tokens)
-                    running[token] = attempt
-                    pool.submit(token, attempt.job, index=attempt.index,
-                                attempt=attempt.number)
                 for outcome in pool.poll():
                     attempt = running.pop(outcome.token)
                     if outcome.retryable:
@@ -321,11 +320,22 @@ class BatchScheduler:
                         self._finalize(attempt, outcome.result.result,
                                        results, pending,
                                        outcome.result.wall_seconds)
+                while pending and pool.has_capacity():
+                    attempt = pending.pop(0)
+                    token = next(tokens)
+                    running[token] = attempt
+                    pool.submit(token, attempt.job, index=attempt.index,
+                                attempt=attempt.number)
                 if running:
-                    time.sleep(_POLL_INTERVAL / 5 if pending
-                               else _POLL_INTERVAL)
+                    timeout = (None if deadline is None
+                               else deadline - time.monotonic())
+                    if wake in pool.wait(timeout, also=(wake,)):
+                        os.read(wake, 64)  # _stop_reason says why
         finally:
             pool.shutdown()
+            wakeup, self._wakeup = self._wakeup, None
+            os.close(wakeup)
+            os.close(wake)
         if reason is not None:
             self._abort(running.values(), results, reason, ran=True)
             self._abort(pending, results, reason)
@@ -418,7 +428,7 @@ class PoolOutcome:
         return self.ended in ("error", "crashed")
 
 
-def worker_entry(job, conn):
+def worker_entry(job, conn, inherited=()):
     """Process target: run ``job`` and report over ``conn``.
 
     ``conn`` is the send end of the worker's own one-way pipe, which
@@ -428,12 +438,19 @@ def worker_entry(job, conn):
     raised.  A crash (hard kill, segfault, ``os._exit``) ends the pipe
     without a final message; the pool reports the exit code.
 
+    ``inherited`` are the receive ends fork copied into the worker: its
+    own pipe's and those of the workers running beside it.  The worker
+    closes them first, so once the pool's process is gone the pipe has no
+    reader left and a send fails instead of blocking on a full pipe.
+
     ``SIGTERM`` becomes *cooperative* cancellation: the engine notices at
     its next poll of the run's :class:`~repro.budget.Budget` (built-in
     engines poll it down to single SAT and BDD operations) and returns an
     inconclusive ("cancelled") result, so the worker exits cleanly instead
     of dying mid-operation.
     """
+    for end in inherited:
+        end.close()
     cancelled = threading.Event()
 
     # An asyncio parent (the verification daemon) has a signal wakeup fd
@@ -474,7 +491,10 @@ def worker_entry(job, conn):
         ).as_dict())
     except Exception:
         message = ("error", traceback.format_exc())
-    conn.send(message)
+    try:
+        conn.send(message)
+    except OSError:
+        pass  # the pool's process is gone (a broken pipe): nobody to tell
     conn.close()
 
 
@@ -494,7 +514,10 @@ class WorkerPool:
       returns the :class:`PoolOutcome` list of workers reaped since the
       last call;
     * :meth:`cancel` starts the SIGTERM → SIGKILL path for one job without
-      blocking on it.
+      blocking on it;
+    * :meth:`wait` blocks until :meth:`poll` has work: a worker's pipe is
+      readable, a worker exits or a kill comes due.  An event loop waits on
+      :meth:`waitables` and :meth:`time_left` itself instead.
 
     Each worker writes to its own pipe (see :func:`worker_entry`), so a
     worker killed mid-message or flooding events holds up no other.
@@ -538,12 +561,14 @@ class WorkerPool:
             raise RuntimeError("token {!r} already running".format(token))
         job = self._budgeted(job)
         conn, send_end = self._ctx.Pipe(duplex=False)
+        inherited = [conn] + [run.conn for run in self._running.values()
+                              if run.conn is not None]
         # Closing our copy of the send end leaves the worker's as the only
         # one, so the pipe ends when the worker does; later forks never
         # inherit it.
         with send_end:
             proc = self._ctx.Process(
-                target=worker_entry, args=(job, send_end),
+                target=worker_entry, args=(job, send_end, inherited),
                 name="repro-worker-{}".format(token), daemon=True)
             proc.start()
         self._running[token] = _PoolRun(job, proc, conn)
@@ -595,6 +620,8 @@ class WorkerPool:
                 # End of file after exit: every message sent has been read.
                 del self._running[token]
                 run.proc.join()
+                if run.pidfd is not None:
+                    os.close(run.pidfd)
                 finished.append(self._outcome(token, run))
         return finished
 
@@ -615,19 +642,32 @@ class WorkerPool:
             run.conn = None
 
     def _escalate(self, run, now):
-        """Set a live worker's SIGKILL deadline once it has reported or
-        overrun its time budget, and SIGKILL it past that deadline."""
+        """Set a live worker's SIGKILL deadline once it has reported, and
+        act on its :meth:`_due` deadline once that has passed."""
+        if run.kill_at is None and run.message is not None:
+            # Reported, yet still alive (say, a lingering thread): SIGKILL
+            # after ``grace``; the outcome keeps the result.
+            run.kill_at = now + self.grace
+        due = self._due(run)
+        if due is None or now < due:
+            return
         if run.kill_at is None:
-            if run.message is not None:
-                # Reported, yet still alive (say, a lingering thread):
-                # SIGKILL after ``grace``; the outcome keeps the result.
-                run.kill_at = now + self.grace
-            elif (self.job_time_limit is not None and now - run.started
-                    > self.job_time_limit + self.grace):
-                self._stop(run, "timed_out")
-        elif now >= run.kill_at and not run.killed:
+            self._stop(run, "timed_out")
+        else:
             run.killed = True
             run.proc.kill()
+
+    def _due(self, run):
+        """When :meth:`poll` acts on ``run`` unprompted: the SIGKILL at its
+        ``kill_at``, or the SIGTERM once it overran ``job_time_limit`` plus
+        ``grace``; ``None`` when neither is pending."""
+        if run.killed:
+            return None
+        if run.kill_at is not None:
+            return run.kill_at
+        if run.message is None and self.job_time_limit is not None:
+            return run.started + self.job_time_limit + self.grace
+        return None
 
     def _outcome(self, token, run):
         job = run.job
@@ -654,6 +694,48 @@ class WorkerPool:
                 error=error, method=job.method, wall_seconds=wall)
         return PoolOutcome(token, job, result, ended, run.killed, error)
 
+    # -- wait ---------------------------------------------------------------
+
+    def waitables(self):
+        """The descriptors whose readiness gives :meth:`poll` work: each open
+        worker pipe and each unreaped worker's exit descriptor.
+
+        A pipe reaches end of file before its worker has exited, so the
+        exit descriptor is needed too: a pidfd, which turns readable once
+        the worker can be reaped, or else the process sentinel, which turns
+        readable a few milliseconds earlier, while the worker still exits.
+        :meth:`poll` closes a pipe at its end and both exit descriptors
+        once it has reaped the worker: stop watching them first.
+        """
+        fds = []
+        for run in self._running.values():
+            if run.conn is not None:
+                fds.append(run.conn.fileno())
+            fds.append(run.proc.sentinel if run.pidfd is None
+                       else run.pidfd)
+        return fds
+
+    def time_left(self):
+        """Seconds until :meth:`poll` must send the next signal unprompted
+        (a SIGKILL, or a time-budget SIGTERM); ``None`` when none is due."""
+        due = [when for when in map(self._due, self._running.values())
+               if when is not None]
+        if not due:
+            return None
+        return max(0.0, min(due) - time.monotonic())
+
+    def wait(self, timeout=None, also=()):
+        """Block until one of :meth:`waitables` or ``also`` is readable, the
+        next kill comes due or ``timeout`` seconds pass; returns the ready
+        objects.  Returns at once when no worker is running."""
+        if not self._running:
+            return []
+        left = self.time_left()
+        if left is not None and (timeout is None or left < timeout):
+            timeout = left
+        return multiprocessing.connection.wait(
+            self.waitables() + list(also), timeout)
+
     # -- shutdown -----------------------------------------------------------
 
     def shutdown(self):
@@ -668,21 +750,24 @@ class WorkerPool:
         outcomes = []
         while self._running:
             outcomes.extend(self.poll())
-            if self._running:
-                time.sleep(_POLL_INTERVAL / 5)
+            self.wait()
         return outcomes
 
 
 class _PoolRun:
     """Bookkeeping for one live :class:`WorkerPool` worker."""
 
-    __slots__ = ("job", "proc", "conn", "started", "message", "stop",
-                 "kill_at", "killed")
+    __slots__ = ("job", "proc", "conn", "pidfd", "started", "message",
+                 "stop", "kill_at", "killed")
 
     def __init__(self, job, proc, conn):
         self.job = job
         self.proc = proc
         self.conn = conn  # the pipe's receive end; None once it has ended
+        try:
+            self.pidfd = os.pidfd_open(proc.pid)  # Linux 5.3+
+        except (AttributeError, OSError):
+            self.pidfd = None
         self.started = time.monotonic()
         self.message = None  # ("result" | "error", payload) once posted
         self.stop = None  # "timed_out" | "cancelled" once SIGTERM'd

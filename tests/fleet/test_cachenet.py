@@ -121,7 +121,7 @@ def test_cross_node_cache_hit(tmp_path):
 
         def worker(tag):
             return VerifyServer(
-                port=0, workers=2, poll_interval=0.02,
+                port=0, workers=2,
                 store_dir=str(tmp_path / tag / "store"),
                 cache_dir=str(tmp_path / tag / "cache"),
                 node_id=tag, join_url=url, heartbeat_interval=0.25,

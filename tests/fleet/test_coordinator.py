@@ -123,7 +123,7 @@ def test_unreachable_node_dies_on_dispatch_and_survivor_takes_over(
 
     # A real worker joins; the queued job drains to it.
     worker = VerifyServer(
-        port=0, workers=2, poll_interval=0.02,
+        port=0, workers=2,
         store_dir=str(tmp_path / "w" / "store"), cache_dir=None,
         node_id="real", join_url=url, heartbeat_interval=0.1,
         trusted_proxies=("127.0.0.1",))
@@ -143,7 +143,7 @@ def test_submissions_carry_forwarded_client_to_workers(coordinator,
     and the worker trusts the coordinator's peer address)."""
     url = coordinator.url()
     worker = VerifyServer(
-        port=0, workers=2, poll_interval=0.02,
+        port=0, workers=2,
         store_dir=str(tmp_path / "w" / "store"), cache_dir=None,
         node_id="w", join_url=url, heartbeat_interval=0.1,
         trusted_proxies=("127.0.0.1",))
@@ -182,7 +182,7 @@ def test_cancel_emits_one_job_cancelled_queued_or_dispatched(coordinator,
     assert types == ["job_submitted", "job_cancelled", "done"]
 
     worker = VerifyServer(
-        port=0, workers=1, poll_interval=0.02,
+        port=0, workers=1,
         store_dir=str(tmp_path / "w" / "store"), cache_dir=None,
         node_id="w", join_url=url, heartbeat_interval=0.1,
         trusted_proxies=("127.0.0.1",))
@@ -233,7 +233,7 @@ def test_relay_fault_ends_the_job_in_error_without_a_new_tail(coordinator,
     url = coordinator.url()
     client = ServerClient(url, timeout=30)
     worker = VerifyServer(
-        port=0, workers=1, poll_interval=0.02,
+        port=0, workers=1,
         store_dir=str(tmp_path / "w" / "store"), cache_dir=None,
         node_id="w", join_url=url, heartbeat_interval=0.1,
         trusted_proxies=("127.0.0.1",))
@@ -270,7 +270,7 @@ def test_relay_connection_reset_is_retried(coordinator, tmp_path):
     url = coordinator.url()
     client = ServerClient(url, timeout=30)
     worker = VerifyServer(
-        port=0, workers=1, poll_interval=0.02,
+        port=0, workers=1,
         store_dir=str(tmp_path / "w" / "store"), cache_dir=None,
         node_id="w", join_url=url, heartbeat_interval=0.1,
         trusted_proxies=("127.0.0.1",))

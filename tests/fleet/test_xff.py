@@ -45,7 +45,7 @@ def drain_bucket(url, forwarded, attempts=20):
 def tiny_limit_server(tmp_path, trusted):
     # burst=3 with a glacial refill: the 4th request in a bucket is 429.
     return VerifyServer(
-        port=0, workers=1, poll_interval=0.02,
+        port=0, workers=1,
         store_dir=str(tmp_path / "store"), cache_dir=None,
         rate=0.001, burst=3, trusted_proxies=trusted)
 
@@ -86,7 +86,7 @@ def test_first_hop_of_forwarded_chain_wins(tmp_path):
 
 def test_forwarded_identity_recorded_on_submissions(tmp_path):
     server = VerifyServer(
-        port=0, workers=1, poll_interval=0.02,
+        port=0, workers=1,
         store_dir=str(tmp_path / "store"), cache_dir=None,
         trusted_proxies=("127.0.0.1",))
     with LoopThread(server):

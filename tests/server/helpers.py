@@ -20,7 +20,6 @@ class ServerThread:
     def __init__(self, **kwargs):
         kwargs.setdefault("host", "127.0.0.1")
         kwargs.setdefault("port", 0)
-        kwargs.setdefault("poll_interval", 0.01)
         self.server = VerifyServer(**kwargs)
         self.loop = None
         self.thread = None

@@ -56,6 +56,7 @@ def stub_server():
     finally:
         server.shutdown()
         thread.join(timeout=5)
+        server.server_close()
 
 
 def make_client(url, **kwargs):

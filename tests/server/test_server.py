@@ -8,6 +8,7 @@ import asyncio
 import concurrent.futures
 import os
 import socket
+import time
 
 import pytest
 
@@ -403,3 +404,22 @@ def test_stop_returns_while_a_client_holds_an_idle_connection(tmp_path):
             stopping.result(timeout=2)
         except concurrent.futures.TimeoutError:
             pytest.fail("stop() still waiting 2 s after it was called")
+
+
+def test_an_idle_daemon_does_not_spin(tmp_path):
+    """Nothing wakes the pump of a daemon without jobs: it steps once when
+    it starts, then sleeps."""
+    thread = ServerThread(store_dir=tmp_path, workers=1)
+    server = thread.server
+    pump_once = server._pump_once
+    steps = []
+
+    async def counted():
+        steps.append(time.monotonic())
+        await pump_once()
+
+    server._pump_once = counted
+    with thread:
+        time.sleep(0.5)
+        idle_steps = len(steps)
+    assert idle_steps <= 2

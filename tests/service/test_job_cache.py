@@ -108,7 +108,8 @@ def test_cache_rejects_other_format_versions(tmp_path):
     cache = ResultCache(tmp_path)
     cache.put("ef" * 32, SecResult(True, "van_eijk"))
     path = cache._path("ef" * 32)
-    entry = json.loads(open(path).read())
+    with open(path) as fh:
+        entry = json.load(fh)
     entry["version"] = CACHE_FORMAT_VERSION + 1
     with open(path, "w") as fh:
         json.dump(entry, fh)

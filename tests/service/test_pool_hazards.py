@@ -1,4 +1,5 @@
-"""Worker pipe hazards: a kill mid-emission, an event burst, a lingering exit.
+"""Worker pipe hazards: a kill mid-emission, an event burst, a lingering
+exit, a worker orphaned with its pipe full.
 
 Each scenario drives a :class:`~repro.service.WorkerPool` in a child
 interpreter that runs in its own session under a hard timeout.  The
@@ -37,6 +38,12 @@ def burst(job, progress, cancel_check):
     for seq in range(BURST_EVENTS):
         progress("tick", seq=seq, pad=PAD)
     return SecResult(True, method="burst")
+
+
+def chatter_until_cancelled(job, progress, cancel_check):
+    while not cancel_check():
+        progress("tick", pad=PAD)
+    return SecResult(None, method="chatter_until_cancelled")
 
 
 def linger(job, progress, cancel_check):
@@ -130,12 +137,30 @@ def lingering_exit():
             "children": len(multiprocessing.active_children())}
 
 
+def orphaned_worker():
+    """Prints the worker's pid, then dies by SIGKILL without ever polling,
+    while the worker emits into its full pipe."""
+    pool = WorkerPool(workers=1)
+    pid = pool.submit("orphan", job_for("chatter_until_cancelled"))
+    print(json.dumps({"worker": pid}), flush=True)
+    time.sleep(0.3)
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
 SCENARIOS = {f.__name__: f for f in (kill_during_emission, event_burst,
-                                     lingering_exit)}
+                                     lingering_exit, orphaned_worker)}
 
 
 def run_scenario(name, timeout=60.0):
     """Run scenario ``name`` in a child session; returns its findings."""
+    returncode, out, err = run_child(name, timeout)
+    assert returncode == 0, err.decode()
+    return json.loads(out)
+
+
+def run_child(name, timeout):
+    """Run scenario ``name`` in a child session; returns its exit status,
+    stdout and stderr once every process holding them has ended."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(
@@ -157,8 +182,24 @@ def run_scenario(name, timeout=60.0):
         child.communicate()
         raise AssertionError("{}: the pool hung for {} s".format(
             name, timeout))
-    assert child.returncode == 0, err.decode()
-    return json.loads(out)
+    return child.returncode, out, err
+
+
+def exited(pid, timeout):
+    """Whether ``pid`` is gone or a zombie within ``timeout`` seconds."""
+    deadline = time.monotonic() + timeout
+    while True:
+        try:
+            with open("/proc/{}/stat".format(pid)) as fh:
+                # The state follows the parenthesised command name.
+                state = fh.read().rpartition(")")[2].split()[0]
+        except FileNotFoundError:
+            return True
+        if state == "Z":
+            return True
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.05)
 
 
 def test_next_job_finishes_after_a_worker_is_killed_mid_emission():
@@ -185,7 +226,18 @@ def test_a_lingering_worker_never_blocks_poll():
     assert found["children"] == 0
 
 
+def test_an_orphaned_worker_exits_once_its_driver_dies():
+    # The worker holds the driver's stdout and stderr, so the run ends only
+    # once the worker has closed them too: within seconds of the driver's
+    # death, or the timeout fails the test.
+    returncode, out, err = run_child("orphaned_worker", timeout=10.0)
+    assert returncode == -signal.SIGKILL
+    assert exited(json.loads(out)["worker"], timeout=5.0)
+    # Its last send met a broken pipe; it exits without a traceback.
+    assert b"Traceback" not in err, err.decode()
+
+
 if __name__ == "__main__":
-    for runner in (chatter, burst, linger, quick):
+    for runner in (chatter, chatter_until_cancelled, burst, linger, quick):
         register_method(runner.__name__, runner)
     print(json.dumps(SCENARIOS[sys.argv[1]]()))

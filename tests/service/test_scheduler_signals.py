@@ -7,6 +7,7 @@ reason, flush the event stream and restore the previous handlers.
 
 import os
 import signal
+import time
 
 import pytest
 
@@ -92,3 +93,30 @@ def test_uninterrupted_batch_reports_no_interruption():
                                      match_outputs="order")])
     assert scheduler.interrupted is None
     assert results[0].verdict is True
+
+
+def signal_parent(job, progress, cancel_check):
+    """Sends SIGTERM to the batch's process from a worker, then waits,
+    silent, to be cancelled (for 30 s at most)."""
+    os.kill(os.getppid(), signal.SIGTERM)
+    deadline = time.monotonic() + 30.0
+    while not cancel_check() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return SecResult(None, method="signal_parent")
+
+
+def test_sigterm_ends_the_wait_of_a_pool_batch():
+    """A signal stops a batch whose workers report nothing: the handler
+    wakes the pool wait instead of leaving it to the next worker event."""
+    register_method("signal_parent", signal_parent)
+    try:
+        scheduler = BatchScheduler(workers=1, grace=1.0)
+        started = time.monotonic()
+        results = scheduler.run(make_jobs(2, method="signal_parent"))
+        seconds = time.monotonic() - started
+    finally:
+        unregister_method("signal_parent")
+    assert scheduler.interrupted == "SIGTERM"
+    assert seconds < 10.0
+    for result in results:
+        assert result.result.details["aborted"] == "interrupted (SIGTERM)"

@@ -1,10 +1,12 @@
 """Tests for the non-blocking WorkerPool surface the daemon drives."""
 
 import multiprocessing
+import threading
 import time
 
 import pytest
 
+from repro.reach import SecResult
 from repro.service import (JobSpec, WorkerPool, register_method,
                            unregister_method)
 from repro.service.events import EventBus, JOB_PROGRESS, JOB_STARTED
@@ -143,3 +145,59 @@ def test_shutdown_returns_outcomes_for_running_jobs():
     assert sorted(o.token for o in outcomes) == ["a", "b"]
     assert all(o.cancelled for o in outcomes)
     assert pool.active == 0
+
+
+def quick(job, progress, cancel_check):
+    return SecResult(True, method="quick")
+
+
+def linger(job, progress, cancel_check):
+    """Reports at once, but a non-daemon thread keeps the process up 5 s."""
+    threading.Thread(target=time.sleep, args=(5.0,)).start()
+    return SecResult(True, method="linger")
+
+
+def wait_for_outcome(pool, timeout):
+    """Alternate ``poll()`` and ``wait(timeout)`` until an outcome arrives;
+    returns it, the seconds taken and the number of waits."""
+    started = time.monotonic()
+    waits = 0
+    while True:
+        outcomes = pool.poll()
+        if outcomes:
+            return outcomes[0], time.monotonic() - started, waits
+        pool.wait(timeout)
+        waits += 1
+
+
+def test_wait_returns_once_a_quick_worker_has_reported_and_exited():
+    register_method("quick", quick)
+    pool = WorkerPool(workers=1)
+    try:
+        pool.submit("quick", make_job("quick", method="quick"))
+        outcome, seconds, waits = wait_for_outcome(pool, timeout=30.0)
+        # Woken by the result, the pipe's end and the exit, not by the
+        # timeout; and a handful of waits, not a spin.
+        assert seconds < 5.0
+        assert waits <= 10
+        assert (outcome.ended, outcome.result.verdict) == ("finished", True)
+        assert pool.wait(30.0) == []  # nothing running: returns at once
+    finally:
+        pool.shutdown()
+        unregister_method("quick")
+
+
+def test_wait_returns_by_the_kill_deadline_of_a_lingering_worker():
+    register_method("linger", linger)
+    pool = WorkerPool(workers=1, grace=0.3)
+    try:
+        pool.submit("linger", make_job("linger", method="linger"))
+        outcome, seconds, _ = wait_for_outcome(pool, timeout=30.0)
+        # SIGKILLed ``grace`` after it reported, long before its thread
+        # would let it exit; the posted result is kept.
+        assert seconds < 2.5
+        assert (outcome.ended, outcome.killed, outcome.result.verdict) == (
+            "finished", True, True)
+    finally:
+        pool.shutdown()
+        unregister_method("linger")
