@@ -76,36 +76,10 @@ def _result_exit_code(result):
     return 0 if result.proved else (2 if result.refuted else 1)
 
 
-#: CLI spellings accepted by ``--engine`` beyond the canonical METHODS names.
-_ENGINE_ALIASES = {
-    "induction": "k_induction",
-    "sat_sweep+induction": "sweep_induct",
-    "sat_sweep_induction": "sweep_induct",
-}
-
-
-def _resolve_engine(name):
-    """Map an ``--engine`` spelling to a METHODS entry, or raise ValueError
-    with a message listing every valid engine name."""
-    normalized = name.strip().lower().replace("-", "_")
-    normalized = _ENGINE_ALIASES.get(normalized, normalized)
-    if normalized in METHODS:
-        return normalized
-    raise ValueError(
-        "unknown engine {!r}; valid engines: {}".format(
-            name, ", ".join(METHODS)))
-
-
 def _cmd_verify(args):
     from .service import EventBus, JsonlEventWriter, LiveRenderer
     from .service.events import JOB_PROGRESS
 
-    if args.engine:
-        try:
-            args.method = _resolve_engine(args.engine)
-        except ValueError as exc:
-            print("error: {}".format(exc), file=sys.stderr)
-            return 2
     spec = _load_circuit(args.spec)
     impl = _load_circuit(args.impl)
     bus = EventBus()
@@ -149,8 +123,6 @@ def _cmd_verify(args):
             elif args.method in ("k_induction", "sweep_induct"):
                 options["max_depth"] = args.max_depth
                 options["strengthen"] = not args.no_strengthen
-                if args.method == "sweep_induct":
-                    options["fallback"] = not args.no_fallback
             if args.verbose or args.events:
                 job_name = spec.name or "verify"
 
@@ -216,6 +188,11 @@ def _cmd_batch(args):
     from .service import (BatchScheduler, EventBus, JobSpec,
                           JsonlEventWriter, LiveRenderer, ResultCache)
 
+    if args.server and (args.fallback or args.total_time_limit):
+        print("batch: --fallback and --total-time-limit need the local "
+              "scheduler; they cannot be used with --server",
+              file=sys.stderr)
+        return 2
     if args.rows:
         try:
             rows = [row_by_name(name) for name in args.rows]
@@ -240,7 +217,10 @@ def _cmd_batch(args):
         bus.subscribe(writer)
     if args.server:
         from .client import RemoteScheduler
+        from .service.scheduler import seed_budgets
 
+        jobs = [seed_budgets(job, args.time_limit, args.node_limit)
+                for job in jobs]
         scheduler = RemoteScheduler(args.server, bus=bus)
     else:
         cache = None if args.no_cache else ResultCache(args.cache_dir)
@@ -488,21 +468,16 @@ def _remote_client(args):
     return ServerClient(args.server)
 
 
-def _watch_events(client, job_id, json_mode):
-    """Stream a job's SSE events to completion; returns the final record."""
+def _event_printer(json_lines=False):
+    """An ``on_event`` callback for :meth:`ServerClient.wait`: one live
+    progress line per event, or the raw event JSON with ``json_lines``."""
+    if json_lines:
+        return lambda payload: print(json.dumps(payload, sort_keys=True))
     from .service import LiveRenderer
     from .service.events import Event
 
-    renderer = None if json_mode else LiveRenderer(verbose=True)
-    for payload in client.events(job_id):
-        if payload.get("type") == "done":
-            return payload["record"]
-        if renderer is not None:
-            renderer(Event.from_dict(payload))
-        elif json_mode == "events":
-            print(json.dumps(payload, sort_keys=True))
-    # Stream ended without a terminal event (daemon shut down mid-job).
-    return client.job(job_id)
+    renderer = LiveRenderer(verbose=True)
+    return lambda payload: renderer(Event.from_dict(payload))
 
 
 def _remote_record_exit(record, json_mode):
@@ -563,10 +538,8 @@ def _remote_verify(args):
             match_outputs=args.match_outputs)
     if not args.json:
         print("submitted {}".format(job_id))
-    if args.no_watch:
-        record = client.wait(job_id)
-    else:
-        record = _watch_events(client, job_id, "json" if args.json else None)
+    quiet = args.no_watch or args.json
+    record = client.wait(job_id, on_event=None if quiet else _event_printer())
     return _remote_record_exit(record, args.json)
 
 
@@ -590,8 +563,8 @@ def _remote_cancel(args):
 
 def _remote_watch(args):
     client = _remote_client(args)
-    record = _watch_events(client, args.job_id,
-                           "events" if args.json else None)
+    record = client.wait(args.job_id,
+                         on_event=_event_printer(json_lines=args.json))
     return _remote_record_exit(record, args.json)
 
 
@@ -654,10 +627,6 @@ def build_parser():
     p_verify.add_argument("spec")
     p_verify.add_argument("impl")
     p_verify.add_argument("--method", choices=METHODS, default="van_eijk")
-    p_verify.add_argument("--engine", metavar="NAME",
-                          help="engine to run (accepts spellings like "
-                               "'k-induction'); overrides --method and "
-                               "rejects unknown names with the valid list")
     p_verify.add_argument("--portfolio", action="store_true",
                           help="race van_eijk/fraig_sweep/k_induction/bmc/"
                                "traversal in parallel; first conclusive "
@@ -682,10 +651,6 @@ def build_parser():
     p_verify.add_argument("--no-strengthen", action="store_true",
                           help="k_induction/sweep_induct only: plain "
                                "k-induction without partition invariants")
-    p_verify.add_argument("--no-fallback", action="store_true",
-                          help="sweep_induct only: fail fast on an "
-                               "inconclusive fixed point instead of "
-                               "handing its partition to induction")
     p_verify.add_argument("--reach-bound", choices=["approx", "exact"])
     p_verify.add_argument("--time-limit", type=float)
     p_verify.add_argument("--node-limit", type=int)
@@ -713,14 +678,16 @@ def build_parser():
     p_batch.add_argument("--time-limit", type=float, default=300.0,
                          help="per-job engine time budget (seconds)")
     p_batch.add_argument("--total-time-limit", type=float,
-                         help="whole-batch wall-clock budget (seconds)")
+                         help="whole-batch wall-clock budget (seconds); "
+                              "local scheduler only")
     p_batch.add_argument("--node-limit", type=int,
                          help="per-job BDD node budget")
     p_batch.add_argument("--retries", type=int, default=1,
                          help="retries per job after a worker crash")
     p_batch.add_argument("--fallback", choices=METHODS,
                          help="method to rerun inconclusive jobs with "
-                              "(e.g. k_induction or bmc)")
+                              "(e.g. k_induction or bmc); local scheduler "
+                              "only")
     p_batch.add_argument("--cache-dir", default=".repro-cache")
     p_batch.add_argument("--no-cache", action="store_true")
     p_batch.add_argument("--events", metavar="FILE",
@@ -884,8 +851,8 @@ def build_parser():
     pr_verify.add_argument("--max-depth", type=int,
                            help="BMC unrolling bound")
     pr_verify.add_argument("--no-watch", action="store_true",
-                           help="poll for the verdict instead of streaming "
-                                "the SSE progress events")
+                           help="print no progress lines while the job "
+                                "runs, only its verdict")
     pr_verify.add_argument("--json", action="store_true")
     pr_verify.set_defaults(func=_cmd_remote, remote_func=_remote_verify)
 

@@ -6,7 +6,9 @@ retry/backoff: transient failures — connection errors, 5xx responses and
 are retried with exponential backoff before surfacing as
 :class:`ServerError`.  :meth:`ServerClient.events` iterates a job's
 Server-Sent-Events progress stream as live
-:class:`~repro.service.events.Event` dicts.
+:class:`~repro.service.events.Event` dicts, and :meth:`ServerClient.wait`
+reads that stream to the job's terminal record: a client learns a verdict
+when the daemon sends it, not at its next poll.
 
 :class:`RemoteScheduler` adapts the client to the
 :class:`~repro.service.scheduler.BatchScheduler` interface (``run(jobs) ->
@@ -15,6 +17,7 @@ harness, ``eval/table1.py``, ``repro-sec batch`` — can target a remote
 daemon unchanged via ``--server URL``.
 """
 
+import http.client
 import json
 import time
 import urllib.error
@@ -33,6 +36,12 @@ from .service.job import JobResult
 
 #: HTTP statuses worth retrying: backpressure and transient server trouble.
 _RETRYABLE_STATUSES = (429, 500, 502, 503, 504)
+
+#: Job states that end a job; any other state may still change.
+_TERMINAL_STATES = ("done", "cancelled", "error")
+
+#: Jobs per submission request of :class:`RemoteScheduler`.
+CHUNK_SIZE = 8
 
 
 class ServerError(ReproError):
@@ -166,41 +175,88 @@ class ServerClient:
     def cancel(self, job_id):
         return self._request("DELETE", "/v1/jobs/{}".format(job_id))
 
-    def wait(self, job_id, poll=0.2, timeout=None):
-        """Poll until the job is terminal; returns the final record dict."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            record = self.job(job_id)
-            if record["state"] in ("done", "cancelled", "error"):
-                return record
-            if deadline is not None and time.monotonic() > deadline:
-                raise ServerError("timed out waiting for job {}".format(
-                    job_id))
-            self.sleep(poll)
+    def wait(self, job_id, timeout=None, on_event=None):
+        """Read the job's event stream until its terminal record; returns it.
 
-    def result(self, job_id, poll=0.2, timeout=None):
+        A ``done`` frame ends a stream, but its record is terminal only
+        when the job ended: a daemon that stops sends ``done`` with the
+        job put back in its queue.  A stream can also drop.  In both
+        cases the record is fetched once, returned if it is terminal, and
+        otherwise the stream is opened again, so a wait spans a daemon
+        restart as far as the request retries reach.
+
+        ``on_event(payload)`` sees every event before the ``done`` frame,
+        once: a reopened stream replays the job's history from the start,
+        and the events already seen (equal event dicts) are skipped.
+        ``timeout`` bounds the whole wait; the deadline is checked on
+        every line the daemon sends, heartbeats included, so
+        :class:`ServerError` comes at most one heartbeat after it.
+        """
+        deadline = None if timeout is None else time.monotonic() + timeout
+
+        def stream():
+            # Only the stream's own errors: one raised by on_event is not
+            # a dropped connection.  ValueError is a frame cut short.
+            try:
+                yield from self._stream(job_id, deadline=deadline)
+            except (OSError, http.client.HTTPException, ValueError):
+                pass
+
+        seen = set()
+        while True:
+            for payload in stream():
+                if payload["type"] == "done":
+                    if payload["record"]["state"] in _TERMINAL_STATES:
+                        return payload["record"]
+                    break
+                if on_event is None:
+                    continue
+                key = json.dumps(payload, sort_keys=True)
+                if key not in seen:
+                    seen.add(key)
+                    on_event(payload)
+            record = self.job(job_id)
+            if record["state"] in _TERMINAL_STATES:
+                return record
+            _check_deadline(job_id, deadline)
+
+    def result(self, job_id, timeout=None):
         """Wait for the job and return its :class:`JobResult`."""
-        record = self.wait(job_id, poll=poll, timeout=timeout)
-        return remote_job_result(record)
+        return remote_job_result(self.wait(job_id, timeout=timeout))
 
     def events(self, job_id, timeout=None):
-        """Yield the job's event dicts from its SSE stream, live.
+        """Yield the job's event dicts from one connection to its SSE stream.
 
-        Replays the job's history first, then streams until the terminal
-        ``done`` event — whose payload is the final job record and which is
-        yielded last as ``{"type": "done", "record": ...}``.
+        Replays the job's history first, then streams live until the
+        ``done`` event, whose payload is the job record and which is
+        yielded last as ``{"type": "done", "record": ...}``.  ``timeout``
+        is the socket timeout.
         """
+        return self._stream(job_id, timeout=timeout)
+
+    def _stream(self, job_id, timeout=None, deadline=None):
         response = self._request(
             "GET", "/v1/jobs/{}/events".format(job_id), stream=True,
             timeout=timeout)
+
+        def lines():
+            for raw in response:
+                _check_deadline(job_id, deadline)
+                yield raw.decode("utf-8", "replace")
+
         with response:
-            lines = (raw.decode("utf-8", "replace") for raw in response)
-            for event_type, data in parse_sse_stream(lines):
+            for event_type, data in parse_sse_stream(lines()):
                 payload = json.loads(data)
                 if event_type == "done":
                     yield {"type": "done", "record": payload}
                     return
                 yield payload
+
+
+def _check_deadline(job_id, deadline):
+    """Raise :class:`ServerError` once the monotonic ``deadline`` passed."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise ServerError("timed out waiting for job {}".format(job_id))
 
 
 def remote_job_result(record):
@@ -226,7 +282,8 @@ class RemoteScheduler:
     :class:`JobResult`\\ s in submission order.  Per-job lifecycle events
     (queued / cached / finished) are emitted on ``bus`` so the live
     renderer works unchanged; engine-internal progress stays on the daemon
-    (use ``repro-sec remote watch`` for it).
+    (use ``repro-sec remote watch`` for it).  Each job is waited on
+    through its event stream, one request per job, in submission order.
 
     ``client`` may be one endpoint (a :class:`ServerClient` or URL), a
     comma-separated URL string, or a list of endpoints.  The scheduler is
@@ -238,8 +295,7 @@ class RemoteScheduler:
     and a chunk whose endpoint fails hard is retried on the next one.
     """
 
-    def __init__(self, client, bus=None, poll=0.2, timeout=None,
-                 chunk_size=8):
+    def __init__(self, client, bus=None):
         if isinstance(client, str):
             client = [url.strip() for url in client.split(",")
                       if url.strip()]
@@ -249,11 +305,7 @@ class RemoteScheduler:
                         for c in client]
         if not self.clients:
             raise ValueError("RemoteScheduler needs at least one endpoint")
-        self.client = self.clients[0]
         self.bus = bus or EventBus()
-        self.poll = poll
-        self.timeout = timeout
-        self.chunk_size = chunk_size
         self._endpoints = None
 
     def endpoints(self):
@@ -276,7 +328,7 @@ class RemoteScheduler:
                                    or list(self.clients))
         return self._endpoints
 
-    def _submit_all(self, payloads, deadline):
+    def _submit_all(self, payloads):
         """Submit in chunks; returns ``[(endpoint, job_id), ...]``.
 
         Chunks round-robin across :meth:`endpoints`; queue-full
@@ -286,9 +338,8 @@ class RemoteScheduler:
         """
         endpoints = self.endpoints()
         placed = []
-        for number, start in enumerate(
-                range(0, len(payloads), self.chunk_size)):
-            chunk = payloads[start:start + self.chunk_size]
+        for number, start in enumerate(range(0, len(payloads), CHUNK_SIZE)):
+            chunk = payloads[start:start + CHUNK_SIZE]
             attempts = 0
             while True:
                 client = endpoints[(number + attempts) % len(endpoints)]
@@ -298,10 +349,7 @@ class RemoteScheduler:
                     break
                 except ServerError as exc:
                     if exc.status == 429:
-                        if (deadline is not None
-                                and time.monotonic() > deadline):
-                            raise
-                        client.sleep(max(self.poll, 1.0))
+                        client.sleep(1.0)
                         continue
                     attempts += 1
                     if attempts >= len(endpoints):
@@ -311,8 +359,6 @@ class RemoteScheduler:
     def run(self, jobs):
         if not jobs:
             return []
-        deadline = (None if self.timeout is None
-                    else time.monotonic() + self.timeout)
         payloads = []
         for index, job in enumerate(jobs):
             payload = job_payload(
@@ -322,29 +368,15 @@ class RemoteScheduler:
             payloads.append(payload)
             self.bus.emit(JOB_QUEUED, job=job.name, index=index,
                           method=job.method, remote=True)
-        placed = self._submit_all(payloads, deadline)
-        results = [None] * len(jobs)
-        pending = {job_id: (index, client)
-                   for index, (client, job_id) in enumerate(placed)}
-        while pending:
-            for job_id in list(pending):
-                index, client = pending[job_id]
-                record = client.job(job_id)
-                if record["state"] not in ("done", "cancelled", "error"):
-                    continue
-                pending.pop(job_id)
-                job_result = remote_job_result(record)
-                job_result.name = jobs[index].name
-                results[index] = job_result
-                event = JOB_CACHED if job_result.cached else JOB_FINISHED
-                self.bus.emit(event, job=jobs[index].name, index=index,
-                              verdict=job_result.verdict,
-                              method=job_result.method or jobs[index].method,
-                              error=job_result.error, remote=True)
-            if pending:
-                if deadline is not None and time.monotonic() > deadline:
-                    raise ServerError(
-                        "timed out waiting for {} remote jobs".format(
-                            len(pending)))
-                self.client.sleep(self.poll)
+        results = []
+        for index, (client, job_id) in enumerate(self._submit_all(payloads)):
+            job = jobs[index]
+            job_result = client.result(job_id)
+            job_result.name = job.name
+            results.append(job_result)
+            event = JOB_CACHED if job_result.cached else JOB_FINISHED
+            self.bus.emit(event, job=job.name, index=index,
+                          verdict=job_result.verdict,
+                          method=job_result.method or job.method,
+                          error=job_result.error, remote=True)
         return results

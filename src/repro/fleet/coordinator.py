@@ -46,7 +46,8 @@ import time
 import traceback
 
 from ..server import store as store_mod
-from ..server.app import JobFrontEnd, _cancel_task, validate_payload
+from ..server.app import (SSE_HEARTBEAT, JobFrontEnd, _cancel_task,
+                          validate_payload)
 from ..server.httpd import HttpError, json_response
 from ..service.events import (
     Event,
@@ -97,17 +98,14 @@ class CoordinatorServer(JobFrontEnd):
 
     def __init__(self, host="127.0.0.1", port=0, store_dir=None,
                  cache_dir=None, cache_max_entries=None, cache_max_bytes=None,
-                 queue_limit=256, rate=50.0, burst=100, request_timeout=10.0,
-                 sse_heartbeat=10.0, sse_write_timeout=10.0,
-                 dead_after=6.0, heartbeat_interval=2.0, poll_interval=0.05,
-                 dispatch_timeout=10.0, history_limit=2000, bus=None,
-                 ready_file=None):
+                 queue_limit=256, rate=50.0, burst=100, dead_after=6.0,
+                 heartbeat_interval=2.0, poll_interval=0.05,
+                 dispatch_timeout=10.0, bus=None, ready_file=None):
         # No trusted proxies: clients are rate-limited by socket peer.
         super().__init__(
             host, port, store_dir or ".repro-coordinator", cache_dir,
             cache_max_entries, cache_max_bytes, queue_limit, rate, burst,
-            request_timeout, sse_heartbeat, sse_write_timeout,
-            history_limit, bus, ready_file)
+            bus, ready_file)
         self.poll_interval = poll_interval
         self.dead_after = dead_after
         self.heartbeat_interval = heartbeat_interval
@@ -316,7 +314,7 @@ class CoordinatorServer(JobFrontEnd):
                 try:
                     async for event_type, payload in sse_events(
                             url, read_timeout=max(60.0,
-                                                  self.sse_heartbeat * 6)):
+                                                  SSE_HEARTBEAT * 6)):
                         failures = 0
                         if event_type == "done":
                             self._absorb_terminal(job_id, payload)

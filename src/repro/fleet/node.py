@@ -23,18 +23,20 @@ from .ahttp import AsyncHttpError, request_json
 
 __all__ = ["FleetMember"]
 
+#: Connect and read timeout, in seconds, of each request to the coordinator.
+REQUEST_TIMEOUT = 5.0
+
 
 class FleetMember:
     """The join/heartbeat/leave loop of one worker node."""
 
     def __init__(self, coordinator_url, node_id, advertise_url, bus,
-                 interval=2.0, request_timeout=5.0):
+                 interval=2.0):
         self.coordinator_url = coordinator_url.rstrip("/")
         self.node_id = node_id
         self.advertise_url = advertise_url
         self.bus = bus
         self.interval = interval
-        self.request_timeout = request_timeout
         self.joined = False
         self.joins = 0
         self.heartbeats = 0
@@ -44,8 +46,7 @@ class FleetMember:
         status, payload = await request_json(
             "POST", self.coordinator_url + "/v1/nodes",
             body={"id": self.node_id, "url": self.advertise_url},
-            connect_timeout=self.request_timeout,
-            read_timeout=self.request_timeout)
+            connect_timeout=REQUEST_TIMEOUT, read_timeout=REQUEST_TIMEOUT)
         if status != 200:
             raise AsyncHttpError("join rejected: {} {}".format(
                 status, payload.get("error")), status=status)
@@ -60,8 +61,7 @@ class FleetMember:
             "POST", "{}/v1/nodes/{}/heartbeat".format(
                 self.coordinator_url, self.node_id),
             body={"url": self.advertise_url},
-            connect_timeout=self.request_timeout,
-            read_timeout=self.request_timeout)
+            connect_timeout=REQUEST_TIMEOUT, read_timeout=REQUEST_TIMEOUT)
         if status == 404:
             # The coordinator no longer knows us (restart, or it reaped
             # us during a partition): fall back to a full rejoin.
@@ -102,8 +102,8 @@ class FleetMember:
             await request_json(
                 "DELETE", "{}/v1/nodes/{}".format(self.coordinator_url,
                                                   self.node_id),
-                connect_timeout=self.request_timeout,
-                read_timeout=self.request_timeout)
+                connect_timeout=REQUEST_TIMEOUT,
+                read_timeout=REQUEST_TIMEOUT)
         except (AsyncHttpError, Exception):
             return
         finally:

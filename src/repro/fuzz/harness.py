@@ -42,7 +42,7 @@ from ..service.events import (
     FUZZ_STARTED,
 )
 from ..service.job import JobSpec
-from ..service.scheduler import BatchScheduler
+from ..service.scheduler import BatchScheduler, seed_budgets
 from ..errors import TransformError
 from .corpus import CorpusEntry, save_entry
 from .generate import FuzzCase, make_recipe
@@ -319,12 +319,16 @@ class DifferentialFuzzer:
             self._shrink_and_persist(case, findings, iteration, report)
 
     def _run_engines(self, case, spec, impl, scheduler):
+        # Seeded here, not only by a local BatchScheduler: a remote
+        # scheduler carries no budget of its own.
         jobs = [
-            JobSpec("{}:{}".format(case.case_id, label), spec, impl,
-                    method=method, options=options,
-                    match_inputs="name", match_outputs="order",
-                    tags={"fuzz": True, "expected": case.expected,
-                          "lane": label})
+            seed_budgets(
+                JobSpec("{}:{}".format(case.case_id, label), spec, impl,
+                        method=method, options=options,
+                        match_inputs="name", match_outputs="order",
+                        tags={"fuzz": True, "expected": case.expected,
+                              "lane": label}),
+                self.job_time_limit)
             for label, method, options in self.engines
         ]
         job_results = scheduler.run(jobs)

@@ -423,16 +423,15 @@ def check_equivalence_sweep_induction(spec, impl, match_inputs="name",
                                       sim_frames=24, sim_width=32,
                                       max_iterations=None,
                                       max_depth=16, strengthen=True,
-                                      fallback=True, clause_limit=None,
-                                      progress=None, budget=None):
+                                      clause_limit=None, progress=None,
+                                      budget=None):
     """Combined mode: SAT signal correspondence, then induction fallback.
 
     Runs the paper's fixed point first; a conclusive partition returns
     immediately.  An inconclusive fixed point hands its partition to
     :class:`KInductionEngine` as the strengthening invariant (event
     ``induction_fallback``) instead of falling back to state-space
-    traversal.  ``fallback=False`` fails fast, returning the inconclusive
-    correspondence verdict untouched.  Both phases share one ``budget``.
+    traversal.  Both phases share one ``budget``.
     """
     start = time.monotonic()
     budget = budget or Budget()
@@ -461,14 +460,6 @@ def check_equivalence_sweep_induction(spec, impl, match_inputs="name",
             seconds=time.monotonic() - start,
             details={"phase": "correspondence", "sweep": sweep_details})
     reason = sweep_aborted or "correspondence inconclusive"
-    if not fallback:
-        details = {"phase": "correspondence", "sweep": sweep_details,
-                   "fallback": "disabled", "reason": reason}
-        if sweep_aborted is not None:
-            details["aborted"] = sweep_aborted
-        return SecResult(
-            equivalent=None, method="sweep_induct", iterations=iterations,
-            seconds=time.monotonic() - start, details=details)
     if progress is not None:
         progress(INDUCTION_FALLBACK, reason=reason,
                  classes=sweep_details["classes"] or 0,

@@ -64,6 +64,15 @@ from .httpd import (
 )
 from .ratelimit import RateLimiter
 
+#: Seconds a client may take to send each part of its request.
+REQUEST_TIMEOUT = 10.0
+#: Seconds between heartbeat comments on a quiet SSE stream.
+SSE_HEARTBEAT = 10.0
+#: Seconds one SSE write may block before the consumer is disconnected.
+SSE_WRITE_TIMEOUT = 10.0
+#: Events kept per job for SSE replay; older ones are dropped.
+HISTORY_LIMIT = 2000
+
 
 def validate_payload(payload):
     """Normalize one submission payload; raises :class:`HttpError` (400)."""
@@ -176,16 +185,11 @@ class JobFrontEnd:
     role = None
 
     def __init__(self, host, port, store_dir, cache_dir, cache_max_entries,
-                 cache_max_bytes, queue_limit, rate, burst, request_timeout,
-                 sse_heartbeat, sse_write_timeout, history_limit, bus,
-                 ready_file, trusted_proxies=()):
+                 cache_max_bytes, queue_limit, rate, burst, bus, ready_file,
+                 trusted_proxies=()):
         self.host = host
         self.port = port
         self.queue_limit = queue_limit
-        self.request_timeout = request_timeout
-        self.sse_heartbeat = sse_heartbeat
-        self.sse_write_timeout = sse_write_timeout
-        self.history_limit = history_limit
         self.ready_file = ready_file
         # The proxies whose X-Forwarded-For header identifies the real
         # client for rate limiting (the fleet coordinator, for a worker).
@@ -221,8 +225,8 @@ class JobFrontEnd:
         payload = event.as_dict()
         history = self._history.setdefault(event.job, [])
         history.append(payload)
-        if len(history) > self.history_limit:
-            del history[:len(history) - self.history_limit]
+        if len(history) > HISTORY_LIMIT:
+            del history[:len(history) - HISTORY_LIMIT]
             self.events_dropped += 1
         for queue in self._watchers.get(event.job, ()):  # same-loop puts
             queue.put_nowait(payload)
@@ -412,7 +416,7 @@ class JobFrontEnd:
         peer = peername[0] if peername else "unknown"
         try:
             request = await read_request(reader, peer=peer,
-                                         timeout=self.request_timeout)
+                                         timeout=REQUEST_TIMEOUT)
         except HttpError as exc:
             writer.write(error_response(exc))
             await writer.drain()
@@ -567,7 +571,7 @@ class JobFrontEnd:
         history = list(self._history.get(record.id, []))
         terminal = record.terminal
         try:
-            sse = SseWriter(writer, write_timeout=self.sse_write_timeout)
+            sse = SseWriter(writer, write_timeout=SSE_WRITE_TIMEOUT)
             await sse.start()
             for payload in history:
                 await sse.event(payload, payload.get("type"))
@@ -577,7 +581,7 @@ class JobFrontEnd:
             while True:
                 try:
                     item = await asyncio.wait_for(queue.get(),
-                                                  self.sse_heartbeat)
+                                                  SSE_HEARTBEAT)
                 except asyncio.TimeoutError:
                     await sse.comment()
                     continue
@@ -626,16 +630,14 @@ class VerifyServer(JobFrontEnd):
     def __init__(self, host="127.0.0.1", port=0, workers=2, store_dir=None,
                  cache_dir=None, cache_max_entries=None, cache_max_bytes=None,
                  queue_limit=64, job_time_limit=None, retries=1, grace=2.0,
-                 rate=20.0, burst=40, request_timeout=10.0,
-                 sse_heartbeat=10.0, sse_write_timeout=10.0,
-                 history_limit=2000, bus=None, ready_file=None, node_id=None,
-                 join_url=None, advertise_host=None, heartbeat_interval=2.0,
-                 trusted_proxies=(), remote_cache_url=None):
+                 rate=20.0, burst=40, bus=None, ready_file=None,
+                 node_id=None, join_url=None, advertise_host=None,
+                 heartbeat_interval=2.0, trusted_proxies=(),
+                 remote_cache_url=None):
         super().__init__(
             host, port, store_dir or ".repro-server", cache_dir,
             cache_max_entries, cache_max_bytes, queue_limit, rate, burst,
-            request_timeout, sse_heartbeat, sse_write_timeout,
-            history_limit, bus, ready_file, trusted_proxies=trusted_proxies)
+            bus, ready_file, trusted_proxies=trusted_proxies)
         self.retries = retries
         # Set when a job may have become startable: the queue scan sorts
         # every kept record, so a step that only relayed events skips it.

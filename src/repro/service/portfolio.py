@@ -51,16 +51,15 @@ DEFAULT_PORTFOLIO_METHODS = ("van_eijk", "fraig_sweep", "k_induction",
 def run_portfolio(spec, impl, methods=DEFAULT_PORTFOLIO_METHODS,
                   per_method_options=None, time_limit=None,
                   match_inputs="name", match_outputs="order",
-                  bus=None, grace=2.0, name=None,
-                  validate_refutations=True):
+                  bus=None, grace=2.0, name=None):
     """Race ``methods`` on one pair; returns the winning ``SecResult``.
 
     ``per_method_options`` maps method name to that engine's option dict;
     ``time_limit`` (seconds) additionally bounds every lane and the race
     itself.  The returned result carries a ``details["portfolio"]`` record
-    naming the winner and each lane's fate.  With ``validate_refutations``
-    (the default) a lane's refutation only counts once its counterexample
-    replays to a real output mismatch; otherwise the lane errors out.
+    naming the winner and each lane's fate.  A lane's refutation only
+    counts once its counterexample replays to a real output mismatch;
+    otherwise the lane errors out.
     """
     if not methods:
         raise ValueError("portfolio needs at least one method")
@@ -94,10 +93,9 @@ def run_portfolio(spec, impl, methods=DEFAULT_PORTFOLIO_METHODS,
     audited = set()
 
     def audit_refutations():
-        if validate_refutations:
-            _reject_invalid_refutations(
-                spec, impl, match_inputs, match_outputs, validate_refutation,
-                results, status, audited, bus, name)
+        _reject_invalid_refutations(
+            spec, impl, match_inputs, match_outputs, validate_refutation,
+            results, status, audited, bus, name)
 
     winner = None
     try:

@@ -69,7 +69,7 @@ from .worker import accepted_options, run_job
 _READ_BATCH = 1000
 
 
-def _seed_budgets(job, time_limit=None, node_limit=None):
+def seed_budgets(job, time_limit=None, node_limit=None):
     """Seed the scheduler-wide budgets into ``job``'s engine options.
 
     A budget goes only to a method whose entry point takes it (see
@@ -215,7 +215,7 @@ class BatchScheduler:
     # -- shared helpers -----------------------------------------------------
 
     def _budgeted(self, job):
-        return _seed_budgets(job, self.job_time_limit, self.node_limit)
+        return seed_budgets(job, self.job_time_limit, self.node_limit)
 
     def _cache_lookup(self, job):
         if self.cache is None:
@@ -577,7 +577,7 @@ class WorkerPool:
         return proc.pid
 
     def _budgeted(self, job):
-        return _seed_budgets(job, self.job_time_limit)
+        return seed_budgets(job, self.job_time_limit)
 
     def cancel(self, token):
         """Begin cancelling a running job; returns True if it was running.

@@ -145,6 +145,25 @@ def test_duplicate_engine_labels_rejected():
         DifferentialFuzzer(engines=[("bmc", {}), ("bmc", "bmc", {})])
 
 
+def test_a_supplied_scheduler_gets_the_job_time_limit():
+    """A scheduler handed in, such as the daemon client behind
+    ``fuzz --server``, has no budget of its own: every job carries it."""
+    from repro.service import BatchScheduler
+
+    jobs = []
+
+    class Recording(BatchScheduler):
+        def run(self, batch):
+            jobs.extend(batch)
+            return super().run(batch)
+
+    report = run_fuzz(iterations=6, seed=1, engines=FAST_ENGINES,
+                      job_time_limit=30, scheduler=Recording(workers=0))
+    assert report.cases_run > 0
+    assert jobs and all(job.options["time_limit"] == 30 for job in jobs)
+    assert {job.options.get("max_depth") for job in jobs} == {None, 12}
+
+
 def test_forked_workers_soak_the_service_stack(tmp_path):
     report = run_fuzz(iterations=2, seed=2, engines=FAST_ENGINES,
                       workers=2, corpus_dir=str(tmp_path))

@@ -90,7 +90,7 @@ def test_daemon_path_accepts_aiger_born_circuits(saved, tmp_path):
         eq_id = client.submit(spec, equivalent, name="eq", method="van_eijk")
         neq_id = client.submit(spec, faulty, name="neq", method="bmc",
                                options={"max_depth": 16})
-        eq_result = client.result(eq_id, poll=0.05, timeout=120)
-        neq_result = client.result(neq_id, poll=0.05, timeout=120)
+        eq_result = client.result(eq_id, timeout=120)
+        neq_result = client.result(neq_id, timeout=120)
     assert eq_result.result.equivalent is True
     assert neq_result.result.equivalent is False

@@ -4,6 +4,7 @@
 import http.server
 import json
 import threading
+import time
 
 import pytest
 
@@ -16,7 +17,12 @@ from .helpers import ServerThread, tiny_pair
 
 
 class StubHandler(http.server.BaseHTTPRequestHandler):
-    """Serves a scripted list of (status, headers, body) responses."""
+    """Serves a scripted list of (status, headers, body) responses.
+
+    A dict body is sent as JSON.  A ``bytes`` body is sent as an event
+    stream that ends when the connection closes; a callable body is
+    handed the socket's writer and writes the stream itself.
+    """
 
     script = []
     requests = []
@@ -27,14 +33,22 @@ class StubHandler(http.server.BaseHTTPRequestHandler):
             status, headers, body = type(self).script.pop(0)
         else:
             status, headers, body = 200, {}, {"ok": True}
-        payload = json.dumps(body).encode()
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
         for name, value in headers.items():
             self.send_header(name, value)
+        if isinstance(body, dict):
+            payload = json.dumps(body).encode()
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(payload)))
+            self.end_headers()
+            self.wfile.write(payload)
+            return
+        self.send_header("Content-Type", "text/event-stream")
         self.end_headers()
-        self.wfile.write(payload)
+        if callable(body):
+            body(self.wfile)
+        else:
+            self.wfile.write(body)
 
     do_GET = _respond
     do_POST = _respond
@@ -128,6 +142,64 @@ def test_backoff_is_capped():
     assert client._delay(0, "garbage") == 1.0
 
 
+def sse(*frames):
+    """An event-stream body of ``(event type, payload)`` frames."""
+    return "".join(
+        "event: {}\ndata: {}\n\n".format(kind, json.dumps(payload))
+        for kind, payload in frames).encode()
+
+
+def test_wait_gets_past_a_non_terminal_done_and_dropped_streams(stub_server):
+    """A stopping daemon sends ``done`` with the job requeued, and a stream
+    can end without ``done`` or in the middle of a frame.  Each time the
+    record is fetched once and the stream reopened; the reopened streams
+    replay the history, and ``on_event`` sees each event once."""
+    events = [{"ts": float(ts), "type": kind, "job": "j1", "data": {}}
+              for ts, kind in enumerate(("job_submitted", "job_started",
+                                         "job_finished"))]
+    history = sse(*((e["type"], e) for e in events[:2]))
+    StubHandler.script = [
+        (200, {}, history + sse(("done", {"id": "j1", "state": "queued"}))),
+        (200, {}, {"id": "j1", "state": "queued"}),
+        (200, {}, history),
+        (200, {}, {"id": "j1", "state": "running"}),
+        (200, {}, history + b'data: {"ts": 2.0, "ty'),
+        (200, {}, {"id": "j1", "state": "running"}),
+        (200, {}, sse(*((e["type"], e) for e in events))
+         + sse(("done", {"id": "j1", "state": "done"}))),
+    ]
+    client, delays = make_client(stub_server)
+    seen = []
+    record = client.wait("j1", timeout=60, on_event=seen.append)
+    assert record == {"id": "j1", "state": "done"}
+    assert seen == events
+    assert StubHandler.requests == [
+        ("GET", "/v1/jobs/j1/events"), ("GET", "/v1/jobs/j1")] * 3 + [
+        ("GET", "/v1/jobs/j1/events")]
+    assert delays == []
+
+
+def test_wait_times_out_within_a_heartbeat_of_its_deadline(stub_server):
+    """A daemon sends heartbeat comments to a quiet stream, which the SSE
+    parser skips; the deadline is checked on each of them."""
+
+    def heartbeats(wfile):
+        try:
+            for _ in range(100):
+                wfile.write(b": keep-alive\n\n")
+                time.sleep(0.1)
+        except OSError:
+            pass  # the client hung up
+
+    StubHandler.script = [(200, {}, heartbeats)]
+    client, _ = make_client(stub_server)
+    start = time.monotonic()
+    with pytest.raises(ServerError, match="timed out waiting for job j1"):
+        client.wait("j1", timeout=0.5)
+    assert 0.5 <= time.monotonic() - start < 1.2
+    assert StubHandler.requests == [("GET", "/v1/jobs/j1/events")]
+
+
 def test_remote_job_result_mapping():
     record = {
         "name": "tiny", "state": "done", "cached": True, "error": None,
@@ -161,7 +233,7 @@ def test_remote_scheduler_runs_batch(tmp_path):
     bus = EventBus()
     bus.subscribe(events.append)
     with ServerThread(store_dir=tmp_path, workers=2) as server:
-        scheduler = RemoteScheduler(server.url(), bus=bus, poll=0.05)
+        scheduler = RemoteScheduler(server.url(), bus=bus)
         assert scheduler.run([]) == []
         results = scheduler.run(jobs)
 
@@ -175,6 +247,30 @@ def test_remote_scheduler_runs_batch(tmp_path):
     assert {e.job for e in queued} == {"tiny-a", "tiny-b"}
     assert {e.job for e in finished} == {"tiny-a", "tiny-b"}
     assert all(e.data.get("remote") for e in queued + finished)
+
+
+def test_remote_scheduler_waits_on_one_event_stream_per_job(tmp_path):
+    """Two submission requests for ten jobs, then one event stream per job
+    in submission order, and no request for a job's record: every stream
+    ends in a terminal ``done`` frame."""
+    spec, impl = tiny_pair()
+    jobs = [JobSpec("tiny-{}".format(i), spec, impl, method="sat_sweep",
+                    match_outputs="order") for i in range(10)]
+    requests = []
+    with ServerThread(store_dir=tmp_path, workers=2) as server:
+        route = server._route
+
+        async def counted(request, writer):
+            requests.append((request.method, request.path))
+            return await route(request, writer)
+
+        server._route = counted
+        results = RemoteScheduler(server.url()).run(jobs)
+        ids = [record.id for record in server.store.all()]
+
+    assert [r.verdict for r in results] == [True] * 10
+    assert requests == [("POST", "/v1/jobs")] * 2 + [
+        ("GET", "/v1/jobs/{}/events".format(job_id)) for job_id in ids]
 
 
 def test_job_payload_roundtrip():

@@ -111,7 +111,7 @@ def test_submit_bench_pair_to_verdict(tmp_path):
         client = client_for(server)
         assert client.healthz()["status"] == "ok"
         job_id = client.submit(spec, impl, name="tiny", method="sat_sweep")
-        record = client.wait(job_id, poll=0.05, timeout=60)
+        record = client.wait(job_id, timeout=60)
         assert record["state"] == "done"
         assert record["result"]["result"]["equivalent"] is True
         assert record["cached"] is False
@@ -130,7 +130,7 @@ def test_submit_k_induction_job(tmp_path):
         job_id = client.submit(spec, impl, name="tiny-kind",
                                method="k_induction",
                                options={"max_depth": 8})
-        record = client.wait(job_id, poll=0.05, timeout=60)
+        record = client.wait(job_id, timeout=60)
         assert record["state"] == "done"
         result = record["result"]["result"]
         assert result["equivalent"] is True
@@ -145,10 +145,10 @@ def test_cache_serves_repeat_submissions(tmp_path):
                       workers=1) as server:
         client = client_for(server)
         first = client.submit(spec, impl, name="tiny", method="sat_sweep")
-        assert client.wait(first, poll=0.05, timeout=60)["cached"] is False
+        assert client.wait(first, timeout=60)["cached"] is False
         second = client.submit(spec, impl, name="tiny-again",
                                method="sat_sweep")
-        record = client.wait(second, poll=0.05, timeout=60)
+        record = client.wait(second, timeout=60)
         assert record["state"] == "done"
         assert record["cached"] is True
         assert record["result"]["result"]["equivalent"] is True
@@ -162,7 +162,7 @@ def test_submit_suite_row_and_sse_stream(tmp_path):
     with ServerThread(store_dir=tmp_path, workers=1) as server:
         client = client_for(server)
         job_id = client.submit_suite("s386", method="sat_sweep")
-        record = client.wait(job_id, poll=0.05, timeout=120)
+        record = client.wait(job_id, timeout=120)
         assert record["state"] == "done"
         assert record["result"]["result"]["equivalent"] is True
 
@@ -248,7 +248,7 @@ def test_cancel_queued_and_running(tmp_path):
         # Cancelling the running job goes SIGTERM -> cooperative cancel.
         response = client.cancel(running_id)
         assert response["state"] == "cancelling"
-        record = client.wait(running_id, poll=0.05, timeout=60)
+        record = client.wait(running_id, timeout=60)
         assert record["state"] == "cancelled"
         assert record["result"]["result"]["equivalent"] is None
 
@@ -267,7 +267,7 @@ def test_time_budget_kill_is_final(tmp_path):
                           grace=0.3, retries=1) as server:
             client = client_for(server)
             job_id = client.submit_payload(spinner_payload())
-            record = client.wait(job_id, poll=0.05, timeout=10)
+            record = client.wait(job_id, timeout=10)
     finally:
         unregister_method("bmc")
     assert record["state"] == "error"
@@ -286,7 +286,7 @@ def test_crashed_worker_is_requeued_once(tmp_path):
             spec, impl = tiny_pair()
             job_id = client.submit(spec, impl, name="crashy",
                                    method="k_induction")
-            record = client.wait(job_id, poll=0.05, timeout=10)
+            record = client.wait(job_id, timeout=10)
     finally:
         unregister_method("k_induction")
     assert record["state"] == "error"
@@ -320,7 +320,7 @@ def test_stats_shape(tmp_path):
         client = client_for(server)
         spec, impl = tiny_pair()
         job_id = client.submit(spec, impl, name="tiny", method="sat_sweep")
-        client.wait(job_id, poll=0.05, timeout=60)
+        client.wait(job_id, timeout=60)
         stats = client.stats()
         assert stats["jobs"]["done"] == 1
         assert stats["workers"]["total"] == 1
@@ -335,7 +335,7 @@ def test_stats_shape(tmp_path):
         wait_until(lambda: fleet.healthz()["nodes"]["alive"] == 1,
                    message="worker to join")
         fleet.wait(fleet.submit(spec, impl, name="tiny", method="sat_sweep"),
-                   poll=0.05, timeout=60)
+                   timeout=60)
         fleet_stats = fleet.stats()
     assert fleet_stats["role"] == "coordinator"
     assert fleet_stats["jobs"]["done"] == 1
@@ -356,7 +356,7 @@ def test_job_listing(tmp_path):
     with ServerThread(store_dir=tmp_path, workers=1) as server:
         client = client_for(server)
         job_id = client.submit(spec, impl, name="tiny", method="sat_sweep")
-        client.wait(job_id, poll=0.05, timeout=60)
+        client.wait(job_id, timeout=60)
         jobs = client.jobs()
         assert [j["id"] for j in jobs] == [job_id]
         assert jobs[0]["name"] == "tiny"
@@ -383,8 +383,8 @@ def test_restart_resumes_persisted_queue(tmp_path):
         # Don't let the spinner hog the worker: cancel it, then the
         # surviving queued job runs to a verdict.
         client.cancel(spinner_id)
-        client.wait(spinner_id, poll=0.05, timeout=60)
-        record = client.wait(later_id, poll=0.05, timeout=60)
+        client.wait(spinner_id, timeout=60)
+        record = client.wait(later_id, timeout=60)
         assert record["state"] == "done"
         assert record["result"]["result"]["equivalent"] is True
 

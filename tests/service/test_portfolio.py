@@ -154,26 +154,6 @@ def test_bogus_refutation_is_never_returned_even_as_last_resort():
     assert "replay" in result.details
 
 
-def test_validate_refutations_off_keeps_old_behaviour():
-    from repro.reach.result import CexTrace, SecResult
-    from repro.service import register_method, unregister_method
-
-    def bogus_refuter(job, progress, cancel_check):
-        trace = CexTrace(inputs=[], final_input={"a": False, "b": False})
-        return SecResult(False, "bogus_refuter", counterexample=trace)
-
-    register_method("bogus_refuter", bogus_refuter)
-    try:
-        spec, impl = tiny_pair()
-        result = run_portfolio(spec, impl, methods=("bogus_refuter",),
-                               time_limit=60, validate_refutations=False)
-    finally:
-        unregister_method("bogus_refuter")
-    _assert_no_orphans()
-    assert result.refuted
-    assert result.details["portfolio"]["winner"] == "bogus_refuter"
-
-
 def test_valid_refutation_carries_replay_report():
     spec, impl = magic_pair()
     result = run_portfolio(spec, impl, methods=("bmc",), time_limit=120)

@@ -24,10 +24,15 @@ from repro.sat.solver import Solver
 
 ROWS = ("s3384", "s6669")
 
-#: Wall-clock seconds a ``time_limit=2`` call may take in all: the limit
+#: The engine budget of ``test_time_limit_stops_every_method``.  It is
+#: short enough that no method decides either row inside it: ``sat_sweep``
+#: and ``sweep_induct`` prove both rows, in about 2-5 s.
+TIME_LIMIT = 0.5
+
+#: Wall-clock seconds a ``TIME_LIMIT`` call may take in all: the limit
 #: plus the longest stretch between two polls, which coverage tracing
 #: widens.
-BOUND = 3.0
+BOUND = 1.5
 
 
 # ------------------------------------------------------------------ Budget
@@ -186,10 +191,11 @@ def test_time_limit_stops_every_method(pairs, method, row):
     spec, impl = pairs[row]
     if method == "explicit":
         with pytest.raises(VerificationError, match="limited to 12 inputs"):
-            verify_within(BOUND, spec, impl, method=method, time_limit=2)
+            verify_within(BOUND, spec, impl, method=method,
+                          time_limit=TIME_LIMIT)
     else:
         result = verify_within(BOUND, spec, impl, method=method,
-                               time_limit=2)
+                               time_limit=TIME_LIMIT)
         assert result.inconclusive
         assert result.details["aborted"] == "time budget exhausted"
     assert multiprocessing.active_children() == []

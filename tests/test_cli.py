@@ -118,6 +118,31 @@ def test_batch_rejects_removed_no_fallback_flag(capsys):
     assert "--no-fallback" in capsys.readouterr().err
 
 
+def test_batch_server_seeds_the_job_budgets(tmp_path, capsys):
+    """A remote batch job carries ``--time-limit`` as its own option; the
+    node budget goes only to a method that takes one."""
+    from .server.helpers import ServerThread
+
+    with ServerThread(store_dir=tmp_path, workers=1) as server:
+        code = main(["batch", "--rows", "s386", "--method", "sat_sweep",
+                     "--time-limit", "7", "--node-limit", "1234",
+                     "--server", server.url(), "--json"])
+        options = [record.payload["options"]
+                   for record in server.store.all()]
+    assert code == 0
+    assert options == [{"time_limit": 7.0}]
+
+
+@pytest.mark.parametrize("flag", [["--fallback", "bmc"],
+                                  ["--total-time-limit", "60"]],
+                         ids=["fallback", "total-time-limit"])
+def test_batch_server_refuses_local_only_flags(flag, capsys):
+    code = main(["batch", "--rows", "s386", "--server",
+                 "http://127.0.0.1:1"] + flag)
+    assert code == 2
+    assert flag[0] in capsys.readouterr().err
+
+
 def test_verify_profile_flag_writes_stats(circuit_files, tmp_path, capsys):
     profile = tmp_path / "verify.prof"
     code = main(["verify", str(circuit_files["spec"]),
@@ -145,17 +170,16 @@ def test_verify_flags(circuit_files, capsys):
 
 def test_verify_engine_k_induction(circuit_files, capsys):
     code = main(["verify", str(circuit_files["spec"]),
-                 str(circuit_files["impl"]), "--engine", "k-induction",
+                 str(circuit_files["impl"]), "--method", "k_induction",
                  "--max-depth", "8"])
     out = capsys.readouterr().out
     assert code == 0
     assert "k_induction" in out
 
 
-def test_verify_engine_sweep_induction_alias(circuit_files, capsys):
+def test_verify_engine_sweep_induction(circuit_files, capsys):
     code = main(["verify", str(circuit_files["spec"]),
-                 str(circuit_files["impl"]), "--engine",
-                 "sat_sweep+induction"])
+                 str(circuit_files["impl"]), "--method", "sweep_induct"])
     out = capsys.readouterr().out
     assert code == 0
     assert "sweep_induct" in out
@@ -163,18 +187,19 @@ def test_verify_engine_sweep_induction_alias(circuit_files, capsys):
 
 def test_verify_engine_refutes(circuit_files, capsys):
     code = main(["verify", str(circuit_files["spec"]),
-                 str(circuit_files["buggy"]), "--engine", "k-induction"])
+                 str(circuit_files["buggy"]), "--method", "k_induction"])
     out = capsys.readouterr().out
     assert code == 2
     assert "INEQUIVALENT" in out
 
 
 def test_verify_unknown_engine_lists_valid_names(circuit_files, capsys):
-    code = main(["verify", str(circuit_files["spec"]),
-                 str(circuit_files["impl"]), "--engine", "warp"])
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", str(circuit_files["spec"]),
+              str(circuit_files["impl"]), "--method", "warp"])
     captured = capsys.readouterr()
-    assert code == 2
-    assert "unknown engine 'warp'" in captured.err
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'warp'" in captured.err
     for name in ("van_eijk", "k_induction", "sweep_induct", "traversal"):
         assert name in captured.err
 
