@@ -1,11 +1,13 @@
 """The one worker supervisor, and bounded-parallel batch verification.
 
 :class:`WorkerPool` is the only code that forks, relays, reaps and kills
-worker processes; each worker reports over its own one-way pipe (see
+worker processes.  It keeps up to ``workers`` of them alive across jobs:
+a worker is forked only when a job finds no idle one, reads one job at a
+time from its own job pipe and reports over its own result pipe (see
 :func:`worker_entry`).  :class:`BatchScheduler`, the engine race
 (:func:`~repro.service.portfolio.run_portfolio`) and the
 :mod:`repro.server` daemon are loops over its ``submit``/``poll``/
-``shutdown``.  A worker is stopped one way, whatever the cause — a
+``shutdown``.  A running job is stopped one way, whatever the cause — a
 cancel, a ``job_time_limit`` overrun or a shutdown:
 
 * SIGTERM, which the worker turns into cooperative cancellation (the
@@ -14,11 +16,14 @@ cancel, a ``job_time_limit`` overrun or a shutdown:
 
 The time-budget kill starts at ``job_time_limit + grace`` (the engine got
 the limit as its own budget), so a stuck engine is dead by
-``job_time_limit + 2·grace``.  A worker still alive ``grace`` seconds
-after it reported (a lingering thread, say) gets SIGKILL alone.  Each
-worker ends in one :class:`PoolOutcome`, and one retry rule reads it: only
-an engine error or a crashed worker is retried; a time-budget kill or a
-cancel never is.
+``job_time_limit + 2·grace``.  Only a clean ending — a result, no SIGTERM,
+no orphaned worker, no thread left behind — returns the worker to the
+idle set; every other ending retires it: it exits and is reaped, and a
+worker still alive ``grace`` seconds after it reported (a lingering
+thread, say) gets SIGKILL alone.  So the retry after an engine error or a
+crash runs in a fresh process.  Each job ends in one :class:`PoolOutcome`,
+and one retry rule reads it: only an engine error or a crashed worker is
+retried; a time-budget kill or a cancel never is.
 
 :class:`BatchScheduler` runs many :class:`~repro.service.job.JobSpec`\\ s:
 
@@ -62,7 +67,7 @@ from .events import (
     JOB_STARTED,
 )
 from .job import JobResult, JobSpec, aborted_result
-from .worker import accepted_options, run_job
+from .worker import accepted_options, registered_methods, run_job
 
 #: Messages :meth:`WorkerPool.poll` reads from one worker per call, so a
 #: worker that emits faster than the bus publishes cannot hold it up.
@@ -428,43 +433,61 @@ class PoolOutcome:
         return self.ended in ("error", "crashed")
 
 
-def worker_entry(job, conn, inherited=()):
-    """Process target: run ``job`` and report over ``conn``.
+def worker_entry(jobs, conn, inherited):
+    """Process target: run the jobs read from ``jobs``, one at a time, and
+    report each over ``conn``.
 
-    ``conn`` is the send end of the worker's own one-way pipe, which
-    :class:`WorkerPool` reads.  It carries ``("event", Event-dict)`` for
-    each engine event, then exactly one final message: ``("result",
-    JobResult-dict)``, or ``("error", traceback-string)`` when the engine
-    raised.  A crash (hard kill, segfault, ``os._exit``) ends the pipe
-    without a final message; the pool reports the exit code.
+    ``jobs`` is the receive end of the worker's job pipe and ``conn`` the
+    send end of its result pipe; :class:`WorkerPool` holds the other ends.
+    For each job ``conn`` carries ``("event", Event-dict)`` per engine
+    event, then exactly one final message: ``("result", JobResult-dict,
+    reuse)``, or ``("error", traceback-string, False)`` when the engine
+    raised.  ``reuse`` is True for a clean ending only — a result, no
+    SIGTERM, no orphan, no thread left behind — and then the worker waits
+    for its next job; after any other ending it exits.  A crash (hard
+    kill, segfault, ``os._exit``) ends the pipe without a final message;
+    the pool reports the exit code.
 
-    ``inherited`` are the receive ends fork copied into the worker: its
-    own pipe's and those of the workers running beside it.  The worker
-    closes them first, so once the pool's process is gone the pipe has no
-    reader left and a send fails instead of blocking on a full pipe.
+    ``inherited`` lists the descriptors open in the pool's process when it
+    forked this worker: the listener and client sockets of a daemon, the
+    pipes of the other workers, this worker's own two pipe ends.  The
+    worker closes all but its own two ends and stdio, and multiprocessing's
+    ends are opened after the list is taken, so they stay.  So an SSE
+    stream ends when the daemon closes it, not when a worker forked
+    during it exits; and once the pool's process is gone, an idle worker
+    sees end of file on its job pipe and exits, and a running one's send
+    fails instead of blocking on a full pipe.
 
-    ``SIGTERM`` becomes *cooperative* cancellation: the engine notices at
-    its next poll of the run's :class:`~repro.budget.Budget` (built-in
-    engines poll it down to single SAT and BDD operations) and returns an
-    inconclusive ("cancelled") result, so the worker exits cleanly instead
-    of dying mid-operation.
+    ``SIGTERM`` during a job becomes *cooperative* cancellation: the engine
+    notices at its next poll of the run's :class:`~repro.budget.Budget`
+    (built-in engines poll it down to single SAT and BDD operations) and
+    returns an inconclusive ("cancelled") result, so the worker exits
+    cleanly instead of dying mid-operation.  Between jobs ``SIGTERM`` has
+    its default action: a cancel whose result the pool has not read yet
+    ends the worker at once.
     """
-    for end in inherited:
-        end.close()
-    cancelled = threading.Event()
-
     # An asyncio parent (the verification daemon) has a signal wakeup fd
     # installed, and fork shares it with us.  If we kept it, our own
     # SIGTERM delivery would write the signum byte into the parent's
     # event loop self-pipe — the parent would dispatch its *own* SIGTERM
     # handler and shut down the whole daemon whenever one job is
-    # cancelled.  Detach before installing any handler of our own.
+    # cancelled.  Detach before closing it and before any handler of ours.
     signal.set_wakeup_fd(-1)
+    # A terminal's Ctrl-C reaches the whole process group.  The pool's
+    # process handles it and stops us with SIGTERM; the handler we
+    # inherited (the batch's writes to a pipe we close below) must not run.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    own = {0, 1, 2, jobs.fileno(), conn.fileno()}
+    for fd in inherited:
+        if fd not in own:
+            try:
+                os.close(fd)
+            except OSError:  # closed by another thread of the pool's process
+                pass
+    cancelled = threading.Event()
 
     def on_sigterm(signum, frame):
         cancelled.set()
-
-    signal.signal(signal.SIGTERM, on_sigterm)
 
     # Orphan guard: if the parent dies without tearing us down (SIGKILL'd
     # scheduler/daemon — its atexit cleanup never runs), we are reparented
@@ -481,21 +504,49 @@ def worker_entry(job, conn, inherited=()):
         except Exception:
             pass  # never let telemetry take the engine down
 
-    started = time.monotonic()
-    try:
-        result = run_job(job, emit=emit, cancel_check=cancel_check)
-        message = ("result", JobResult(
-            job.name, result,
-            wall_seconds=time.monotonic() - started,
-            method=job.method,
-        ).as_dict())
-    except Exception:
-        message = ("error", traceback.format_exc())
-    try:
-        conn.send(message)
-    except OSError:
-        pass  # the pool's process is gone (a broken pipe): nobody to tell
-    conn.close()
+    with jobs, conn:
+        while True:
+            # Idle: SIGTERM's default action.  A SIGTERM that came since the
+            # last check set ``cancelled`` instead, so look once more.
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
+            if cancel_check():
+                return
+            try:
+                job = jobs.recv()
+            except EOFError:
+                return  # retired, or the pool's process is gone
+            signal.signal(signal.SIGTERM, on_sigterm)
+            started = time.monotonic()
+            try:
+                result = run_job(job, emit=emit, cancel_check=cancel_check)
+                kind, payload = "result", JobResult(
+                    job.name, result,
+                    wall_seconds=time.monotonic() - started,
+                    method=job.method,
+                ).as_dict()
+            except Exception:
+                kind, payload = "error", traceback.format_exc()
+            reuse = (kind == "result" and not cancel_check()
+                     and threading.active_count() == 1)
+            try:
+                conn.send((kind, payload, reuse))
+            except OSError:
+                return  # the pool's process is gone (a broken pipe)
+            if not reuse:
+                return
+
+
+def _open_fds():
+    """The descriptors open in this process, as Linux lists them."""
+    fds = []
+    for name in os.listdir("/proc/self/fd"):
+        fd = int(name)
+        try:
+            os.fstat(fd)
+        except OSError:  # the listing's own descriptor, closed by now
+            continue
+        fds.append(fd)
+    return fds
 
 
 class WorkerPool:
@@ -506,21 +557,25 @@ class WorkerPool:
     execution with other work, and a blocking caller (the batch, the
     portfolio) is a short loop around :meth:`poll`:
 
-    * :meth:`submit` forks a worker for one job (caller checks
-      :meth:`has_capacity` first, queueing policy lives with the caller);
+    * :meth:`submit` hands a job to an idle worker, or forks one when none
+      is idle (caller checks :meth:`has_capacity` first, queueing policy
+      lives with the caller);
     * :meth:`poll` relays worker events onto the bus, applies the
       ``job_time_limit`` kill, escalates overdue SIGTERMs to SIGKILL,
-      SIGKILLs a worker that lingers ``grace`` seconds after reporting and
-      returns the :class:`PoolOutcome` list of workers reaped since the
-      last call;
+      SIGKILLs a retiring worker that lingers ``grace`` seconds after
+      reporting and returns the :class:`PoolOutcome` list of jobs that
+      ended since the last call — a clean one as soon as its result is
+      read, any other once its worker is reaped;
     * :meth:`cancel` starts the SIGTERM → SIGKILL path for one job without
       blocking on it;
-    * :meth:`wait` blocks until :meth:`poll` has work: a worker's pipe is
-      readable, a worker exits or a kill comes due.  An event loop waits on
-      :meth:`waitables` and :meth:`time_left` itself instead.
+    * :meth:`wait` blocks until :meth:`poll` has work: a running job's
+      result pipe is readable, its worker exits or a kill comes due.  An
+      event loop waits on :meth:`waitables` and :meth:`time_left` itself
+      instead.
 
-    Each worker writes to its own pipe (see :func:`worker_entry`), so a
-    worker killed mid-message or flooding events holds up no other.
+    Each worker has its own pipes (see :func:`worker_entry`), so a worker
+    killed mid-message or flooding events holds up no other.  An idle
+    worker keeps the heap its last job left; :meth:`shutdown` retires it.
 
     It is not thread-safe — drive it from one thread/task only.
     """
@@ -530,16 +585,17 @@ class WorkerPool:
         self.bus = bus or EventBus()
         self.job_time_limit = job_time_limit
         self.grace = grace
-        # ``fork`` is cheap on Linux, and workers inherit the engines
-        # registered in the parent with register_method (tests rely on it).
+        # ``fork``: workers inherit the engines registered in the parent
+        # with register_method (tests rely on it).
         self._ctx = multiprocessing.get_context("fork")
         self._running = {}  # token -> _PoolRun
+        self._idle = []  # _Worker processes waiting for a job
 
     # -- capacity -----------------------------------------------------------
 
     @property
     def active(self):
-        """Number of live worker slots (running or being reaped)."""
+        """Number of jobs running (or whose worker is being reaped)."""
         return len(self._running)
 
     def has_capacity(self):
@@ -548,7 +604,7 @@ class WorkerPool:
     # -- submit / cancel ----------------------------------------------------
 
     def submit(self, token, job, event=JOB_STARTED, **fields):
-        """Fork a worker for ``job``; ``token`` routes its outcome back.
+        """Start ``job`` on a worker; ``token`` routes its outcome back.
 
         Emits ``event`` with the job's name and method, the worker's pid
         and ``fields``.  Raises :class:`RuntimeError` when the pool is full
@@ -560,24 +616,51 @@ class WorkerPool:
         if token in self._running:
             raise RuntimeError("token {!r} already running".format(token))
         job = self._budgeted(job)
-        conn, send_end = self._ctx.Pipe(duplex=False)
-        inherited = [conn] + [run.conn for run in self._running.values()
-                              if run.conn is not None]
-        # Closing our copy of the send end leaves the worker's as the only
-        # one, so the pipe ends when the worker does; later forks never
-        # inherit it.
-        with send_end:
-            proc = self._ctx.Process(
-                target=worker_entry, args=(job, send_end, inherited),
-                name="repro-worker-{}".format(token), daemon=True)
-            proc.start()
-        self._running[token] = _PoolRun(job, proc, conn)
-        self.bus.emit(event, job=job.name, method=job.method, pid=proc.pid,
-                      **fields)
-        return proc.pid
+        worker = self._take_idle() or self._fork()
+        try:
+            worker.jobs.send(job)
+        except OSError:
+            pass  # the worker died: poll() reports the crash
+        self._running[token] = _PoolRun(job, worker)
+        self.bus.emit(event, job=job.name, method=job.method,
+                      pid=worker.proc.pid, **fields)
+        return worker.proc.pid
 
     def _budgeted(self, job):
         return seed_budgets(job, self.job_time_limit)
+
+    def _take_idle(self):
+        """An idle worker to run the next job, or ``None``.  Retires the
+        dead ones and those forked before a method was (un)registered."""
+        methods = registered_methods()
+        while self._idle:
+            worker = self._idle.pop()
+            if worker.methods == methods and worker.proc.is_alive():
+                return worker
+            self._retire(worker)
+        return None
+
+    def _fork(self):
+        jobs, job_sender = self._ctx.Pipe(duplex=False)
+        conn, result_sender = self._ctx.Pipe(duplex=False)
+        inherited = _open_fds()
+        # The parent closes the worker's ends, so each pipe ends when the
+        # worker or the pool lets go of its own end.
+        with jobs, result_sender:
+            proc = self._ctx.Process(
+                target=worker_entry, args=(jobs, result_sender, inherited),
+                name="repro-worker", daemon=True)
+            proc.start()
+        return _Worker(proc, job_sender, conn, registered_methods())
+
+    def _retire(self, worker):
+        """End an idle worker: end of file on its job pipe makes it exit;
+        SIGKILL if it has not after ``grace`` seconds."""
+        worker.jobs.close()
+        worker.proc.join(self.grace)
+        if worker.proc.exitcode is None:
+            worker.proc.kill()
+        worker.reap()
 
     def cancel(self, token):
         """Begin cancelling a running job; returns True if it was running.
@@ -598,8 +681,8 @@ class WorkerPool:
             return
         run.stop = ended
         run.kill_at = time.monotonic() + self.grace
-        if run.proc.is_alive():
-            run.proc.terminate()
+        if run.worker.proc.is_alive():
+            run.worker.proc.terminate()
 
     # -- poll ---------------------------------------------------------------
 
@@ -612,38 +695,43 @@ class WorkerPool:
         now = time.monotonic()
         finished = []
         for token, run in list(self._running.items()):
-            if run.conn is not None:
+            worker = run.worker
+            if worker.conn is not None:
                 self._read(run)
-            if run.proc.is_alive():
+            if run.message is not None and run.message[2] and run.stop is None:
+                # A clean ending: the worker waits for its next job.
+                del self._running[token]
+                self._idle.append(worker)
+                finished.append(self._outcome(token, run))
+            elif worker.proc.is_alive():
                 self._escalate(run, now)
-            elif run.conn is None:
+            elif worker.conn is None:
                 # End of file after exit: every message sent has been read.
                 del self._running[token]
-                run.proc.join()
-                if run.pidfd is not None:
-                    os.close(run.pidfd)
+                worker.reap()
                 finished.append(self._outcome(token, run))
         return finished
 
     def _read(self, run):
-        """Publish the events ``run``'s pipe holds, in order, and keep its
-        final message; close the pipe at its end."""
+        """Publish the events ``run``'s result pipe holds, in order, and keep
+        its final message; close the pipe at its end."""
+        conn = run.worker.conn
         try:
             for _ in range(_READ_BATCH):
-                if not run.conn.poll():
+                if not conn.poll():
                     return
-                kind, payload = run.conn.recv()
-                if kind == "event":
-                    self.bus.publish(Event.from_dict(payload))
+                message = conn.recv()
+                if message[0] == "event":
+                    self.bus.publish(Event.from_dict(message[1]))
                 else:
-                    run.message = (kind, payload)
+                    run.message = message
         except (EOFError, OSError):  # OSError: a message torn by SIGKILL
-            run.conn.close()
-            run.conn = None
+            conn.close()
+            run.worker.conn = None
 
     def _escalate(self, run, now):
-        """Set a live worker's SIGKILL deadline once it has reported, and
-        act on its :meth:`_due` deadline once that has passed."""
+        """Set a retiring worker's SIGKILL deadline once it has reported,
+        and act on its :meth:`_due` deadline once that has passed."""
         if run.kill_at is None and run.message is not None:
             # Reported, yet still alive (say, a lingering thread): SIGKILL
             # after ``grace``; the outcome keeps the result.
@@ -655,7 +743,7 @@ class WorkerPool:
             self._stop(run, "timed_out")
         else:
             run.killed = True
-            run.proc.kill()
+            run.worker.proc.kill()
 
     def _due(self, run):
         """When :meth:`poll` acts on ``run`` unprompted: the SIGKILL at its
@@ -671,14 +759,15 @@ class WorkerPool:
 
     def _outcome(self, token, run):
         job = run.job
-        kind, payload = run.message or (None, None)
+        kind, payload, _ = run.message or (None, None, None)
         ended = run.stop or {"result": "finished", "error": "error"}.get(
             kind, "crashed")
         wall = time.monotonic() - run.started
         if kind == "error":
             error = "engine error:\n" + payload
         elif ended == "crashed":
-            error = "worker crashed (exit code {})".format(run.proc.exitcode)
+            error = "worker crashed (exit code {})".format(
+                run.worker.proc.exitcode)
         elif ended == "timed_out":
             error = "job time budget exhausted"
         elif ended == "cancelled":
@@ -697,22 +786,25 @@ class WorkerPool:
     # -- wait ---------------------------------------------------------------
 
     def waitables(self):
-        """The descriptors whose readiness gives :meth:`poll` work: each open
-        worker pipe and each unreaped worker's exit descriptor.
+        """The descriptors whose readiness gives :meth:`poll` work: each
+        running job's open result pipe and its worker's exit descriptor.
 
         A pipe reaches end of file before its worker has exited, so the
         exit descriptor is needed too: a pidfd, which turns readable once
         the worker can be reaped, or else the process sentinel, which turns
         readable a few milliseconds earlier, while the worker still exits.
         :meth:`poll` closes a pipe at its end and both exit descriptors
-        once it has reaped the worker: stop watching them first.
+        once it has reaped the worker: stop watching them first.  An idle
+        worker gives :meth:`poll` no work, so none of its descriptors is
+        listed.
         """
         fds = []
         for run in self._running.values():
-            if run.conn is not None:
-                fds.append(run.conn.fileno())
-            fds.append(run.proc.sentinel if run.pidfd is None
-                       else run.pidfd)
+            worker = run.worker
+            if worker.conn is not None:
+                fds.append(worker.conn.fileno())
+            fds.append(worker.proc.sentinel if worker.pidfd is None
+                       else worker.pidfd)
         return fds
 
     def time_left(self):
@@ -727,7 +819,7 @@ class WorkerPool:
     def wait(self, timeout=None, also=()):
         """Block until one of :meth:`waitables` or ``also`` is readable, the
         next kill comes due or ``timeout`` seconds pass; returns the ready
-        objects.  Returns at once when no worker is running."""
+        objects.  Returns at once when no job is running."""
         if not self._running:
             return []
         left = self.time_left()
@@ -739,7 +831,8 @@ class WorkerPool:
     # -- shutdown -----------------------------------------------------------
 
     def shutdown(self):
-        """Cancel every running job and reap it; returns their outcomes.
+        """Cancel every running job, reap its worker and retire the idle
+        workers; returns the running jobs' outcomes.
 
         The one blocking pool method: it waits out the cancel path (up to
         ``grace`` before SIGKILL).  Worker events are relayed to the bus
@@ -747,29 +840,57 @@ class WorkerPool:
         """
         for token in list(self._running):
             self.cancel(token)
+        idle, self._idle = self._idle, []
+        for worker in idle:
+            worker.jobs.close()  # they exit while the running jobs stop
         outcomes = []
         while self._running:
             outcomes.extend(self.poll())
             self.wait()
+        for worker in idle:
+            self._retire(worker)
         return outcomes
 
 
-class _PoolRun:
-    """Bookkeeping for one live :class:`WorkerPool` worker."""
+class _Worker:
+    """One live worker process, running a job or idle."""
 
-    __slots__ = ("job", "proc", "conn", "pidfd", "started", "message",
-                 "stop", "kill_at", "killed")
+    __slots__ = ("proc", "jobs", "conn", "pidfd", "methods")
 
-    def __init__(self, job, proc, conn):
-        self.job = job
+    def __init__(self, proc, jobs, conn, methods):
         self.proc = proc
-        self.conn = conn  # the pipe's receive end; None once it has ended
+        self.jobs = jobs  # the job pipe's send end
+        self.conn = conn  # the result pipe's receive end; None once ended
         try:
             self.pidfd = os.pidfd_open(proc.pid)  # Linux 5.3+
         except (AttributeError, OSError):
             self.pidfd = None
+        self.methods = methods  # the registry it was forked under
+
+    def reap(self):
+        """Join the exited process; close the pool's ends and the pidfd."""
+        self.proc.join()
+        self.jobs.close()
+        if self.conn is not None:
+            self.conn.close()
+            self.conn = None
+        if self.pidfd is not None:
+            os.close(self.pidfd)
+            self.pidfd = None
+
+
+class _PoolRun:
+    """Bookkeeping for one running :class:`WorkerPool` job."""
+
+    __slots__ = ("job", "worker", "started", "message", "stop", "kill_at",
+                 "killed")
+
+    def __init__(self, job, worker):
+        self.job = job
+        self.worker = worker
         self.started = time.monotonic()
-        self.message = None  # ("result" | "error", payload) once posted
+        # ("result" | "error", payload, reuse) once posted
+        self.message = None
         self.stop = None  # "timed_out" | "cancelled" once SIGTERM'd
         self.kill_at = None
         self.killed = False

@@ -4,19 +4,22 @@
 :func:`repro.verify`, or through a runner added with
 :func:`register_method`, with progress/cancellation hooks injected.  The
 batch runs it in its own process for ``workers=0``; otherwise it runs in a
-forked worker, whose :func:`~repro.service.scheduler.worker_entry` sends
-each progress event and then the one result over the worker's own pipe,
-and turns ``SIGTERM`` into cooperative cancellation.  A registered
-runner calls ``progress`` from the thread that called it, and should poll
-``cancel_check``; the pool SIGKILLs a worker ``grace`` seconds after a
-SIGTERM it ignored.
+long-lived pool worker, whose :func:`~repro.service.scheduler.worker_entry`
+reads one job at a time from its job pipe, sends each progress event and
+then the job's one result over its result pipe, and turns ``SIGTERM``
+into cooperative cancellation.  A registered runner calls ``progress``
+from the thread that called it, and should poll ``cancel_check``; the
+pool SIGKILLs a worker ``grace`` seconds after a SIGTERM it ignored.  A
+runner that leaves a thread behind costs its worker: the pool retires it.
 
 Workers are forked, so a registration made in the parent (e.g. by a
-test) is visible to them.  :func:`check_options` lets submission sites
-reject a job whose options its engine would not accept, before the job
-is forked; the schedulers ask :func:`accepted_options` which budgets a
-method takes (``time_limit``: every built-in method; ``node_limit``: the
-BDD engines).
+test) is visible to them: the pool compares :func:`registered_methods`
+with the registry an idle worker was forked under, and retires a worker
+that missed a registration instead of handing it a job.
+:func:`check_options` lets submission sites reject a job whose options its
+engine would not accept, before the job reaches a worker; the schedulers
+ask :func:`accepted_options` which budgets a method takes (``time_limit``:
+every built-in method; ``node_limit``: the BDD engines).
 """
 
 import importlib
@@ -38,6 +41,11 @@ def register_method(name, runner):
 
 def unregister_method(name):
     _EXTRA_METHODS.pop(name, None)
+
+
+def registered_methods():
+    """A copy of the registry: name -> runner."""
+    return dict(_EXTRA_METHODS)
 
 
 #: method -> (module, callable) whose keywords the job options feed.

@@ -423,3 +423,42 @@ def test_an_idle_daemon_does_not_spin(tmp_path):
         time.sleep(0.5)
         idle_steps = len(steps)
     assert idle_steps <= 2
+
+
+def test_a_stream_ends_at_done_though_a_worker_forked_during_it_lives_on(
+        tmp_path):
+    """A worker forked while a client reads an SSE stream keeps none of the
+    daemon's sockets, so the stream's end of file follows its ``done``
+    frame, not that worker's exit."""
+    with ServerThread(store_dir=tmp_path, workers=2) as server:
+        client = client_for(server)
+        watched = client.submit_payload(spinner_payload("watched"))
+        wait_until(lambda: client.job(watched)["state"] == "running",
+                   timeout=30, message="the watched job to start")
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=5) as stream:
+            stream.sendall("GET /v1/jobs/{}/events HTTP/1.1\r\n"
+                           "Host: 127.0.0.1\r\n\r\n".format(watched).encode())
+            received = b""
+            while b"job_started" not in received:
+                received += stream.recv(65536)
+            # The other worker is forked now, and stays idle afterwards.
+            spec, impl = tiny_pair()
+            other = client.submit(spec, impl, name="other",
+                                  method="sat_sweep")
+            assert client.wait(other, timeout=60)["state"] == "done"
+            client.cancel(watched)
+            done_at = None
+            try:
+                while True:
+                    chunk = stream.recv(65536)
+                    if not chunk:
+                        break
+                    received += chunk
+                    if done_at is None and b"event: done" in received:
+                        done_at = time.monotonic()
+            except socket.timeout:
+                pytest.fail("no end of file 5 s after the last frame")
+            ended_at = time.monotonic()
+    assert done_at is not None
+    assert ended_at - done_at < 2.0

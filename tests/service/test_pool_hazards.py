@@ -1,5 +1,6 @@
 """Worker pipe hazards: a kill mid-emission, an event burst, a lingering
-exit, a worker orphaned with its pipe full.
+exit, a worker orphaned with its pipe full, an idle worker orphaned, a
+Ctrl-C that reaches an idle worker.
 
 Each scenario drives a :class:`~repro.service.WorkerPool` in a child
 interpreter that runs in its own session under a hard timeout.  The
@@ -20,7 +21,8 @@ import time
 
 import repro
 from repro.reach import SecResult
-from repro.service import EventBus, JobSpec, WorkerPool, register_method
+from repro.service import (BatchScheduler, EventBus, JobSpec, WorkerPool,
+                           register_method)
 from repro.service.events import JOB_PROGRESS
 
 BURST_EVENTS = 5000
@@ -55,6 +57,16 @@ def linger(job, progress, cancel_check):
 def quick(job, progress, cancel_check):
     progress("tick", seq=0)
     return SecResult(True, method="quick")
+
+
+def ctrl_c(job, progress, cancel_check):
+    """Lets the job beside it finish, sends SIGINT to the process group as
+    a terminal's Ctrl-C does, then waits to be cancelled."""
+    time.sleep(0.5)
+    os.killpg(0, signal.SIGINT)
+    while not cancel_check():
+        time.sleep(0.01)
+    return SecResult(None, method="ctrl_c")
 
 
 def job_for(method, name=None):
@@ -147,8 +159,29 @@ def orphaned_worker():
     os.kill(os.getpid(), signal.SIGKILL)
 
 
+def orphaned_idle_worker():
+    """Runs one job to its end, prints the now idle worker's pid and the
+    time, then dies by SIGKILL."""
+    pool = WorkerPool(workers=1)
+    pid = pool.submit("quick", job_for("quick"))
+    poll_until_outcome(pool)
+    print(json.dumps({"worker": pid, "killed_at": time.time()}), flush=True)
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def interrupted_batch():
+    """A batch whose two workers, one of them idle, get the batch's
+    Ctrl-C."""
+    scheduler = BatchScheduler(workers=2, grace=1.0)
+    results = scheduler.run([job_for("ctrl_c"), job_for("quick")])
+    return {"interrupted": scheduler.interrupted,
+            "verdicts": [r.verdict for r in results],
+            "children": len(multiprocessing.active_children())}
+
+
 SCENARIOS = {f.__name__: f for f in (kill_during_emission, event_burst,
-                                     lingering_exit, orphaned_worker)}
+                                     lingering_exit, orphaned_worker,
+                                     orphaned_idle_worker, interrupted_batch)}
 
 
 def run_scenario(name, timeout=60.0):
@@ -237,7 +270,29 @@ def test_an_orphaned_worker_exits_once_its_driver_dies():
     assert b"Traceback" not in err, err.decode()
 
 
+def test_an_idle_worker_exits_once_its_pool_process_dies():
+    # The idle worker sees end of file on its job pipe.  It holds the
+    # scenario's stdout, so the run ends only once the worker has exited.
+    returncode, out, err = run_child("orphaned_idle_worker", timeout=10.0)
+    found = json.loads(out)
+    assert returncode == -signal.SIGKILL
+    assert time.time() - found["killed_at"] < 2.0
+    assert exited(found["worker"], timeout=1.0)
+    assert b"Traceback" not in err, err.decode()
+
+
+def test_a_ctrl_c_stops_the_batch_and_no_worker_runs_its_handler():
+    # The batch's SIGINT handler writes to a pipe each worker closes; a
+    # worker that ran its inherited copy would die with a traceback.
+    returncode, out, err = run_child("interrupted_batch", timeout=30.0)
+    assert returncode == 0, err.decode()
+    assert json.loads(out) == {"interrupted": "SIGINT",
+                               "verdicts": [None, True], "children": 0}
+    assert b"Traceback" not in err, err.decode()
+
+
 if __name__ == "__main__":
-    for runner in (chatter, chatter_until_cancelled, burst, linger, quick):
+    for runner in (chatter, chatter_until_cancelled, burst, linger, quick,
+                   ctrl_c):
         register_method(runner.__name__, runner)
     print(json.dumps(SCENARIOS[sys.argv[1]]()))

@@ -1,11 +1,14 @@
 """Tests for the non-blocking WorkerPool surface the daemon drives."""
 
 import multiprocessing
+import os
 import threading
 import time
 
 import pytest
 
+from repro import verify
+from repro.circuits import table1_suite
 from repro.reach import SecResult
 from repro.service import (JobSpec, WorkerPool, register_method,
                            unregister_method)
@@ -170,13 +173,13 @@ def wait_for_outcome(pool, timeout):
         waits += 1
 
 
-def test_wait_returns_once_a_quick_worker_has_reported_and_exited():
+def test_wait_returns_once_a_quick_worker_has_reported():
     register_method("quick", quick)
     pool = WorkerPool(workers=1)
     try:
         pool.submit("quick", make_job("quick", method="quick"))
         outcome, seconds, waits = wait_for_outcome(pool, timeout=30.0)
-        # Woken by the result, the pipe's end and the exit, not by the
+        # Woken by the result, which hands the worker back, not by the
         # timeout; and a handful of waits, not a spin.
         assert seconds < 5.0
         assert waits <= 10
@@ -201,3 +204,127 @@ def test_wait_returns_by_the_kill_deadline_of_a_lingering_worker():
     finally:
         pool.shutdown()
         unregister_method("linger")
+
+
+def until_cancelled(job, progress, cancel_check):
+    while not cancel_check():
+        time.sleep(0.01)
+    return SecResult(None, method="until_cancelled")
+
+
+def raising(job, progress, cancel_check):
+    raise RuntimeError("engine blew up")
+
+
+def crash(job, progress, cancel_check):
+    os._exit(3)
+
+
+def run_to_outcome(pool, token, method):
+    """Submit a ``method`` job and wait for its outcome; returns the pid
+    it reported and the outcome."""
+    pid = pool.submit(token, make_job(token, method=method))
+    if method == "until_cancelled":
+        pool.cancel(token)
+    outcome, _, _ = wait_for_outcome(pool, timeout=30.0)
+    return pid, outcome
+
+
+def test_a_worker_runs_clean_jobs_in_turn_and_is_retired_by_any_other():
+    runners = (quick, until_cancelled, raising, crash)
+    for runner in runners:
+        register_method(runner.__name__, runner)
+    pool = WorkerPool(workers=1, grace=5.0)
+    try:
+        pids = [run_to_outcome(pool, "clean-{}".format(n), "quick")[0]
+                for n in range(3)]
+        assert len(set(pids)) == 1
+        for method, ended in (("until_cancelled", "cancelled"),
+                              ("raising", "error"), ("crash", "crashed")):
+            pid, outcome = run_to_outcome(pool, method, method)
+            assert (pid, outcome.ended) == (pids[-1], ended)
+            following, outcome = run_to_outcome(pool, "after-" + method,
+                                                "quick")
+            assert outcome.ended == "finished"
+            assert following != pid, method
+            pids.append(following)
+    finally:
+        pool.shutdown()
+        for runner in runners:
+            unregister_method(runner.__name__)
+
+
+def test_a_cancel_whose_result_is_posted_ends_the_idle_worker_at_once():
+    """The engine race cancels its losers, and a daemon cancel can race a
+    finishing job: the SIGTERM then reaches a worker waiting for its next
+    job, which must end at once, not at the SIGKILL ``grace`` later."""
+    register_method("quick", quick)
+    pool = WorkerPool(workers=1, grace=2.0)
+    try:
+        pool.submit("quick", make_job("quick", method="quick"))
+        time.sleep(0.3)  # posted, unread: no poll() yet
+        assert pool.cancel("quick") is True
+        outcome, seconds, _ = wait_for_outcome(pool, timeout=30.0)
+        assert seconds < 0.5
+        assert (outcome.ended, outcome.killed, outcome.result.verdict) == (
+            "cancelled", False, True)
+    finally:
+        pool.shutdown()
+        unregister_method("quick")
+
+
+def test_a_method_registered_after_a_worker_went_idle_runs():
+    register_method("one", quick)
+    pool = WorkerPool(workers=1)
+    try:
+        pool.submit("one", make_job("one", method="one"))
+        first, _, _ = wait_for_outcome(pool, timeout=30.0)
+        register_method("two", quick)
+        pool.submit("two", make_job("two", method="two"))
+        second, _, _ = wait_for_outcome(pool, timeout=30.0)
+        assert (first.ended, second.ended, second.error) == (
+            "finished", "finished", None)
+        assert second.result.verdict is True
+    finally:
+        pool.shutdown()
+        unregister_method("one")
+        unregister_method("two")
+
+
+def test_shutdown_leaves_no_worker_idle_or_running():
+    register_method("quick", quick)
+    pool = WorkerPool(workers=2, grace=3.0)
+    try:
+        pool.submit("spin", spinner_job())
+        pool.submit("quick", make_job("quick", method="quick"))
+        wait_for_outcome(pool, timeout=30.0)  # its worker is now idle
+        assert len(multiprocessing.active_children()) == 2
+    finally:
+        outcomes = pool.shutdown()
+        unregister_method("quick")
+    assert [o.token for o in outcomes] == ["spin"]
+    assert multiprocessing.active_children() == []
+
+
+def counts(result):
+    return result.equivalent, result.iterations, result.peak_nodes
+
+
+def test_a_long_lived_worker_reproduces_every_in_process_count():
+    """No job sees what the worker ran before it: the 20 small Table-1 rows
+    through one worker, in both orders, give the in-process counts."""
+    pairs = {row.name: row.pair() for row in table1_suite()}
+    expected = {name: counts(verify(*pair)) for name, pair in pairs.items()}
+    names = list(pairs)
+    for order in (names, names[::-1]):
+        pool = WorkerPool(workers=1)
+        seen, pids = {}, set()
+        try:
+            for name in order:
+                pids.add(pool.submit(name, JobSpec(name, *pairs[name])))
+                outcome, _, _ = wait_for_outcome(pool, timeout=60.0)
+                seen[name] = counts(outcome.result.result)
+        finally:
+            pool.shutdown()
+        assert seen == expected
+        assert len(pids) == 1
