@@ -32,18 +32,24 @@ call:
   *activation literal* and only assumed by base-case queries, so base and
   inductive queries share the single encoding;
 * the correspondence condition Q is added as equivalence clauses, each
-  class's group guarded by its own activation literal; queries assume
-  every live literal, in creation order, then the pair's two literals.
-  A class whose member set survives a round keeps its literal, its
-  clauses and the learned clauses that mention it.  A class that splits
-  has its literal retired by the unit ``-act`` and its clauses dropped by
-  ``simplify()``; each piece of two or more members gets a fresh literal;
-* **proof reuse**: an UNSAT pair records the class literals named by the
+  class member's clauses (with its leader, on every frame but the last)
+  guarded by their own activation literal.  A query passes every live
+  literal as the solver's ``guards``, which places them all on one
+  decision level, kept from query to query, and assumes the pair's two
+  literals above it.  A member that stays with its leader keeps its
+  literal, its clauses and the learned clauses that mention it, however
+  the rest of its class splits.  A pair that a split ends has its literal
+  retired by the unit ``-act`` and its clauses dropped by ``simplify()``;
+  each new pair (a member that left, or any member of a piece with a new
+  leader) gets a fresh literal;
+* **proof reuse**: an UNSAT pair records the member literals named by the
   assumption cores (:meth:`~repro.sat.solver.Solver.failed_assumptions`)
   of its two polarity queries.  While all of them are live, the proof
   used only Q clauses that are still present verbatim, so the pair is
-  verified again without a query.  The maximum correspondence is unique,
-  so the final partition does not change, only the work to reach it;
+  verified again without a query.  A split retires only the guards of the
+  pairs it ends, so most proofs outlive it.  The maximum correspondence is
+  unique, so the final partition does not change, only the work to reach
+  it;
 * **counterexample-guided splitting**: every satisfying model is a concrete
   unrolled-trace witness; it is replayed through bit-parallel simulation
   (:mod:`repro.core.cexsplit`) and used to split *all* current classes at
@@ -127,8 +133,8 @@ class SatCorrespondence:
         self._frames = None
         self._true_var = None
         self._init_act = None
-        # Refinement rounds: class member set (a frozenset of nets) -> the
-        # activation literal guarding its Q clauses, in creation order; and
+        # Refinement rounds: (leader net, member net) -> the activation
+        # literal guarding the pair's Q clauses, in creation order; and
         # (leader net, member net) -> the guards the pair's last UNSAT
         # proof rested on.
         self._guards = {}
@@ -268,10 +274,10 @@ class SatCorrespondence:
         var = self._true_var if sig.net == CONST_NET else frame_vars[sig.net]
         return -var if sig.complemented else var
 
-    def _query(self, assumptions, budget):
+    def _query(self, assumptions, budget, guards=None):
         self._check_budget(budget)
         self.stats["sat_queries"] += 1
-        return self._solver.solve(assumptions=assumptions)
+        return self._solver.solve(assumptions=assumptions, guards=guards)
 
     def _replay_model(self, n_frames):
         """Replay the current model's trace; per-frame net valuations."""
@@ -363,51 +369,54 @@ class SatCorrespondence:
         self._solver.simplify()
         return done
 
-    def _guard_classes(self, classes):
-        """Guard each class's Q clauses by its own activation literal;
-        returns the live literals in creation order.
+    def _guard_members(self, classes):
+        """Guard each class member's Q clauses by its own activation
+        literal; returns the live literals in creation order.
 
-        A class whose member set survived the last round keeps its literal,
-        its clauses and the learned clauses that mention it.  A class that
-        split has its literal retired by unit, and simplify() drops its
-        clauses, learned ones included, so propagation cost tracks the live
-        formula.  Each new class gets a fresh literal and fresh clauses.
+        A guard is keyed by the pair (leader net, member net) and covers
+        the pair's equivalence clauses on every frame of ``frames[:-1]``.
+        A member that stayed with its leader keeps its literal, its clauses
+        and the learned clauses that mention it, whichever other members
+        left the class.  A pair that is gone has its literal retired by
+        unit, and simplify() drops its clauses, learned ones included, so
+        propagation cost tracks the live formula.  Each new pair (a member
+        that left, or any member of a piece with a new leader) gets a fresh
+        literal and fresh clauses.
         """
         solver = self._solver
-        keyed = [(frozenset(sig.net for sig in cls), cls)
-                 for cls in classes if len(cls) > 1]
-        current = {key for key, _ in keyed}
+        pairs = {(cls[0].net, member.net): (cls[0], member)
+                 for cls in classes for member in cls[1:]}
         guards = {}
         retired = False
         for key, act in self._guards.items():
-            if key in current:
+            if key in pairs:
                 guards[key] = act
             else:
                 solver.add_clause([-act])
                 retired = True
         if retired:
             solver.simplify()
-        for key, cls in keyed:
+        for key, (leader, member) in pairs.items():
             if key in guards:
                 continue
             act = guards[key] = solver.new_var()
             for frame_vars in self._frames[:-1]:
-                rep = self._lit(cls[0], frame_vars)
-                for member in cls[1:]:
-                    m = self._lit(member, frame_vars)
-                    # Guard literal last: the solver watches the first two
-                    # literals, so assuming ``act`` does not walk the
-                    # class's clause group on every single query.
-                    solver.add_clause([-rep, m, -act])
-                    solver.add_clause([rep, -m, -act])
+                rep = self._lit(leader, frame_vars)
+                m = self._lit(member, frame_vars)
+                # Guard literal last: the solver watches the first two
+                # literals, so assuming ``act`` does not walk the pair's
+                # clauses on every single query.
+                solver.add_clause([-rep, m, -act])
+                solver.add_clause([rep, -m, -act])
         self._guards = guards
         return list(guards.values())
 
     def _refine_round(self, classes, budget):
-        """One Eq. 3 round: Q guarded per class, proofs whose guards all
-        survived reused, models replayed into mass splits."""
+        """One Eq. 3 round: Q guarded per class member, every live guard on
+        the solver's guard level, proofs whose guards all survived reused,
+        models replayed into mass splits."""
         solver = self._solver
-        live = self._guard_classes(classes)
+        live = self._guard_members(classes)
         live_set = set(live)
         proofs = self._proofs
         check_frame = self._frames[-1]
@@ -433,7 +442,7 @@ class SatCorrespondence:
             core = set()
             distinguished = False
             for polarity in ([la, -lb], [-la, lb]):
-                if self._query(live + polarity, budget):
+                if self._query(polarity, budget, guards=live):
                     distinguished = True
                     break
                 core |= solver.failed_assumptions()

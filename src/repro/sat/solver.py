@@ -42,6 +42,18 @@ accumulated clause set:
   The shared prefix is found by comparing the new assumption list with the
   one placed last, in C rather than level by level, so a query that assumes
   dozens of activation literals pays for the ones that changed only;
+* ``solve(guards=G, assumptions=A)`` answers like ``solve(assumptions=G +
+  A)``, but places every guard of ``G`` at once, as decisions on level 1,
+  and the assumptions of ``A`` on the levels above it.  The guard level is
+  placed whenever the decision level is 0 (at the start, after a restart,
+  after a learned unit) and survives every backjump that stays above
+  level 0, so a query pays for its guards only when ``G`` changed, which
+  ``solve`` notices by comparing ``G`` with the last list by value.  Level
+  1 holds many decisions, so first-UIP analysis does not apply to a
+  conflict there: the query answers False, and its core is the guard
+  decisions the conflict clause is implied from.  Cores name every guard
+  decision they reach, so a caller can tell which guarded groups an
+  answer used;
 * :meth:`Solver.simplify` physically deletes root-satisfied clauses — the
   retirement step for activation-literal-guarded clause groups.
 
@@ -142,11 +154,19 @@ class Solver:
         self.restarts = 0
         self.max_learned = 4000
         # The assumption found false by the last UNSAT-under-assumptions
-        # answer, while its trail stands; see ``failed_assumptions``.
+        # answer, or the clause a conflict on the guard level falsified,
+        # while its trail stands; see ``failed_assumptions``.
         self._failed = None
         # The last query's assumptions, as placed on the trail's first
         # decision levels; ``solve`` keeps the levels a new query shares.
         self._placed = []
+        # The last guard list (a copy), its internal literals, and the
+        # negative marker that stands for its guard level in ``_placed``;
+        # a new list gets a new marker.  One attribute, not three: from 30
+        # instance attributes on, CPython 3.11 and 3.12 stop keeping them
+        # inline and every attribute access slows (bmc by 8% on 3.11);
+        # ``tests/sat/test_kernel.py`` holds the count below 30.
+        self._guard_level = (None, [], -1)
 
     # -- public API ------------------------------------------------------
 
@@ -220,7 +240,7 @@ class Solver:
                 return False
         return self.ok
 
-    def solve(self, assumptions=(), conflict_budget=None):
+    def solve(self, assumptions=(), conflict_budget=None, guards=None):
         """Solve under assumptions; True/False, or None on conflict budget
         exhaustion (a spent run budget raises, see the module docstring).
 
@@ -228,6 +248,10 @@ class Solver:
         analysis backtracks past an assumption makes that assumption evaluate
         to false when it is re-placed, at which point the query is UNSAT
         under the assumptions (the base formula stays intact and reusable).
+
+        ``guards``, a list of DIMACS literals, are assumed as well, all on
+        decision level 1 below the assumptions (the guard level in the
+        module docstring); an empty list or None places no guard level.
         """
         # _to_internal, inlined: DIMACS v > 0 is 2v - 2 and -v is 2v - 1.
         # Only the literal 0 maps below zero.
@@ -235,6 +259,15 @@ class Solver:
                            for lit in assumptions]
         if assumption_lits and min(assumption_lits) < 0:
             raise SatError("bad assumption literal: 0")
+        if guards:
+            if guards != self._guard_level[0]:
+                self._set_guards(guards)
+            # The guard level is placed first, as the one item that no
+            # literal can equal.
+            assumption_lits.insert(0, self._guard_level[2])
+            guard_level = 1
+        else:
+            guard_level = 0
         if not self.ok:
             return False
         self._failed = None
@@ -244,12 +277,13 @@ class Solver:
         limit = luby(restart_idx) * 64
         if assumption_lits:
             self.ensure_vars((max(assumption_lits) >> 1) + 1)
-        # Trail reuse: level i of the trail, for i below both the decision
-        # level and len(self._placed), is where assumption self._placed[i]
-        # was placed.  Keep the levels up to the first place where the new
-        # list differs from it, so the propagation cone of a shared
-        # assumption prefix (e.g. the activation literals enabling large
-        # constraint groups) is not recomputed per query.
+        # Trail reuse: level i + 1 of the trail, for i below both the
+        # decision level and len(self._placed), is where item
+        # self._placed[i] (an assumption, or the guard level's marker) was
+        # placed.  Keep the levels up to the first place where the new list
+        # differs from it, so the propagation cone of a shared prefix (e.g.
+        # the activation literals enabling large constraint groups) is not
+        # recomputed per query.
         placed = self._placed[:self._decision_level()]
         keep = next(compress(count(), map(ne, assumption_lits, placed)),
                     min(len(assumption_lits), len(placed)))
@@ -259,9 +293,18 @@ class Solver:
             conflict = self._propagate()
             if conflict is not None:
                 self.conflicts += 1
-                if self._decision_level() == 0:
-                    # Conflict from top-level facts alone: base formula UNSAT.
-                    self.ok = False
+                level = self._decision_level()
+                if level <= guard_level:
+                    if not level:
+                        # Conflict from top-level facts alone: base formula
+                        # UNSAT.
+                        self.ok = False
+                        return False
+                    # A conflict on the guard level: UNSAT under the guards.
+                    # The trail stands for failed_assumptions(), and the
+                    # next query places the guard level anew.
+                    self._failed = conflict
+                    self._placed = []
                     return False
                 learnt, back_level = self._analyze(conflict)
                 self._backtrack(back_level)
@@ -286,6 +329,14 @@ class Solver:
                 # Place pending assumptions as decisions.
                 if self._decision_level() < len(assumption_lits):
                     lit = assumption_lits[self._decision_level()]
+                    if lit < 0:
+                        failed = self._place_guards()
+                        if failed is not None:
+                            # A guard is false at the root or opposes another.
+                            self._failed = failed
+                            self._placed = []
+                            return False
+                        continue
                     value = self._lit_value(lit)
                     if value == TRUE:
                         # Already implied: open an empty decision level so the
@@ -329,27 +380,34 @@ class Solver:
 
         The set holds the assumption found false plus every assumption
         decision in its implication cone, so the base formula is UNSAT
-        under these assumptions alone.  It is empty if the base formula
-        itself is UNSAT.  Nothing is computed until a caller asks, and the
-        answer is valid only until the next ``add_clause``, ``solve`` or
-        ``simplify``.
+        under these assumptions alone.  After a conflict on the guard
+        level it holds the guard decisions in the conflict clause's cone.
+        It is empty if the base formula itself is UNSAT.  Nothing is
+        computed until a caller asks, and the answer is valid only until
+        the next ``add_clause``, ``solve`` or ``simplify``.
         """
         if not self.ok:
             return set()
         failed = self._failed
         if failed is None:
             raise SatError("no UNSAT-under-assumptions answer to explain")
-        core = {_to_dimacs(failed)}
         level, reason, assign = self.level, self.reason, self.assign
-        if level[failed >> 1] == 0:
-            return core
-        # The level > 0 decisions that the failed literal's negation is
-        # implied from: the set analyzeFinal's backward trail walk collects,
-        # found by following reasons from that literal alone, so the work
-        # is the size of its cone, not of the trail.  Every level > 0
-        # decision is an assumption while solve() is still placing them.
-        marked = {failed >> 1}
-        stack = [failed >> 1]
+        if isinstance(failed, list):
+            # The clause a guard-level conflict falsified.
+            core = set()
+            stack = [q >> 1 for q in failed if level[q >> 1] > 0]
+        else:
+            core = {_to_dimacs(failed)}
+            if level[failed >> 1] == 0:
+                return core
+            stack = [failed >> 1]
+        # The level > 0 decisions that the failed literal's negation (or
+        # the conflict clause) is implied from: the set analyzeFinal's
+        # backward trail walk collects, found by following reasons from
+        # there alone, so the work is the size of its cone, not of the
+        # trail.  Every level > 0 decision is a guard or an assumption
+        # while solve() is still placing them.
+        marked = set(stack)
         while stack:
             var = stack.pop()
             clause = reason[var]
@@ -422,6 +480,26 @@ class Solver:
         }
 
     # -- internals ---------------------------------------------------------
+
+    def _set_guards(self, guards):
+        lits = [2 * lit - 2 if lit > 0 else -2 * lit - 1 for lit in guards]
+        if min(lits) < 0:
+            raise SatError("bad guard literal: 0")
+        self.ensure_vars((max(lits) >> 1) + 1)
+        self._guard_level = (list(guards), lits, self._guard_level[2] - 1)
+
+    def _place_guards(self):
+        """Open the guard level and decide every guard on it; returns a
+        guard found false, else None.  Nothing propagates in between, so a
+        guard is false only by a root fact or by the opposite guard."""
+        self.trail_lim.append(len(self.trail))
+        for lit in self._guard_level[1]:
+            value = self._lit_value(lit)
+            if value == FALSE:
+                return lit
+            if value == UNASSIGNED:
+                self._enqueue(lit, None)
+        return None
 
     def _poll_budget(self):
         if self.budget is None:

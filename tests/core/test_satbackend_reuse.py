@@ -1,12 +1,15 @@
 """Proof reuse across refinement rounds must not change the partition.
 
-The SAT engine guards Q per class and skips a pair whose last UNSAT proof
-rests only on guards that are still live.  The skip is sound only if the
-assumption cores behind it are right.  A wrong one shows in the partition,
-not in the verdict: an engine that reuses every cached proof, whatever its
-core, still proves the multi-round rows equivalent, with coarser classes.
-So these tests compare partitions as sets of nets, on the rows where reuse
-fires most and on random pairs against the solver-per-round reference.
+The SAT engine guards Q per class member and skips a pair whose last UNSAT
+proof rests only on guards that are still live.  The skip is sound only if
+the assumption cores behind it are right.  A wrong one shows in the
+partition, not in the verdict: an engine that reuses every cached proof,
+whatever its core, still proves the multi-round rows equivalent, with
+coarser classes.  So these tests compare partitions as sets of nets, on the
+rows where reuse fires most and on random pairs against the solver-per-round
+reference.  One more pins how much reuse there is: a split retires only the
+guards of the members that left, so on s838 most pairs of a round are
+verified without a query.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -36,6 +39,14 @@ def test_multi_round_rows_reuse_proofs_and_match_bdd(name):
     assert engine.stats["proofs_reused"] > 0
     assert normalize(netsets(classes)) == normalize(
         bdd_partition_netsets(product))
+
+
+def test_s838_reuses_more_proofs_than_it_queries():
+    spec, impl = row_by_name("s838").pair()
+    product = build_product(spec, impl, match_outputs="order")
+    engine = SatCorrespondence(product)
+    engine.compute()
+    assert engine.stats["proofs_reused"] > engine.stats["sat_queries"]
 
 
 @settings(max_examples=15, deadline=None)

@@ -63,15 +63,28 @@ def random_assumptions(rng):
     return [v if rng.random() < 0.5 else -v for v in assumed]
 
 
+def random_guards(rng, last):
+    """No guards, the last list again, or a fresh list of up to four."""
+    pick = rng.random()
+    if pick < 0.3:
+        return None
+    if pick < 0.6 and last:
+        return last
+    return random_assumptions(rng) + random_assumptions(rng)[:1]
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(min_value=0, max_value=10 ** 6))
 def test_interleaved_ops_match_fresh_resolve(seed):
-    """Any add/solve interleaving agrees with fresh-solver re-solves."""
+    """Any add/solve interleaving agrees with fresh-solver re-solves.  A
+    query may pass guards, which must answer as if they led its
+    assumptions."""
     rng = random.Random(seed)
     incremental = Solver()
     incremental.ensure_vars(NUM_VARS)
     accumulated = []
     ok = True
+    guards = None
     for _ in range(30):
         op = rng.random()
         if op < 0.5:
@@ -83,8 +96,10 @@ def test_interleaved_ops_match_fresh_resolve(seed):
                 # accumulated CNF must really be UNSAT.
                 assert not brute_force_sat(NUM_VARS, accumulated)
         else:
-            assumptions = random_assumptions(rng)
-            verdict = incremental.solve(assumptions=assumptions)
+            guards = random_guards(rng, guards)
+            assumed = random_assumptions(rng)
+            verdict = incremental.solve(assumptions=assumed, guards=guards)
+            assumptions = (guards or []) + assumed
             if not ok:
                 verdict = False
             expected = brute_force_sat(
@@ -279,6 +294,32 @@ def test_shared_assumption_prefix_reuses_trail():
     assert s.solve(assumptions=[guard, n]) is True
     # The guard's implication chain was reused, not recomputed.
     assert s.propagations - baseline < n // 2
+
+
+def test_guard_level_survives_between_queries():
+    """Queries under one guard list propagate the guards' cone once; a
+    changed list places the guard level again."""
+    s = Solver()
+    n = 60
+    s.ensure_vars(n + 2)
+    guard, other = n + 1, n + 2
+    s.add_clause([-guard, 1])
+    for i in range(1, n):
+        s.add_clause([-i, i + 1])
+    guards = [other, guard]
+    baseline = s.propagations
+    assert s.solve(guards=guards, assumptions=[n]) is True
+    assert s.propagations - baseline >= n  # the whole chain was propagated
+    baseline = s.propagations
+    assert s.solve(guards=guards, assumptions=[-other]) is False
+    assert s.failed_assumptions() == {other, -other}
+    assert s.solve(guards=guards, assumptions=[n - 1]) is True
+    # Only the assumptions' own levels were placed again.
+    assert s.propagations - baseline < n // 2
+    guards.remove(other)  # in place: the guard level must be placed again
+    baseline = s.propagations
+    assert s.solve(guards=guards, assumptions=[-other]) is True
+    assert s.propagations - baseline >= n
 
 
 def test_learned_clauses_survive_budget_abort():

@@ -8,7 +8,10 @@ on every verdict, model and effort counter after every call.  The
 ``solver_stats`` pins at the bottom hold the engines' counts at the values
 the scan-based kernel produces, which a test re-derives by running each
 engine on ``ScanSolver``.  The assumption cores of ``failed_assumptions``
-are checked in between: each must refute the clauses on its own.
+are checked in between: each must refute the clauses on its own.  The
+scripts pass guard lists too, and the guard-level cases after them pin
+what placing every guard on one decision level must keep: the verdict of
+``solve(assumptions=G + A)`` and a core that refutes on its own.
 """
 
 import random
@@ -107,10 +110,14 @@ def random_3sat(rng, num_vars, num_clauses):
 
 literals = st.integers(1, NUM_VARS).flatmap(lambda v: st.sampled_from([v, -v]))
 clauses = st.lists(literals, min_size=1, max_size=4)
+#: Guard lists: none, one of a few that recur (so a later call finds its
+#: guard level standing), or a fresh one.
+guard_lists = st.one_of(st.none(), st.sampled_from([[1, 2], [-3, 4, 5]]),
+                        st.lists(literals, max_size=4))
 calls = st.one_of(
     st.tuples(st.just("add"), clauses),
     st.tuples(st.just("solve"), st.lists(literals, max_size=3),
-              st.sampled_from([None, 0, 1, 5])),
+              st.sampled_from([None, 0, 1, 5]), guard_lists),
     st.tuples(st.just("simplify")),
 )
 
@@ -127,7 +134,8 @@ def test_interleaved_calls_match_scan_reference(base, script):
                         lambda s: s.add_clause(call[1]))
         elif call[0] == "solve":
             assert_same(kernel, reference, lambda s: s.solve(
-                assumptions=call[1], conflict_budget=call[2]))
+                assumptions=call[1], conflict_budget=call[2],
+                guards=call[3]))
         else:
             assert_same(kernel, reference, lambda s: s.simplify())
 
@@ -214,9 +222,9 @@ def test_failed_assumptions_refute_on_their_own(base, script):
             solver.add_clause(call[1])
             added.append(call[1])
         elif call[0] == "solve":
-            if solver.solve(assumptions=call[1],
-                            conflict_budget=call[2]) is False:
-                assert_core_refutes(added, call[1],
+            if solver.solve(assumptions=call[1], conflict_budget=call[2],
+                            guards=call[3]) is False:
+                assert_core_refutes(added, (call[3] or []) + call[1],
                                     solver.failed_assumptions())
         else:
             solver.simplify()
@@ -292,15 +300,159 @@ def test_core_expires_with_the_answer_it_explains():
         solver.failed_assumptions()
 
 
+# -- the guard level -----------------------------------------------------------
+
+
+def guarded_3sat(rng, num_vars, num_clauses, guards):
+    """Random 3-SAT in which about half the clauses carry one of
+    ``guards`` as an activation literal."""
+    formula = random_3sat(rng, num_vars, num_clauses)
+    return [clause + [-rng.choice(guards)] if rng.random() < 0.5 else clause
+            for clause in formula]
+
+
+def assert_guarded_answer(solver, formula, guards, assumptions):
+    """``solver`` has just answered ``solve(guards=..., assumptions=...)``;
+    a fresh solver given ``guards + assumptions`` agrees, a model sets
+    every guard, and a core refutes on its own."""
+    verdict = solver.solve(assumptions=assumptions, guards=guards)
+    fresh = Solver()
+    for clause in formula:
+        fresh.add_clause(clause)
+    assert verdict == fresh.solve(assumptions=guards + assumptions)
+    if verdict:
+        assert all(solver.value(g) is True for g in guards)
+    else:
+        assert_core_refutes(formula, guards + assumptions,
+                            solver.failed_assumptions())
+    return verdict
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_guard_lists_that_change_or_vanish_match_fresh_solves(seed):
+    """Queries under one guard list, the same list again, the list mutated
+    in place, another list, and no list at all; both kernels agree on
+    every call and each verdict is a fresh solver's."""
+    rng = random.Random(seed)
+    guards = list(range(41, 47))
+    formula = guarded_3sat(rng, 40, 170, guards)
+    kernel, reference = Solver(), ScanSolver()
+    for clause in formula:
+        assert_same(kernel, reference, lambda s: s.add_clause(clause))
+    current = guards[:3]
+    verdicts = []
+    for step in range(24):
+        if step % 6 == 2:
+            current.append(guards[3 + step % 3])   # in place
+        elif step % 6 == 4:
+            current = rng.sample(guards, rng.randint(1, 6))
+        elif step % 6 == 5:
+            current = []
+        assumptions = [v if rng.random() < 0.5 else -v
+                       for v in rng.sample(range(1, 41), 3)]
+        verdicts.append(assert_same(
+            kernel, reference,
+            lambda s: assert_guarded_answer(s, formula, current,
+                                            assumptions)))
+    assert True in verdicts and False in verdicts
+
+
+def test_restarts_place_the_guard_level_again():
+    """Near the 3-SAT threshold under guards: restarts drop to level 0
+    mid-query, and every answer must still hold the guards."""
+    rng = random.Random(11)
+    guards = [121, 122, 123]
+    formula = guarded_3sat(rng, 120, 520, guards)
+    kernel, reference = Solver(), ScanSolver()
+    for solver in (kernel, reference):
+        solver.max_learned = 40
+    for clause in formula:
+        assert_same(kernel, reference, lambda s: s.add_clause(clause))
+    for _ in range(6):
+        assumptions = [v if rng.random() < 0.5 else -v
+                       for v in rng.sample(range(1, 121), 2)]
+        assert_same(kernel, reference, lambda s: assert_guarded_answer(
+            s, formula, guards, assumptions))
+    assert kernel.restarts > 0
+
+
+def test_a_learned_unit_places_the_guard_level_again():
+    """The first search decision, -1, refutes itself: the learned unit 1
+    backjumps to level 0, below the guard level, and the guards must be
+    placed again before the answer."""
+    formula = [[1, 2], [1, -2], [-5, 3], [-6, -4]]
+    for kernel in (Solver(), ScanSolver()):
+        for clause in formula:
+            kernel.add_clause(clause)
+        assert kernel.solve(guards=[5, 6]) is True
+        assert kernel.conflicts == 1 and kernel.level[0] == 0
+        assert [kernel.value(v) for v in (1, 3, 4, 5, 6)] == [
+            True, True, False, True, True]
+        assert kernel.trail[kernel.trail_lim[0]:][:2] == [8, 10]
+
+
+@pytest.mark.parametrize("formula, guards, core", [
+    ([[-2], [1, 3]], [1, 2], {2}),
+    ([[1, 3]], [1, 3, -1], {1, -1}),
+    ([[-1, 3], [-2, -3], [4, 5]], [1, 4, 2], {1, 2}),
+], ids=["false-at-the-root", "opposite-guards", "guard-level-conflict"])
+def test_guards_that_refute_the_formula_answer_false(formula, guards, core):
+    solver = Solver()
+    for clause in formula:
+        solver.add_clause(clause)
+    for _ in range(2):   # the second call must not trust the failed level
+        assert solver.solve(guards=guards, assumptions=[5]) is False
+        assert solver.failed_assumptions() == core
+        assert solver.ok
+    assert solver.solve(assumptions=[5]) is True
+
+
+def test_the_solver_keeps_fewer_than_30_attributes():
+    """From 30 instance attributes on, CPython 3.11 and 3.12 stop keeping
+    an object's attributes inline; ``bmc`` on ``delay_line_pair(200)`` ran
+    8% slower with three more attributes than the 27 the solver had."""
+    assert len(vars(Solver())) < 30
+
+
+def test_a_zero_guard_is_rejected_and_the_solver_stays_usable():
+    solver = Solver()
+    solver.add_clause([-1, 2])
+    with pytest.raises(SatError):
+        solver.solve(guards=[1, 0])
+    assert solver.solve(guards=[1], assumptions=[-2]) is False
+    assert solver.failed_assumptions() == {1, -2}
+
+
+def test_guards_refuted_only_after_search_answer_false():
+    """Pigeonhole PHP(4, 3) switched on by guard 13: the refutation needs
+    search above the guard level and ends in a conflict on it."""
+    formula = []
+    for pigeon in range(4):
+        formula.append([3 * pigeon + hole + 1 for hole in range(3)] + [-13])
+    for hole in range(3):
+        for i in range(4):
+            for j in range(i + 1, 4):
+                formula.append([-(3 * i + hole + 1), -(3 * j + hole + 1)])
+    for kernel in (Solver(), ScanSolver()):
+        for clause in formula:
+            kernel.add_clause(clause)
+        kernel.ensure_vars(14)
+        for _ in range(2):
+            assert kernel.solve(guards=[14, 13]) is False
+            assert kernel.failed_assumptions() == {13}
+        assert kernel.conflicts > 1 and kernel.ok
+        assert kernel.solve(guards=[14]) is True
+
+
 # -- the engines' counts -------------------------------------------------------
 
 #: job -> (sat_queries, conflicts, decisions, propagations) of
 #: ``details["solver_stats"]``.
 ENGINE_COUNTS = {
-    "sat_sweep-s208": (599, 152, 437, 14007),
-    "sat_sweep-s298": (632, 186, 347, 15187),
+    "sat_sweep-s208": (466, 153, 435, 14207),
+    "sat_sweep-s298": (508, 180, 347, 14340),
     "k_induction-onehot_chain16": (11, 63, 666, 8053),
-    "fraig_sweep-s208": (1584, 175, 460, 64991),
+    "fraig_sweep-s208": (1288, 175, 460, 65146),
     "bmc-delay100": (100, 0, 800, 2110),
 }
 
