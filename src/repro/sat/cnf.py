@@ -23,16 +23,17 @@ class Cnf:
         return [self.new_var() for _ in range(count)]
 
     def add_clause(self, literals):
-        """Add a clause (a non-empty iterable of DIMACS literals)."""
-        clause = []
-        for lit in literals:
-            if not isinstance(lit, int) or lit == 0:
+        """Add a clause (a non-empty iterable of DIMACS literals, each a
+        nonzero ``int``, not a ``bool``, over allocated variables)."""
+        clause = list(literals)
+        num_vars = self.num_vars
+        for lit in clause:
+            if type(lit) is not int or not lit:
                 raise SatError("bad literal: {!r}".format(lit))
-            if abs(lit) > self.num_vars:
+            if not -num_vars <= lit <= num_vars:
                 raise SatError(
                     "literal {} references unallocated variable".format(lit)
                 )
-            clause.append(lit)
         if not clause:
             raise SatError("empty clause added (formula trivially UNSAT)")
         self.clauses.append(clause)
