@@ -9,14 +9,19 @@ coarser classes.  So these tests compare partitions as sets of nets, on the
 rows where reuse fires most and on random pairs against the solver-per-round
 reference.  One more pins how much reuse there is: a split retires only the
 guards of the members that left, so on s838 most pairs of a round are
-verified without a query.
+verified without a query.  The last pins the query order: a class's pairs
+are asked one polarity at a time, so the leader's literal stays placed.
 """
+
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 import pytest
 
 from repro.circuits import row_by_name
+from repro.core import satbackend
 from repro.core.satbackend import SatCorrespondence
+from repro.sat.solver import Solver
 from repro.netlist import build_product
 from repro.transform import optimize
 
@@ -29,7 +34,8 @@ def netsets(classes):
     return {frozenset(sig.net for sig in cls) for cls in classes}
 
 
-@pytest.mark.parametrize("name", ["s208", "s420", "s838"])
+@pytest.mark.parametrize("name",
+                         ["s208", "s420", "s838", "s1423", "s5378"])
 def test_multi_round_rows_reuse_proofs_and_match_bdd(name):
     spec, impl = row_by_name(name).pair()
     product = build_product(spec, impl, match_outputs="order")
@@ -47,6 +53,29 @@ def test_s838_reuses_more_proofs_than_it_queries():
     engine = SatCorrespondence(product)
     engine.compute()
     assert engine.stats["proofs_reused"] > engine.stats["sat_queries"]
+
+
+def test_s838_refinement_queries_keep_the_leader_placed():
+    """Each guarded query assumes ``[la, -lb]`` or ``[-la, lb]``.  Asked
+    pair by pair, both polarities in turn, the first assumption changed on
+    all 1,816 guarded queries of s838, so each one placed its leader's
+    literal afresh.  Asked one polarity at a time per class, it may change
+    on at most half of them."""
+    firsts = []
+
+    class Recording(Solver):
+        def solve(self, assumptions=(), conflict_budget=None, guards=None):
+            if guards:
+                firsts.append(assumptions[0])
+            return super().solve(assumptions, conflict_budget, guards)
+
+    spec, impl = row_by_name("s838").pair()
+    product = build_product(spec, impl, match_outputs="order")
+    with mock.patch.object(satbackend, "Solver", Recording):
+        SatCorrespondence(product).compute()
+    changes = sum(1 for i, lit in enumerate(firsts)
+                  if i == 0 or lit != firsts[i - 1])
+    assert firsts and 2 * changes <= len(firsts)
 
 
 @settings(max_examples=15, deadline=None)
