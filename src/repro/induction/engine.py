@@ -98,8 +98,8 @@ class KInductionEngine:
 
     def verify_product(self, product):
         start = time.monotonic()
-        self._reset(product)
         try:
+            self._reset(product)
             return self._run(start)
         except ResourceBudgetExceeded as exc:
             return self._result(None, start, {"aborted": str(exc)})
@@ -121,8 +121,6 @@ class KInductionEngine:
         }
         for key in _SOLVER_COUNTERS:
             self.stats[key] = 0
-        self._csim = CompiledSim(self.circuit)
-        self.invariants = InvariantSet(self._candidates())
         self._candidate_source = self._source_label()
         self._enc = None
         self._solver = None
@@ -132,6 +130,13 @@ class KInductionEngine:
         self._uniq_act = None
         self._clause_mark = 0
         self._last_depth = 0
+        # The budget is polled between the long set-up steps; a run that
+        # stops here reports no candidates.
+        self.invariants = InvariantSet(())
+        self._csim = CompiledSim(self.circuit)
+        self.budget.check()
+        self.invariants = InvariantSet(self._candidates())
+        self.budget.check()
 
     def _candidates(self):
         if not self.strengthen:

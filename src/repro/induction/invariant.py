@@ -126,13 +126,14 @@ def candidates_from_simulation(circuit, seed=2024, sim_frames=24,
 
     sim = SequentialSimulator(circuit, width=sim_width, seed=seed,
                               compiled=compiled)
-    sim.run(sim_frames)
+    # ``sim.signatures`` builds a map of every net on each read.
+    signatures = sim.run(sim_frames)
     total_bits = sim_frames * sim_width
     full = (1 << total_bits) - 1
     ref_bit = total_bits - sim_width
     buckets = {full: [(CONST_NET, False)]}
     for net in circuit.registers:
-        signature = sim.signatures[net]
+        signature = signatures[net]
         complemented = not ((signature >> ref_bit) & 1)
         if complemented:
             signature ^= full

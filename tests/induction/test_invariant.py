@@ -1,12 +1,20 @@
 """Candidate invariants: construction, violation semantics, CEGAR drops."""
 
+from unittest import mock
+
+import pytest
+
+from repro.circuits import onehot_chain_pair
 from repro.core.satbackend import CONST_NET
+from repro.fuzz.generate import build_pair
 from repro.induction.invariant import (
     Candidate,
     InvariantSet,
     candidates_from_classes,
     candidates_from_simulation,
 )
+from repro.netlist import build_product
+from repro.netlist.simulate import SequentialSimulator
 from repro.sat.tseitin import TseitinEncoder
 
 from ..netlist.helpers import counter_circuit, toggle_circuit
@@ -122,3 +130,59 @@ def test_invariant_set_clauses_and_violations_roundtrip():
     assert solver.solve(assumptions=act + [va, -vb]) is False
     # Without it, the violation literal can be made true.
     assert solver.solve(assumptions=viols) is True
+
+
+# -- one signature read ----------------------------------------------------------
+
+#: One of the k-induction pairs the benchmark runs: xor-reencoded and
+#: retimed, so its registers fall into several signature classes.
+XOR_RETIMED_RECIPE = {
+    "base": {"name": "ih15", "n_regs": 7, "n_inputs": 2, "n_outputs": 1,
+             "seed": 14668, "deep_counter_bits": 0, "mixer_width": 0},
+    "transforms": [{"kind": "xor_reencode", "pairs": 2, "seed": 260},
+                   {"kind": "retime", "moves": 2, "seed": 806}]}
+
+
+def signature_candidates(circuit, seed=2024, sim_frames=24, sim_width=32):
+    """The simulation candidates as a reference computes them: one
+    signature class per normalized register signature, plus the constant."""
+    sim = SequentialSimulator(circuit, width=sim_width, seed=seed)
+    signatures = sim.run(sim_frames)
+    full = (1 << sim_frames * sim_width) - 1
+    ref_bit = (sim_frames - 1) * sim_width
+    classes = {full: [(CONST_NET, False)]}
+    for net in circuit.registers:
+        complemented = not (signatures[net] >> ref_bit) & 1
+        signature = signatures[net] ^ (full if complemented else 0)
+        classes.setdefault(signature, []).append((net, complemented))
+    return candidates_from_classes(classes.values(), circuit)
+
+
+def candidate_tuples(candidates):
+    return [(c.a_net, c.a_comp, c.b_net, c.b_comp, c.index)
+            for c in candidates]
+
+
+@pytest.mark.parametrize("pair", [
+    lambda: onehot_chain_pair(16),
+    lambda: build_pair(XOR_RETIMED_RECIPE),
+], ids=["onehot_chain16", "xor_retimed"])
+def test_simulation_candidates_read_the_signatures_once(pair):
+    """``SequentialSimulator.signatures`` builds a map of every net on each
+    read; read once per register, it made candidate seeding O(registers x
+    nets)."""
+    circuit = build_product(*pair(), match_outputs="order").circuit
+    reads = []
+    real = SequentialSimulator.signatures
+
+    def counted(sim):
+        reads.append(sim)
+        return real.fget(sim)
+
+    with mock.patch.object(SequentialSimulator, "signatures",
+                           property(counted)):
+        candidates = candidates_from_simulation(circuit)
+    assert len(reads) <= 1
+    assert len(candidates) > 1
+    assert candidate_tuples(candidates) == candidate_tuples(
+        signature_candidates(circuit))
