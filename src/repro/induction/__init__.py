@@ -2,9 +2,10 @@
 
 The third proof engine, complementing the correspondence fixed point
 (sound, incomplete) and symbolic traversal (complete, expensive):
-k-induction with simple-path constraints, optionally strengthened by a
-correspondence partition.  See :mod:`repro.induction.engine` for the
-formulation and the soundness argument.
+k-induction with simple-path constraints, added only when a step model
+repeats a state, optionally strengthened by a correspondence partition.
+See :mod:`repro.induction.engine` for the formulation and the soundness
+argument.
 """
 
 from .engine import (

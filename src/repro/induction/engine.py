@@ -10,14 +10,23 @@ induction on the product machine:
   ``0..k``;
 * **inductive step** — ``k+1`` frames from an *arbitrary* state: if P (and
   the strengthening candidates C) hold on frames ``0..k-1`` and all ``k+1``
-  states are pairwise distinct (the simple-path/uniqueness constraints that
-  make the method complete on finite systems), then P∧C must hold on frame
-  ``k``.  UNSAT proves P invariant.
+  states are pairwise distinct (the simple-path constraints that make the
+  method complete on finite systems), then P∧C must hold on frame ``k``.
+  UNSAT proves P invariant.
 
 Both cases run on **one** incremental solver per run — frames,
-output-difference selectors, uniqueness clauses and strengthening clauses
+output-difference selectors, simple-path clauses and strengthening clauses
 are appended monotonically; everything retractable is guarded by activation
 literals and assumed per query, exactly the ``core/satbackend.py`` idiom.
+
+Simple-path constraints are added on demand (Eén & Sörensson, "Temporal
+Induction by Incremental SAT Solving", 2003).  A step model whose ``k+1``
+states repeat one gets the distinctness clause of every repeated pair of
+frames, and the same query is asked again; only a model with pairwise
+distinct states drops a candidate or advances the depth.  Each step answer
+is therefore the one the full O(k²) set would give: UNSAT under a subset
+of the constraints is UNSAT under all of them, and an accepted model
+satisfies all of them.
 
 Strengthening: a (possibly partial) correspondence partition is converted
 into register-level candidate invariants (:mod:`repro.induction.invariant`).
@@ -117,6 +126,7 @@ class KInductionEngine:
             "sat_queries": 0,
             "base_queries": 0,
             "step_queries": 0,
+            "simple_path_pairs": 0,
             "cex_patterns": 0,
         }
         for key in _SOLVER_COUNTERS:
@@ -221,8 +231,8 @@ class KInductionEngine:
 
     def _encode_next_frame(self):
         """Encode one more frame; the previous frame becomes an assumed
-        (LHS) frame: strengthening clauses and uniqueness constraints are
-        appended for it before the new frame's diff selector."""
+        (LHS) frame: strengthening clauses are appended for it before the
+        new frame's diff selector."""
         prev = self._frames[-1]
         self.invariants.assert_frame(prev)
         leaves = {net: prev[reg.data_in]
@@ -230,22 +240,33 @@ class KInductionEngine:
         frame = self._enc.encode_frame(self.circuit, leaves=leaves)
         self.stats["frame_encodings"] += 1
         self._frames.append(frame)
-        self._add_uniqueness(len(self._frames) - 1)
         self._diff.append(self._diff_selector(frame))
         self._flush()
 
-    def _add_uniqueness(self, f):
-        """Simple-path constraints: frame ``f`` differs from every earlier
-        frame in at least one register (skipped for register-free products,
-        where an all-states pass at depth 0 is already decisive)."""
+    def _add_repeated_pairs(self, depth):
+        """Add the simple-path constraint of every pair of frames
+        ``0..depth`` whose states the current model makes equal; returns
+        how many were added.  A pair added earlier cannot repeat: its
+        clause holds in every model under ``_uniq_act``.  Register-free
+        products add none; an all-states pass at depth 0 is decisive."""
         if self._uniq_act is None:
-            return
+            return 0
         enc = self._enc
         regs = list(self.circuit.registers)
-        for i in range(f):
-            d_lits = [-enc.equal_var(self._frames[i][r], self._frames[f][r])
-                      for r in regs]
-            enc.add_clause(d_lits + [-self._uniq_act])
+        seen = {}
+        added = 0
+        for f in range(depth + 1):
+            state = tuple(self._lit_value(self._frames[f][r]) for r in regs)
+            earlier = seen.setdefault(state, [])
+            for i in earlier:
+                d_lits = [-enc.equal_var(self._frames[i][r],
+                                         self._frames[f][r]) for r in regs]
+                enc.add_clause(d_lits + [-self._uniq_act])
+                added += 1
+            earlier.append(f)
+        self._flush()
+        self.stats["simple_path_pairs"] += added
+        return added
 
     # -- model replay --------------------------------------------------------
 
@@ -351,10 +372,13 @@ class KInductionEngine:
     def _step_check(self, depth):
         """Consecution at ``depth``; CEGAR-drops non-inductive candidates.
 
-        SAT models either refute a candidate's consecution at the last
-        frame (drop it, re-query — converging on the largest self-inductive
-        subset) or violate P itself from an unreachable prefix, in which
-        case the depth is advanced with the candidate set intact.
+        A SAT model that repeats a state is no answer yet: its repeated
+        pairs get their simple-path constraints and the same query is
+        asked again.  Models with pairwise distinct states either refute a
+        candidate's consecution at the last frame (drop it, re-query —
+        converging on the largest self-inductive subset) or violate P
+        itself from an unreachable prefix, in which case the depth is
+        advanced with the candidate set intact.
         """
         path = [-d for d in self._diff[:depth]]
         while True:
@@ -368,9 +392,12 @@ class KInductionEngine:
             if self._uniq_act is not None:
                 assumptions.append(self._uniq_act)
             assumptions.append(target)
-            self.stats["step_queries"] += 1
-            if not self._query(assumptions):
-                return True
+            while True:
+                self.stats["step_queries"] += 1
+                if not self._query(assumptions):
+                    return True
+                if not self._add_repeated_pairs(depth):
+                    break
             replayed = self._replay_model(depth + 1)
             dropped = self.invariants.drop_refuted(replayed[depth])
             if not dropped:

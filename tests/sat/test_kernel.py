@@ -467,7 +467,7 @@ def test_guards_refuted_only_after_search_answer_false():
 ENGINE_COUNTS = {
     "sat_sweep-s208": (466, 153, 435, 10967),
     "sat_sweep-s298": (508, 180, 350, 12243),
-    "k_induction-onehot_chain16": (11, 63, 666, 8053),
+    "k_induction-onehot_chain16": (11, 63, 666, 4074),
     "fraig_sweep-s208": (1312, 176, 459, 37741),
     "bmc-delay100": (100, 0, 800, 2110),
 }
