@@ -79,6 +79,8 @@ def bmc_refute(product, max_depth=32, progress=None, budget=None):
             for lit in diff_lits:
                 enc.add_clause([-lit, any_diff])
             enc.add_clause([-any_diff] + diff_lits)
+            # Allocate the frame's variables at once, not clause by clause.
+            solver.ensure_vars(enc.cnf.num_vars)
             for clause in enc.cnf.clauses[clause_mark:]:
                 if not solver.add_clause(clause):
                     return finish(None, depth,

@@ -465,10 +465,10 @@ def test_guards_refuted_only_after_search_answer_false():
 #: job -> (sat_queries, conflicts, decisions, propagations) of
 #: ``details["solver_stats"]``.
 ENGINE_COUNTS = {
-    "sat_sweep-s208": (466, 153, 435, 10967),
-    "sat_sweep-s298": (508, 180, 350, 12243),
+    "sat_sweep-s208": (313, 162, 454, 12370),
+    "sat_sweep-s298": (356, 146, 434, 12016),
     "k_induction-onehot_chain16": (11, 63, 666, 4074),
-    "fraig_sweep-s208": (1312, 176, 459, 37741),
+    "fraig_sweep-s208": (851, 142, 495, 34853),
     "bmc-delay100": (100, 0, 800, 2110),
 }
 
